@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install verify test bench bench-full experiments faults perf perf-compare lint lint-changed lint-strict linkcheck redis-cluster fleet virtio-batch zbench examples clean
+.PHONY: install verify test bench bench-full experiments faults perf perf-compare lint lint-changed lint-strict linkcheck redis-cluster fleet virtio-batch zbench zbench-compare zbench-trace examples clean
 
 install:
 	pip install -e .
@@ -67,6 +67,20 @@ virtio-batch:
 # seconds): prints every metric and fails on any wrong output (zbench/README.md).
 zbench:
 	$(PYTHON) zbench/run.py --seconds 0
+
+# Perf evidence, step 1: 10 alternating parent/change pairs on seeds 1-10
+# of one workload, with the GAIN/REGRESSION verdict per metric.
+# Usage: make zbench-compare PARENT=<checkout of the parent> W=<workload>
+zbench-compare:
+	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make zbench-compare PARENT=<dir> W=<workload>"; exit 2; }
+	$(PYTHON) zbench/compare.py --collect $(PARENT) . --workload $(W) --out-dir zbench/out/cmp
+
+# Perf evidence, step 2: one workload's per-layer traced run (canonical
+# rounds only); fails unless the simulated metrics match the untraced run.
+# Usage: make zbench-trace W=<workload>
+zbench-trace:
+	@test -n "$(W)" || { echo "usage: make zbench-trace W=<workload>"; exit 2; }
+	$(PYTHON) zbench/run.py --workload $(W) --seconds 0 --trace 1
 
 # Verify every relative link in README/docs resolves to a real file.
 linkcheck:

@@ -14,18 +14,37 @@ touch secure memory faults exactly as on hardware.
 
 from __future__ import annotations
 
+import struct
+
 from repro.cycles import Category, CycleCosts, CycleLedger
 from repro.hyp.devices import MmioRegistry
 from repro.hyp.vm import CvmHostHandle, NormalVm
 from repro.isa.privilege import PrivilegeMode
 from repro.mem.frames import FrameAllocator
-from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_W, PTE_X, Sv39x4
+from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, Sv39x4
 from repro.mem.physmem import PAGE_SIZE
+from repro.sm.abi import SHARED_SUBTREE_SPAN
 from repro.sm.cvm import GpaLayout
 from repro.sm.vcpu import SHARED_VCPU_FIELDS
 
 #: Default contiguous chunk donated per pool-expansion request.
 DEFAULT_EXPAND_CHUNK = 8 << 20
+#: Shared window premapped at CVM creation and adoption (SWIOTLB + rings).
+DEFAULT_SHARED_WINDOW = 4 << 20
+#: Leaf permissions of every shared-window page.
+_SHARED_FLAGS = PTE_R | PTE_W | PTE_U | PTE_D
+
+
+def _shared_window(layout: GpaLayout, window: int | None) -> int:
+    """Resolve the default; refuse a window one shared subtree cannot hold."""
+    window = DEFAULT_SHARED_WINDOW if window is None else window
+    if window < 0 or window % PAGE_SIZE:
+        raise ValueError(f"shared window {window:#x} is not a page multiple")
+    if window > layout.shared_size:
+        raise ValueError("shared window exceeds the layout's shared region")
+    if window > SHARED_SUBTREE_SPAN:
+        raise ValueError("shared window exceeds the 1 GiB shared subtree")
+    return window
 
 
 class _HypAccessor:
@@ -147,17 +166,12 @@ class Hypervisor:
         """
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_fault_fixed)
         page_gpa = gpa & ~(PAGE_SIZE - 1)
-        pa = self.allocator.alloc()
-        self.bus.cpu_zero_range(hart, pa, PAGE_SIZE)
+        pa = self._alloc_zeroed_page(hart)
         self.ledger.charge(Category.HYP_LOGIC, self.costs.zero_bytes(PAGE_SIZE))
-        flags = PTE_R | PTE_W | PTE_X | PTE_U | PTE_D
         self._sv39x4.map(
-            _HypAccessor(self.bus, hart),
-            vm.hgatp_root,
-            page_gpa,
-            pa,
-            flags,
-            alloc_table=lambda: self._alloc_table_page(hart),
+            _HypAccessor(self.bus, hart), vm.hgatp_root, page_gpa, pa,
+            PTE_R | PTE_W | PTE_X | PTE_U | PTE_D,
+            alloc_table=lambda: self._alloc_zeroed_page(hart),
         )
         self.map_generation += 1
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_pte_install)
@@ -165,7 +179,7 @@ class Hypervisor:
         vm.fault_count += 1
         return pa
 
-    def _alloc_table_page(self, hart) -> int:
+    def _alloc_zeroed_page(self, hart) -> int:
         pa = self.allocator.alloc()
         self.bus.cpu_zero_range(hart, pa, PAGE_SIZE)
         return pa
@@ -192,19 +206,11 @@ class Hypervisor:
         normal frames through the hypervisor-managed shared subtree.
         """
         layout = layout or GpaLayout()
+        window = _shared_window(layout, shared_window)
         cvm_id = monitor.ecall_create_cvm(layout, vcpu_count)
         handle = CvmHostHandle(cvm_id, layout)
         self.cvm_handles[cvm_id] = handle
-
-        for vcpu_id in range(vcpu_count):
-            page = self.allocator.alloc()
-            self.bus.cpu_zero_range(hart, page, PAGE_SIZE)
-            monitor.ecall_assign_shared_vcpu(cvm_id, vcpu_id, page)
-            handle.shared_vcpu_pages[vcpu_id] = page
-
-        window = shared_window if shared_window is not None else 4 << 20
-        self._provision_shared_window(monitor, hart, handle, window)
-
+        self._provision(monitor, hart, handle, vcpu_count, window)
         if image:
             gpa = image_gpa if image_gpa is not None else layout.dram_base
             monitor.ecall_load_image(cvm_id, gpa, image)
@@ -222,56 +228,57 @@ class Hypervisor:
         ECALL: the host never touches the SM's CVM registry directly.
         """
         descriptor = monitor.ecall_describe_cvm(cvm_id)
+        window = _shared_window(descriptor.layout, shared_window)
         handle = CvmHostHandle(cvm_id, descriptor.layout)
         self.cvm_handles[cvm_id] = handle
-        for vcpu_id in range(descriptor.vcpu_count):
-            page = self.allocator.alloc()
-            self.bus.cpu_zero_range(hart, page, PAGE_SIZE)
-            monitor.ecall_assign_shared_vcpu(cvm_id, vcpu_id, page)
-            handle.shared_vcpu_pages[vcpu_id] = page
-        window = shared_window if shared_window is not None else 4 << 20
-        self._provision_shared_window(monitor, hart, handle, window)
+        self._provision(monitor, hart, handle, descriptor.vcpu_count, window)
         monitor.ecall_finalize(cvm_id)
         return handle
 
-    def _provision_shared_window(self, monitor, hart, handle: CvmHostHandle, window: int) -> None:
-        """Build the shared subtree and premap ``window`` bytes of it."""
-        layout = handle.layout
-        if window > layout.shared_size:
-            raise ValueError("shared window exceeds the layout's shared region")
-        accessor = _HypAccessor(self.bus, hart)
-        root_index = layout.shared_base >> 30
-        subtree = self.allocator.alloc()
-        self.bus.cpu_zero_range(hart, subtree, PAGE_SIZE)
-        handle.shared_subtrees[root_index] = subtree
-        monitor.ecall_link_shared_subtree(handle.cvm_id, root_index, subtree)
-
+    def _provision(self, monitor, hart, handle: CvmHostHandle, vcpu_count: int, window: int) -> None:
+        """Donate shared-vCPU pages, link a shared subtree, premap ``window``."""
+        for vcpu_id in range(vcpu_count):
+            page = self._alloc_zeroed_page(hart)
+            monitor.ecall_assign_shared_vcpu(handle.cvm_id, vcpu_id, page)
+            handle.shared_vcpu_pages[vcpu_id] = page
+        shared_base = handle.layout.shared_base
+        subtree = self._alloc_zeroed_page(hart)
+        handle.shared_subtrees[shared_base >> 30] = subtree
+        monitor.ecall_link_shared_subtree(handle.cvm_id, shared_base >> 30, subtree)
         backing = self.allocator.alloc(size=window)
         handle.shared_window_base = backing
         handle.shared_window_size = window
-        flags = PTE_R | PTE_W | PTE_U | PTE_D
-        for offset in range(0, window, PAGE_SIZE):
-            gpa = layout.shared_base + offset
-            self._map_in_subtree(accessor, hart, subtree, gpa, backing + offset, flags)
+        self._map_range_in_subtree(hart, subtree, shared_base, backing, window, _SHARED_FLAGS)
 
-    def _map_in_subtree(self, accessor, hart, subtree_pa: int, gpa: int, pa: int, flags: int) -> None:
-        """Map a page under a shared level-1 table the hypervisor owns.
+    def _map_range_in_subtree(self, hart, subtree: int, gpa: int, pa: int, size: int, flags: int) -> None:
+        """Map page-aligned ``gpa -> pa`` for ``size`` bytes under a shared
+        level-1 table (one 1 GiB stage-2 root slot) the hypervisor owns.
 
-        The subtree root covers 1 GiB (a stage-2 root slot); levels below
-        it are normal Sv39x4 geometry.
+        A range's PTEs in one leaf table are consecutive words, so each run
+        is written with one PMP-checked store: a denial anywhere faults
+        before any of it lands.  Epoch and PAGE_WALK still count per page.
         """
-        level1_index = (gpa >> 21) & 0x1FF
-        slot = subtree_pa + 8 * level1_index
-        pte = accessor.read_u64(slot)
-        if not pte & 1:
-            leaf_table = self._alloc_table_page(hart)
-            accessor.write_u64(slot, (leaf_table >> 12) << 10 | 1)
-            pte = accessor.read_u64(slot)
-        leaf_table = (pte >> 10) << 12
-        leaf_index = (gpa >> 12) & 0x1FF
-        accessor.write_u64(leaf_table + 8 * leaf_index, (pa >> 12) << 10 | flags | 1)
-        self.map_generation += 1
-        self.ledger.charge(Category.PAGE_WALK, 2 * self.costs.page_walk_level)
+        offset = gpa & (SHARED_SUBTREE_SPAN - 1)
+        end = offset + size
+        if end > SHARED_SUBTREE_SPAN:
+            raise ValueError(f"shared range {gpa:#x}+{size:#x} reaches past its 1 GiB subtree")
+        pte = (pa >> 12) << 10 | flags | PTE_V
+        while offset < end:
+            slot = subtree + 8 * (offset >> 21)
+            level1_pte = self.bus.cpu_read_u64(hart, slot)
+            if level1_pte & PTE_V:
+                leaf_table = (level1_pte >> 10) << 12
+            else:
+                leaf_table = self._alloc_zeroed_page(hart)
+                self.bus.cpu_write_u64(hart, slot, (leaf_table >> 12) << 10 | PTE_V)
+            run_end = min(end, (offset | 0x1FFFFF) + 1)
+            count = (run_end - offset) >> 12
+            run = struct.pack(f"<{count}Q", *range(pte, pte + (count << 10), 1 << 10))
+            self.bus.cpu_write(hart, leaf_table + 8 * ((offset >> 12) & 0x1FF), run)
+            self.map_generation += count
+            self.ledger.charge(Category.PAGE_WALK, count * int(2 * self.costs.page_walk_level))
+            pte += count << 10
+            offset = run_end
 
     def shared_gpa_to_hpa(self, handle: CvmHostHandle, gpa: int) -> int:
         """Device-side translation through the hypervisor's shared view.
@@ -345,16 +352,12 @@ class Hypervisor:
 
     def _fix_shared_fault(self, hart, handle: CvmHostHandle, gpa: int) -> None:
         """Demand-map one page of the shared region in the hyp's subtree."""
-        root_index = gpa >> 30
-        subtree = handle.shared_subtrees.get(root_index)
+        subtree = handle.shared_subtrees.get(gpa >> 30)
         if subtree is None:
             raise ValueError(f"no shared subtree covers GPA {gpa:#x}")
         page_gpa = gpa & ~(PAGE_SIZE - 1)
-        pa = self.allocator.alloc()
-        self.bus.cpu_zero_range(hart, pa, PAGE_SIZE)
-        accessor = _HypAccessor(self.bus, hart)
-        flags = PTE_R | PTE_W | PTE_U | PTE_D
-        self._map_in_subtree(accessor, hart, subtree, page_gpa, pa, flags)
+        pa = self._alloc_zeroed_page(hart)
+        self._map_range_in_subtree(hart, subtree, page_gpa, pa, PAGE_SIZE, _SHARED_FLAGS)
         self.translator.sfence_page(0, page_gpa)
 
     def service_plic(self, hart, cvm=None, vcpu_id: int = 0, machine=None) -> int:
@@ -399,18 +402,15 @@ class Hypervisor:
         """
         handle = self.cvm_handles[cvm_id]
         self.ledger.charge(Category.HYP_LOGIC, self.costs.hyp_sched_pass)
+        shared_base = handle.layout.shared_base
+        window = _shared_window(handle.layout, handle.shared_window_size + size)
         backing = self.allocator.alloc(size=size)
         self.bus.cpu_zero_range(self.hart, backing, size)
-        accessor = _HypAccessor(self.bus, self.hart)
-        root_index = handle.layout.shared_base >> 30
-        subtree = handle.shared_subtrees[root_index]
-        flags = PTE_R | PTE_W | PTE_U | PTE_D
-        old_size = handle.shared_window_size
-        for offset in range(0, size, PAGE_SIZE):
-            gpa = handle.layout.shared_base + old_size + offset
-            self._map_in_subtree(accessor, self.hart, subtree, gpa, backing + offset, flags)
-        handle.shared_window_size = old_size + size
-        return handle.layout.shared_base + old_size
+        gpa = shared_base + handle.shared_window_size
+        subtree = handle.shared_subtrees[shared_base >> 30]
+        self._map_range_in_subtree(self.hart, subtree, gpa, backing, size, _SHARED_FLAGS)
+        handle.shared_window_size = window
+        return gpa
 
     def on_pool_expand_request(self, monitor) -> None:
         """The SM asked for more secure memory: donate a contiguous chunk."""

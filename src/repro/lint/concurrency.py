@@ -50,7 +50,7 @@ GUARDED_ATTRS: dict[str, set[tuple[str, str]]] = {
     # mirrored by the hypervisor's provisioning seam
     "shared_subtrees": {
         ("sm/share.py", "SplitTableManager.link_shared_subtree"),
-        ("hyp/hypervisor.py", "Hypervisor._provision_shared_window"),
+        ("hyp/hypervisor.py", "Hypervisor._provision"),
     },
     # IPC channel registry
     "channels": set(),

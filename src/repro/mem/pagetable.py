@@ -261,12 +261,11 @@ class PageTable:
         yield from self._iter(memory.read, root_pa, 0, 0)
 
     def _iter(self, read, table: int, depth: int, va_prefix: int):
-        # A valid pointer PTE at the last level is followed like any other
-        # (as a 512-entry, 4 KB-granular table): walks stop there, scans
-        # report whatever a corrupted table points at.
-        geometry = min(depth, self.levels - 1)
-        words = self._table_words[geometry]
-        shift = self._shifts[geometry]
+        # A valid pointer PTE at the last level is skipped, as a hardware
+        # walk and ``_iter_tables`` skip it: following it would let a table
+        # that points back at itself recurse without bound.
+        words = self._table_words[depth]
+        shift = self._shifts[depth]
         level = self.levels - 1 - depth
         ptes = words.unpack(read(table, words.size))
         for index in compress(range(len(ptes)), ptes):
@@ -277,7 +276,7 @@ class PageTable:
             target = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
             if pte & 0b1110:  # leaf (R|W|X)
                 yield va, target, pte & 0xFF, level
-            else:
+            elif level:
                 yield from self._iter(read, target, depth + 1, va)
 
     def iter_tables(self, memory, root_pa: int):

@@ -43,6 +43,10 @@ class SbiError(enum.IntEnum):
 EXT_ZION_HOST = 0x5A4E_0001
 EXT_ZION_GUEST = 0x5A4E_0002
 
+#: GPA span of the table one LINK_SHARED_SUBTREE installs: a single
+#: stage-2 root slot, so the shared window a CVM's one subtree can hold.
+SHARED_SUBTREE_SPAN = 1 << 30
+
 
 class HostFunction(enum.IntEnum):
     """ZION_HOST function IDs (a6)."""

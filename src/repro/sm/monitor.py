@@ -17,7 +17,7 @@ from repro.errors import EcallError, SecurityViolation, TrapRaised
 from repro.isa.traps import AccessType
 from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, pte_pack
 from repro.mem.physmem import PAGE_SIZE
-from repro.sm.abi import CvmDescriptor
+from repro.sm.abi import SHARED_SUBTREE_SPAN, CvmDescriptor
 from repro.sm.alloc import AllocStage, HierarchicalAllocator, PoolExhausted
 from repro.sm.attestation import AttestationReport, AttestationService
 from repro.sm.channel import ChannelManager
@@ -400,6 +400,8 @@ class SecureMonitor:
         handle = self.hypervisor.cvm_handles[cvm_id]
         if handle.shared_window_size + size > cvm.layout.shared_size:
             raise EcallError("share request exceeds the shared GPA region")
+        if handle.shared_window_size + size > SHARED_SUBTREE_SPAN:
+            raise EcallError("share request reaches past the 1 GiB shared subtree")
         vcpu = cvm.vcpu(vcpu_id)
         self.world_switch.exit_to_normal(
             hart, cvm, vcpu, {"kind": "share_request", "cause": 0}

@@ -1,10 +1,17 @@
 """The KVM-like hypervisor: normal VMs, CVM hosting, pool expansion."""
 
+import dataclasses
+
 import pytest
 
-from repro.cycles import Category
-from repro.mem.pagetable import Sv39x4
+from repro import Machine, MachineConfig
+from repro.cycles import DEFAULT_COSTS, Category
+from repro.errors import EcallError, TrapRaised
+from repro.isa.pmp import PmpAddressMode, PmpEntry
+from repro.isa.traps import ExceptionCause
+from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_W, Sv39x4
 from repro.mem.physmem import PAGE_SIZE
+from repro.sm.cvm import GpaLayout
 
 
 class Raw:
@@ -88,13 +95,206 @@ class TestCvmHosting:
         assert result.pa == handle.shared_window_base + 0x8000
 
     def test_window_larger_than_region_rejected(self, machine):
-        from repro.sm.cvm import GpaLayout
-
         with pytest.raises(ValueError):
             machine.hypervisor.host_create_cvm(
                 machine.monitor, machine.hart,
                 layout=GpaLayout(shared_size=1 << 20), shared_window=2 << 20,
             )
+
+
+#: Windows the single shared subtree cannot hold: larger than the
+#: region, not a page multiple, and past the subtree's 1 GiB.
+BAD_WINDOWS = [
+    (GpaLayout(shared_size=1 << 20), 2 << 20),
+    (GpaLayout(), PAGE_SIZE + 1),
+    (GpaLayout(shared_size=2 << 30), (1 << 30) + PAGE_SIZE),
+]
+
+SHARED_FLAGS = PTE_R | PTE_W | PTE_U | PTE_D
+
+
+class TestWindowValidation:
+    @pytest.mark.parametrize("layout,window", BAD_WINDOWS)
+    def test_create_refuses_before_any_ecall(self, machine, layout, window):
+        """No CVM, no handle and no donated page is left behind."""
+        free_before = machine.host_allocator.free_bytes()
+        with pytest.raises(ValueError):
+            machine.hypervisor.host_create_cvm(
+                machine.monitor, machine.hart, layout=layout, shared_window=window
+            )
+        assert machine.monitor.cvms == {}
+        assert machine.hypervisor.cvm_handles == {}
+        assert machine.host_allocator.free_bytes() == free_before
+
+    @pytest.mark.parametrize("layout,window", BAD_WINDOWS)
+    def test_adopt_refuses_before_donating(self, machine, layout, window):
+        cvm_id = machine.monitor.ecall_create_cvm(layout, 1)
+        free_before = machine.host_allocator.free_bytes()
+        with pytest.raises(ValueError):
+            machine.hypervisor.host_adopt_cvm(
+                machine.monitor, machine.hart, cvm_id, shared_window=window
+            )
+        assert machine.monitor.cvms[cvm_id].shared_vcpus == [None]
+        assert machine.hypervisor.cvm_handles == {}
+        assert machine.host_allocator.free_bytes() == free_before
+
+    def test_share_request_past_the_subtree_is_an_ecall_error(self):
+        """The region allows it, the single 1 GiB subtree does not: the
+        request is refused instead of wrapping onto the window's start.
+        The DRAM is large enough that the backing itself would fit."""
+        machine = Machine(MachineConfig(dram_size=2 << 30))
+        session = machine.launch_confidential_vm(
+            image=b"x", layout=GpaLayout(shared_size=2 << 30)
+        )
+        handle = session.handle
+        size_before = handle.shared_window_size
+
+        def workload(ctx):
+            with pytest.raises(EcallError):
+                ctx.request_shared_memory(1 << 30)
+
+        machine.run(session, workload)
+        assert handle.shared_window_size == size_before
+        base = session.layout.shared_base
+        assert machine.hypervisor.shared_gpa_to_hpa(handle, base) == handle.shared_window_base
+
+    def test_host_share_past_the_subtree_refused_before_allocating(self):
+        machine = Machine(MachineConfig(dram_size=2 << 30))
+        handle = machine.hypervisor.host_create_cvm(
+            machine.monitor, machine.hart, image=b"x",
+            layout=GpaLayout(shared_size=2 << 30),
+        )
+        free_before = machine.host_allocator.free_bytes()
+        with pytest.raises(ValueError):
+            machine.hypervisor.on_share_request(machine.monitor, handle.cvm_id, 1 << 30)
+        assert machine.host_allocator.free_bytes() == free_before
+        assert handle.shared_window_size == 4 << 20
+
+    def test_mapper_refuses_a_range_crossing_the_subtree_end(self, machine):
+        hyp = machine.hypervisor
+        handle = hyp.host_create_cvm(machine.monitor, machine.hart, image=b"x")
+        subtree = handle.shared_subtrees[handle.layout.shared_base >> 30]
+        before = machine.dram.read(subtree, PAGE_SIZE)
+        generation = hyp.map_generation
+        gpa = handle.layout.shared_base + (1 << 30) - PAGE_SIZE
+        with pytest.raises(ValueError):
+            hyp._map_range_in_subtree(
+                machine.hart, subtree, gpa, handle.shared_window_base, 2 * PAGE_SIZE, SHARED_FLAGS
+            )
+        assert machine.dram.read(subtree, PAGE_SIZE) == before
+        assert hyp.map_generation == generation
+
+
+# -- the range mapper against the per-page mapper it replaced ------------------
+
+
+def _per_page_map_range(hyp, hart, subtree, gpa, pa, size, flags):
+    """Reference: one PMP-checked slot read, one PMP-checked leaf store,
+    one epoch bump and one PAGE_WALK charge per page."""
+    for offset in range(0, size, PAGE_SIZE):
+        page_gpa = gpa + offset
+        slot = subtree + 8 * ((page_gpa >> 21) & 0x1FF)
+        pte = hyp.bus.cpu_read_u64(hart, slot)
+        if not pte & 1:
+            table = hyp._alloc_zeroed_page(hart)
+            hyp.bus.cpu_write_u64(hart, slot, (table >> 12) << 10 | 1)
+            pte = hyp.bus.cpu_read_u64(hart, slot)
+        leaf = (pte >> 10) << 12
+        hyp.bus.cpu_write_u64(
+            hart, leaf + 8 * ((page_gpa >> 12) & 0x1FF),
+            ((pa + offset) >> 12) << 10 | flags | 1,
+        )
+        hyp.map_generation += 1
+        hyp.ledger.charge(Category.PAGE_WALK, 2 * hyp.costs.page_walk_level)
+
+
+def _mapping_state(machine, handle):
+    """Table bytes, ledger, epoch and per-page translation of a window."""
+    tables = {}
+    for subtree in handle.shared_subtrees.values():
+        tables[subtree] = machine.dram.read(subtree, PAGE_SIZE)
+        for index in range(512):
+            pte = machine.dram.read_u64(subtree + 8 * index)
+            if pte & 1:
+                leaf = (pte >> 10) << 12
+                tables[leaf] = machine.dram.read(leaf, PAGE_SIZE)
+    ledger = machine.ledger.by_category()
+    generation = machine.hypervisor.map_generation
+    base = handle.layout.shared_base
+    translations = [
+        machine.hypervisor.shared_gpa_to_hpa(handle, base + offset)
+        for offset in range(0, handle.shared_window_size, PAGE_SIZE)
+    ]
+    return tables, ledger, generation, translations
+
+
+def _build(costs, per_page, window, extend=0, fault_pages=0):
+    """Launch a CVM with ``window`` premapped, grow it by ``extend`` bytes
+    and demand-map ``fault_pages`` more; return the mapping state with
+    the epoch as a delta."""
+    machine = Machine(MachineConfig(costs=costs))
+    hyp = machine.hypervisor
+    if per_page:
+        hyp._map_range_in_subtree = lambda *args: _per_page_map_range(hyp, *args)
+    generation = hyp.map_generation
+    handle = hyp.host_create_cvm(
+        machine.monitor, machine.hart, image=b"x", shared_window=window
+    )
+    if extend:
+        hyp.on_share_request(machine.monitor, handle.cvm_id, extend)
+    end = handle.layout.shared_base + handle.shared_window_size
+    for page in range(fault_pages):
+        hyp._fix_shared_fault(machine.hart, handle, end + page * PAGE_SIZE)
+    tables, ledger, end_generation, translations = _mapping_state(machine, handle)
+    return tables, ledger, end_generation - generation, translations
+
+
+class TestRangeMapperMatchesPerPage:
+    @pytest.mark.parametrize("pages", [1, 511, 512, 513, 1024])
+    def test_premapped_window(self, pages):
+        fast = _build(DEFAULT_COSTS, False, pages * PAGE_SIZE)
+        assert fast == _build(DEFAULT_COSTS, True, pages * PAGE_SIZE)
+        assert fast[2] == pages
+
+    def test_share_request_across_a_2mb_boundary(self):
+        """A 1 MB window grown by 1.5 MB fills the first leaf table and
+        starts the next; two shared faults then map a page each."""
+        args = (1 << 20, 3 << 19, 2)
+        fast = _build(DEFAULT_COSTS, False, *args)
+        assert fast == _build(DEFAULT_COSTS, True, *args)
+        assert fast[2] == 256 + 384 + 2
+
+    def test_non_integral_walk_cost(self):
+        """Each page's 120.6-cycle charge floors to 120; a run of n pages
+        must charge exactly n * 120, not int(n * 120.6)."""
+        costs = dataclasses.replace(DEFAULT_COSTS, page_walk_level=60.3)
+        args = (513 * PAGE_SIZE, 3 << 19, 1)
+        assert _build(costs, False, *args) == _build(costs, True, *args)
+
+
+class TestRangeMapperPmp:
+    def test_denied_leaf_store_writes_no_pte_of_the_run(self, machine):
+        """A PMP entry denies only the run's last PTE word: the one store
+        faults and none of the run's other 255 PTEs land."""
+        hyp = machine.hypervisor
+        handle = hyp.host_create_cvm(
+            machine.monitor, machine.hart, image=b"x", shared_window=1 << 20
+        )
+        subtree = handle.shared_subtrees[handle.layout.shared_base >> 30]
+        leaf = (machine.dram.read_u64(subtree) >> 10) << 12
+        before = machine.dram.read(leaf, PAGE_SIZE)
+        machine.hart.pmp.set_entry(
+            14, PmpEntry(PmpAddressMode.NAPOT, leaf + 8 * 511, 8, readable=True)
+        )
+        generation = hyp.map_generation
+        walk_before = machine.ledger.by_category()[Category.PAGE_WALK]
+        with pytest.raises(TrapRaised) as trap:
+            hyp.on_share_request(machine.monitor, handle.cvm_id, 1 << 20)
+        assert trap.value.cause is ExceptionCause.STORE_ACCESS_FAULT
+        assert machine.dram.read(leaf, PAGE_SIZE) == before
+        assert hyp.map_generation == generation
+        assert machine.ledger.by_category()[Category.PAGE_WALK] == walk_before
+        assert handle.shared_window_size == 1 << 20
 
 
 class TestPoolExpansion:

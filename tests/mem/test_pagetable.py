@@ -204,3 +204,15 @@ class TestSv39x4:
         tables = list(pt.iter_tables(dram, root))
         assert tables[0] == root
         assert len(tables) == 3  # root + two intermediate levels
+
+    def test_scans_do_not_follow_a_last_level_pointer(self, acc, dram, table_alloc):
+        """A root slot that points back at the root (a table in writable
+        memory, corrupted or hostile): both scans stay bounded, and the
+        pointer met at the last level is skipped, as a walk skips it."""
+        pt = Sv39x4()
+        root = BASE + 0xB00000
+        dram.zero_range(root, pt.root_size)
+        pt.map(acc, root, 0x8000_0000, BASE, PTE_R, table_alloc)
+        dram.write_u64(root, (root >> 12) << 10 | PTE_V)
+        assert list(pt.iter_leaves(dram, root)) == [(0x8000_0000, BASE, PTE_R | PTE_V, 0)]
+        assert len(set(pt.iter_tables(dram, root))) == 3

@@ -130,7 +130,7 @@ def _reference_leaves(scheme, dram, table, depth=0, va_prefix=0):
         va = va_prefix | index << (12 + below)
         if pte_is_leaf(pte):
             yield va, pte_target(pte), pte & 0xFF, scheme.levels - 1 - depth
-        else:
+        elif depth < scheme.levels - 1:  # a last-level pointer is not followed
             yield from _reference_leaves(scheme, dram, pte_target(pte), depth + 1, va)
 
 

@@ -119,6 +119,16 @@ class TestCorruptionDetected:
         violations = check_invariants(machine)
         assert any("I6" in v for v in violations)
 
+    def test_self_referencing_normal_vm_table_is_swept(self, machine):
+        """A normal VM's stage-2 table lives in hypervisor-writable memory:
+        a root slot pointing back at the root must not hang the sweep."""
+        from repro.faults.invariants import check_postconditions
+        from repro.mem.pagetable import PTE_V
+
+        vm = machine.hypervisor.create_normal_vm("loop", machine.hart)
+        machine.dram.write_u64(vm.hgatp_root, (vm.hgatp_root >> 12) << 10 | PTE_V)
+        assert isinstance(check_postconditions(machine), list)
+
     def test_assert_raises_with_detail(self, machine):
         machine.iopmp.clear()
         with pytest.raises(AssertionError, match="I6"):
