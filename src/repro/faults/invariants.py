@@ -42,19 +42,22 @@ def _check_channel_ownership(machine) -> list:
 
 
 def _check_hypervisor_roots(machine) -> list:
+    # A leaf is checked across its whole span: a superpage whose first
+    # byte lies below the pool can still reach into it.
     violations = []
-    pool = machine.monitor.pool
+    regions = machine.monitor.pool.regions
     walker = Sv39x4()
     dram = machine.dram  # raw M-mode view of the tables
     for vm in machine.hypervisor.normal_vms:
         if vm.hgatp_root is None:
             continue
-        for gpa, pa, _flags, _level in walker.iter_leaves(dram, vm.hgatp_root):
-            if pool.contains(pa, 1):
-                violations.append(
-                    f"H1: normal VM {vm.name!r} maps GPA {gpa:#x} to "
-                    f"secure pool PA {pa:#x}"
-                )
+        for gpa, pa, _flags, _level in walker.leaves_overlapping(
+            dram, vm.hgatp_root, regions
+        ):
+            violations.append(
+                f"H1: normal VM {vm.name!r} maps GPA {gpa:#x} to "
+                f"secure pool PA {pa:#x}"
+            )
     return violations
 
 

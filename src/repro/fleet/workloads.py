@@ -89,13 +89,18 @@ def file_burst(ops: int, chunk: int = 4096):
     "mismatches"}``.
     """
 
+    # Byte i of an operation's payload is (first + i) & 0xFF: a slice of
+    # one repeating 0..255 ramp long enough for any starting byte.
+    ramp = bytes(range(256)) * (chunk // 256 + 2)
+
     def workload(ctx):
         base = ctx.session.layout.dram_base + 0x0100_0000
         counter = ctx.load(_counter_gva(ctx))
         mismatches = 0
         for op in range(ops):
             offset = ((counter + op) % 16) * chunk
-            payload = bytes((counter + op + i) & 0xFF for i in range(chunk))
+            first = (counter + op) & 0xFF
+            payload = ramp[first : first + chunk]
             ctx.write_bytes(base + offset, payload)
             if ctx.read_bytes(base + offset, chunk) != payload:
                 mismatches += 1

@@ -49,7 +49,7 @@ RULE = "ZL3"
 RAW_MEM_OPS = {"read", "write", "read_u64", "write_u64", "zero_range"}
 RAW_MEM_RECEIVERS = {"dram", "_dram"}
 
-WALK_OPS = {"walk", "map", "unmap", "iter_leaves"}
+WALK_OPS = {"walk", "map", "unmap", "iter_leaves", "leaves_overlapping"}
 WALK_RECEIVERS = {"sv39x4", "_sv39x4"}
 
 #: Module basenames exempt from ZL3 (see module docstring for reasons).

@@ -117,6 +117,7 @@ class PageTable:
         self._table_words = tuple(
             struct.Struct(f"<{1 << bits}Q") for bits in self.vpn_bits
         )
+        self._slots = tuple(range(1 << bits) for bits in self.vpn_bits)
 
     @property
     def root_entries(self) -> int:
@@ -249,18 +250,33 @@ class PageTable:
 
     # -- introspection -----------------------------------------------------------
 
-    # Both scans run over every table page on every invariant sweep and
-    # every migration export.  They read raw memory (the M-mode view,
-    # uncharged): ``memory`` is a :class:`~repro.mem.physmem.PhysicalMemory`
-    # or anything with its ``read(addr, size)``.  Each table page is read
-    # and unpacked in one bulk call, and ``compress`` skips its (mostly)
-    # zero slots in C, so only valid PTEs cost Python work.
+    # The scans run on every invariant sweep and every migration export.
+    # They read raw memory (the M-mode view, uncharged): ``memory`` is a
+    # :class:`~repro.mem.physmem.PhysicalMemory` or anything with its
+    # ``read(addr, size)``.  Each table page is read and unpacked in one
+    # bulk call, and ``compress`` skips its (mostly) zero slots in C, so
+    # only valid PTEs cost Python work.  ``lo``/``hi`` bound a scan to the
+    # root slots that overlap ``[lo, hi)``; callers still filter leaves
+    # by address, since a root slot spans a whole top-level region.
 
-    def iter_leaves(self, memory, root_pa: int):
-        """Yield ``(va, pa, flags, level)`` for every installed leaf."""
-        yield from self._iter(memory.read, root_pa, 0, 0)
+    def level_span(self, level: int) -> int:
+        """Bytes covered by a leaf at ``level`` (0 = 4 KB page)."""
+        return self._spans[self.levels - 1 - level]
 
-    def _iter(self, read, table: int, depth: int, va_prefix: int):
+    def _root_slots(self, lo: int, hi: int | None) -> range:
+        if hi is None:
+            hi = self._va_limit
+        if hi <= lo:
+            return range(0)
+        shift = self._shifts[0]
+        return range(max(lo, 0) >> shift, min(-(-hi >> shift), self.root_entries))
+
+    def iter_leaves(self, memory, root_pa: int, lo: int = 0, hi: int | None = None):
+        """Yield ``(va, pa, flags, level)`` for every installed leaf under the
+        root slots overlapping ``[lo, hi)``, in ascending ``va`` order."""
+        yield from self._iter(memory.read, root_pa, 0, 0, self._root_slots(lo, hi))
+
+    def _iter(self, read, table: int, depth: int, va_prefix: int, slots: range):
         # A valid pointer PTE at the last level is skipped, as a hardware
         # walk and ``_iter_tables`` skip it: following it would let a table
         # that points back at itself recurse without bound.
@@ -268,7 +284,7 @@ class PageTable:
         shift = self._shifts[depth]
         level = self.levels - 1 - depth
         ptes = words.unpack(read(table, words.size))
-        for index in compress(range(len(ptes)), ptes):
+        for index in compress(slots, ptes[slots.start : slots.stop]):
             pte = ptes[index]
             if not pte & PTE_V:
                 continue
@@ -277,7 +293,48 @@ class PageTable:
             if pte & 0b1110:  # leaf (R|W|X)
                 yield va, target, pte & 0xFF, level
             elif level:
-                yield from self._iter(read, target, depth + 1, va)
+                yield from self._iter(read, target, depth + 1, va, self._slots[depth + 1])
+
+    def leaves_overlapping(self, memory, root_pa: int, regions,
+                           lo: int = 0, hi: int | None = None) -> list:
+        """The :meth:`iter_leaves` tuples, in its order, of every leaf whose
+        whole span ``[pa, pa + span)`` overlaps one of ``regions``
+        (``(base, size)`` pairs), under the root slots overlapping ``[lo, hi)``.
+
+        Each table page's leaves are tested against a region in one
+        comprehension, so leaves that miss every region cost no Python
+        call each; only overlapping leaves become tuples.
+        """
+        hits: set = set()
+        self._overlapping(memory.read, root_pa, 0, 0, self._root_slots(lo, hi),
+                          regions, hits)
+        return sorted(hits)  # tuples start with va: sorted is walk order
+
+    def _overlapping(self, read, table: int, depth: int, va_prefix: int,
+                     slots: range, regions, hits: set) -> None:
+        words = self._table_words[depth]
+        shift = self._shifts[depth]
+        span = self._spans[depth]
+        level = self.levels - 1 - depth
+        ptes = words.unpack(read(table, words.size))
+        in_range = ptes[slots.start : slots.stop]
+        for base, size in regions:
+            after, end = base - span, base + size
+            hits.update([
+                (va_prefix | index << shift, pa, pte & 0xFF, level)
+                for index in compress(slots, in_range)
+                if (pte := ptes[index]) & PTE_V and pte & 0b1110  # valid leaf
+                and after < (pa := (pte & _PPN_MASK) >> _PPN_SHIFT << 12) < end
+            ])
+        if level:
+            for index in compress(slots, in_range):
+                pte = ptes[index]
+                if pte & PTE_V and not pte & 0b1110:  # valid pointer
+                    self._overlapping(
+                        read, (pte & _PPN_MASK) >> _PPN_SHIFT << 12, depth + 1,
+                        va_prefix | index << shift, self._slots[depth + 1],
+                        regions, hits,
+                    )
 
     def iter_tables(self, memory, root_pa: int):
         """Yield the physical address of every table page (root included)."""

@@ -33,6 +33,10 @@ from repro.sm.vcpu import GUEST_CSRS
 
 _MAGIC = b"ZIONMIG1"
 _COUNTER = struct.Struct("<Q")
+# HMAC (RFC 2104) pads, as ``bytes.translate`` tables: XOR with 0x36 / 0x5C.
+_HMAC_BLOCK = hashlib.sha256().block_size
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
 _LAYOUT_FIELDS = frozenset(field.name for field in dataclasses.fields(GpaLayout))
 _VCPU_FIELDS = frozenset(("gprs", "csrs", "pc"))
 _GPR_NAMES = frozenset(GPR_NAMES)
@@ -46,13 +50,21 @@ def derive_migration_key(fleet_secret: bytes, src_nonce: bytes, dst_nonce: bytes
 
 def _keystream(key: bytes, length: int) -> bytes:
     # HMAC-SHA256 in counter mode: block i is HMAC(enc_key, u64le(i)).
-    # One-shot ``hmac.digest`` runs each block entirely in C.
-    enc_key = hmac.digest(key, b"enc", "sha256")
+    # The HMAC inner and outer SHA-256 states absorb the key pads once per
+    # call; each block then costs two compressions, not a full re-key.
+    # Nothing is cached across calls: a cache would hold key material.
+    enc_key = hmac.digest(key, b"enc", "sha256").ljust(_HMAC_BLOCK, b"\0")
+    inner_copy = hashlib.sha256(enc_key.translate(_IPAD)).copy
+    outer_copy = hashlib.sha256(enc_key.translate(_OPAD)).copy
     pack = _COUNTER.pack
-    blocks = -(-length // 32)
-    return b"".join(
-        [hmac.digest(enc_key, pack(counter), "sha256") for counter in range(blocks)]
-    )[:length]
+    stream = []
+    for counter in range(-(-length // 32)):
+        inner = inner_copy()
+        inner.update(pack(counter))
+        outer = outer_copy()
+        outer.update(inner.digest())
+        stream.append(outer.digest())
+    return b"".join(stream)[:length]
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -79,9 +91,14 @@ def export_cvm(monitor, cvm_id: int, key: bytes) -> bytes:
     cvm.require_state(CvmState.SUSPENDED)
     monitor.migration_export_seq += 1
 
+    # Only the root slots of private DRAM: the shared window's leaves
+    # (hypervisor memory, never exported) are not even read.
+    layout = cvm.layout
     pages = []
-    for gpa, pa, _flags, _level in Sv39x4().iter_leaves(monitor.dram, cvm.hgatp_root):
-        if cvm.layout.in_private_dram(gpa):
+    for gpa, pa, _flags, _level in Sv39x4().iter_leaves(
+        monitor.dram, cvm.hgatp_root, layout.dram_base, layout.dram_base + layout.dram_size
+    ):
+        if layout.in_private_dram(gpa):
             pages.append((gpa, monitor.dram.read(pa, PAGE_SIZE)))
     pages.sort()
 

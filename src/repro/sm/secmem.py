@@ -108,6 +108,13 @@ class SecureMemoryPool:
                 return True
         return False
 
+    def overlaps(self, addr: int, size: int) -> bool:
+        """Whether ``[addr, addr+size)`` touches any registered pool memory."""
+        for base, region_size in self.regions:
+            if addr < base + region_size and base < addr + size:
+                return True
+        return False
+
     # -- circular list maintenance ---------------------------------------------
 
     def _insert_ordered(self, block: SecureMemoryBlock) -> None:

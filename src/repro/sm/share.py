@@ -23,12 +23,17 @@ Security comes from two facts this module enforces/validates:
 
 from __future__ import annotations
 
+import struct
+
 from repro.cycles import Category, CycleCosts, CycleLedger
 from repro.errors import SecurityViolation
 from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_W, PTE_X, Sv39x4, pte_is_leaf, pte_target
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import ConfidentialVm
 from repro.sm.secmem import SecureMemoryPool
+
+#: A whole 512-entry table page, unpacked in one call.
+_TABLE_WORDS = struct.Struct("<512Q")
 
 
 class SplitTableManager:
@@ -119,13 +124,15 @@ class SplitTableManager:
         self._ledger.charge(
             Category.PAGE_WALK, 512 * self._costs.page_walk_level
         )
-        for index in range(512):
-            pte = self._dram.read_u64(table_pa + 8 * index)
+        # A leaf is refused if any byte of its span reaches the pool: a
+        # 2 MB leaf based below the pool can still end inside it.
+        span = self._sv39x4.level_span(self._sv39x4.levels - 1 - depth)
+        for pte in filter(None, _TABLE_WORDS.unpack(self._dram.read(table_pa, PAGE_SIZE))):
             if not pte & 1:
                 continue
             target = pte_target(pte)
             if pte_is_leaf(pte):
-                if self._pool.contains(target, PAGE_SIZE):
+                if self._pool.overlaps(target, span):
                     raise SecurityViolation(
                         f"donated shared subtree maps secure memory at {target:#x}"
                     )

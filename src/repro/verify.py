@@ -8,12 +8,14 @@ after complex scenarios; embedders can call it anywhere as a tripwire.
 Checked invariants:
 
 I1. every CVM's stage-2 root and private table pages lie inside the pool;
-I2. every private leaf's frame is pool memory owned by exactly that CVM
+I2. every private leaf's whole span is pool memory, its frame owned by
+    exactly that CVM
     (frames of a live SM-brokered channel window are the one sanctioned
     exception: token-owned and mapped into both endpoints by design --
     :mod:`repro.faults.invariants` checks their ownership separately);
 I3. no two CVMs' private frames intersect (channel windows excepted);
-I4. shared-subtree tables and shared leaves lie outside the pool;
+I4. shared-subtree tables, and every byte of every shared leaf's span,
+    lie outside the pool;
 I5. the PMP pool entries of every hart match its recorded world state
     (open only while that hart executes a CVM);
 I6. the IOPMP denies DMA into every pool region, for any source id;
@@ -74,29 +76,41 @@ def check_invariants(machine) -> list:
         shared_split = monitor.split.shared_root_index_base(cvm)
         for table in walker.iter_tables(dram, cvm.hgatp_root):
             all_table_pages.add(table)
+        # Two range scans, in GPA order: private DRAM ends below the
+        # shared window (GpaLayout enforces it).  Leaves are checked
+        # across their whole span, not just their first page.
+        layout = cvm.layout
         frames = set()
-        for gpa, pa, _flags, _level in walker.iter_leaves(dram, cvm.hgatp_root):
-            if cvm.layout.in_private_dram(gpa):
-                page = pa & ~(PAGE_SIZE - 1)
-                if page in channel_frames.get(cvm.cvm_id, ()):
-                    continue  # live channel window: token-owned by design
-                frames.add(page)
-                if not pool.contains(pa, 1):
-                    violations.append(
-                        f"I2: CVM {cvm.cvm_id} private GPA {gpa:#x} maps "
-                        f"non-pool PA {pa:#x}"
-                    )
-                elif pool.owner_of(page) != cvm.cvm_id:
-                    violations.append(
-                        f"I2: CVM {cvm.cvm_id} private frame {pa:#x} owned by "
-                        f"{pool.owner_of(page)!r}"
-                    )
-            elif cvm.layout.in_shared(gpa):
-                if pool.contains(pa, 1):
-                    violations.append(
-                        f"I4: CVM {cvm.cvm_id} shared GPA {gpa:#x} aliases "
-                        f"pool PA {pa:#x}"
-                    )
+        for gpa, pa, _flags, level in walker.iter_leaves(
+            dram, cvm.hgatp_root, layout.dram_base, layout.dram_base + layout.dram_size
+        ):
+            if not layout.in_private_dram(gpa):
+                continue
+            page = pa & ~(PAGE_SIZE - 1)
+            if page in channel_frames.get(cvm.cvm_id, ()):
+                continue  # live channel window: token-owned by design
+            frames.add(page)
+            if not pool.contains(pa, walker.level_span(level)):
+                violations.append(
+                    f"I2: CVM {cvm.cvm_id} private GPA {gpa:#x} maps "
+                    f"non-pool PA {pa:#x}"
+                )
+            elif pool.owner_of(page) != cvm.cvm_id:
+                violations.append(
+                    f"I2: CVM {cvm.cvm_id} private frame {pa:#x} owned by "
+                    f"{pool.owner_of(page)!r}"
+                )
+        # The hypervisor's shared window: only leaves reaching the pool
+        # come back from the scan, so its pages of leaves cost no
+        # per-leaf Python work.
+        violations.extend(
+            f"I4: CVM {cvm.cvm_id} shared GPA {gpa:#x} aliases pool PA {pa:#x}"
+            for gpa, pa, _flags, _level in walker.leaves_overlapping(
+                dram, cvm.hgatp_root, pool.regions,
+                layout.shared_base, layout.shared_base + layout.shared_size,
+            )
+            if layout.in_shared(gpa)
+        )
         frames_by_cvm[cvm.cvm_id] = frames
         # Shared subtrees (hypervisor-owned) must live in normal memory.
         for index, table in cvm.shared_subtrees.items():

@@ -164,13 +164,8 @@ mixed_leaves = st.lists(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(scheme=st.sampled_from([Sv39x4(), Sv39()]), leaves=mixed_leaves,
-       high=st.booleans())
-def test_scans_match_reference_over_mixed_leaf_sizes(scheme, leaves, high):
-    """4 KB, 2 MB and 1 GB leaves with varied flags: ``iter_leaves``
-    yields the reference sequence (order included) and ``iter_tables``
-    the reference set."""
+def _mixed_table(scheme, leaves, high):
+    """Map ``mixed_leaves`` into a fresh table; returns ``(dram, root)``."""
     dram, acc, root, alloc = _env(scheme)
     # Half the examples also use the top of the address space (for
     # Sv39x4, root slots only its 2048-entry root has).
@@ -184,9 +179,60 @@ def test_scans_match_reference_over_mixed_leaf_sizes(scheme, leaves, high):
             scheme.map(acc, root, va, pa, flags, alloc, level=level)
         except MemoryError_:
             pass  # overlaps an earlier leaf or table: keep the first
+    return dram, root
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheme=st.sampled_from([Sv39x4(), Sv39()]), leaves=mixed_leaves,
+       high=st.booleans())
+def test_scans_match_reference_over_mixed_leaf_sizes(scheme, leaves, high):
+    """4 KB, 2 MB and 1 GB leaves with varied flags: ``iter_leaves``
+    yields the reference sequence (order included) and ``iter_tables``
+    the reference set."""
+    dram, root = _mixed_table(scheme, leaves, high)
     assert list(scheme.iter_leaves(dram, root)) == list(
         _reference_leaves(scheme, dram, root)
     )
     tables = list(scheme.iter_tables(dram, root))
     assert len(tables) == len(set(tables))
     assert set(tables) == set(_reference_tables(scheme, dram, root))
+
+
+GIB = 1 << 30
+
+
+@settings(max_examples=80, deadline=None)
+@given(scheme=st.sampled_from([Sv39x4(), Sv39()]), leaves=mixed_leaves,
+       high=st.booleans(), lo=st.integers(-GIB, 6 * GIB),
+       size=st.integers(0, 4 * GIB), unbounded=st.booleans(), data=st.data())
+def test_bounded_scans_are_the_full_scan_filtered(scheme, leaves, high, lo, size,
+                                                  unbounded, data):
+    """``iter_leaves(lo, hi)`` is the full scan filtered to the root slots
+    overlapping ``[lo, hi)``; ``leaves_overlapping`` further keeps exactly
+    the leaves whose whole span overlaps a region."""
+    dram, root = _mixed_table(scheme, leaves, high)
+    if high:
+        lo += 1 << (scheme.va_bits - 1)
+    hi = None if unbounded else lo + size
+    end = 1 << scheme.va_bits if hi is None else hi
+    full = list(scheme.iter_leaves(dram, root))
+    expected = [
+        leaf for leaf in full
+        if lo < end and leaf[0] // GIB * GIB < end and lo < (leaf[0] // GIB + 1) * GIB
+    ]
+    assert list(scheme.iter_leaves(dram, root, lo, hi)) == expected
+
+    def region_near(leaf):
+        """A page-granular region from a span before the leaf to a span
+        after it, so it may miss, clip either end of, or cover the leaf."""
+        pages = scheme.level_span(leaf[3]) // PAGE_SIZE
+        return st.tuples(st.integers(-pages, pages), st.integers(1, pages)).map(
+            lambda r: (max(leaf[1] + r[0] * PAGE_SIZE, 0), r[1] * PAGE_SIZE)
+        )
+
+    regions = data.draw(st.lists(st.sampled_from(full).flatmap(region_near), max_size=3))
+    assert scheme.leaves_overlapping(dram, root, regions, lo, hi) == [
+        (va, pa, flags, level) for va, pa, flags, level in expected
+        if any(pa < base + size and base < pa + scheme.level_span(level)
+               for base, size in regions)
+    ]

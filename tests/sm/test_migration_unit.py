@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Machine, MachineConfig
+from repro.mem.pagetable import Sv39x4
+from repro.mem.physmem import PAGE_SIZE
 from repro.sm.migration import _keystream, _mac, _xor, derive_migration_key
 
 #: Fixed key for the known-answer pins below.
@@ -40,6 +42,26 @@ class TestAgainstReference:
     @given(data=st.binary(max_size=300), stream=st.binary(max_size=300))
     def test_xor(self, data, stream):
         assert _xor(data, stream) == _reference_xor(data, stream)
+
+
+class TestKeystreamAgainstHmacBlocks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.binary(min_size=32, max_size=32),
+        length=st.one_of(
+            st.sampled_from([0, 1, 31, 32, 33]),
+            st.integers(2 * PAGE_SIZE, 3 * PAGE_SIZE + 100),
+        ),
+    )
+    def test_blocks_are_one_shot_hmacs(self, key, length):
+        """Block i is ``hmac.digest(enc_key, u64le(i))``, whatever the
+        precomputed-pad path does to get there."""
+        enc_key = hmac.digest(key, b"enc", "sha256")
+        reference = b"".join(
+            hmac.digest(enc_key, struct.pack("<Q", i), "sha256")
+            for i in range(-(-length // 32))
+        )[:length]
+        assert _keystream(key, length) == reference
 
 
 class TestSealKnownAnswers:
@@ -137,3 +159,53 @@ class TestKeyDerivation:
         assert derive_migration_key(b"s", b"a", b"b") != derive_migration_key(
             b"s", b"b", b"a"
         )
+
+
+class TestExportScan:
+    """Export reads the private subtree only, and seals the same bytes a
+    scan of the whole stage-2 tree would."""
+
+    @staticmethod
+    def _export(monkeypatch, full_scan: bool):
+        """Export a CVM with a premapped 4 MB shared window; returns the
+        blob, the addresses export read, and the table pages before it
+        (all of them, and those outside the shared subtree)."""
+        machine = Machine(MachineConfig())
+        session = machine.launch_confidential_vm(image=b"scan-guest" * 64)
+        base = session.layout.dram_base + (4 << 20)
+        machine.run(session, lambda ctx: ctx.write_bytes(base, b"private" * 900))
+        cvm = session.cvm
+        walker = Sv39x4()
+        shared = list(walker.iter_leaves(machine.dram, cvm.hgatp_root,
+                                         cvm.layout.shared_base, 1 << 41))
+        assert len(shared) == 1024
+        (shared_root,) = cvm.shared_subtrees.values()
+        shared_tables = {shared_root} | {
+            (word >> 10) << 12
+            for word in (machine.dram.read_u64(shared_root + 8 * i) for i in range(512))
+            if word & 1
+        }
+        tables = set(walker.iter_tables(machine.dram, cvm.hgatp_root))
+        reads = []
+        read = machine.dram.read
+
+        def recording(addr, size):
+            reads.append(addr)
+            return read(addr, size)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(machine.dram, "read", recording)
+            if full_scan:
+                whole = Sv39x4.iter_leaves
+                patch.setattr(Sv39x4, "iter_leaves",
+                              lambda self, memory, root, lo=0, hi=None: whole(self, memory, root))
+            blob = machine.export_confidential_vm(session, KAT_KEY)
+        return blob, reads, tables, tables - shared_tables
+
+    def test_reads_only_private_tables_and_seals_full_scan_bytes(self, monkeypatch):
+        blob, reads, tables, private_tables = self._export(monkeypatch, full_scan=False)
+        table_reads = tables.intersection(reads)
+        assert table_reads and table_reads <= private_tables
+        full_blob, full_reads, _tables, _private = self._export(monkeypatch, full_scan=True)
+        assert not tables.intersection(full_reads) <= private_tables  # the reference reads them
+        assert blob == full_blob

@@ -55,6 +55,15 @@ class TestRegistration:
         assert not pool.contains(BASE + 4 * SECURE_BLOCK_SIZE)
         assert not pool.contains(BASE - 1)
 
+    def test_overlaps_counts_any_shared_byte(self, pool):
+        end = BASE + 4 * SECURE_BLOCK_SIZE
+        assert pool.overlaps(BASE - PAGE_SIZE, PAGE_SIZE + 1)
+        assert pool.overlaps(end - 1, 2 * PAGE_SIZE)
+        assert pool.overlaps(BASE - PAGE_SIZE, end - BASE + 2 * PAGE_SIZE)
+        assert not pool.overlaps(BASE - PAGE_SIZE, PAGE_SIZE)
+        assert not pool.overlaps(end, PAGE_SIZE)
+        assert not pool.contains(BASE - PAGE_SIZE, 2 * PAGE_SIZE)
+
     def test_custom_block_size(self):
         pool = SecureMemoryPool(block_size=64 * 1024)
         pool.register_region(BASE, 256 * 1024)

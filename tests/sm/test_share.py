@@ -160,3 +160,21 @@ def test_first_link_of_empty_slot_does_not_flush(env):
 
     assert cvm.shared_subtrees[fresh_index] == table
     assert tlb.lookup(cvm.vmid, vpage) is not None
+
+
+def test_link_rejects_superpage_reaching_into_the_pool():
+    """A donated 2 MB leaf based below the pool but ending inside it is
+    refused: a leaf is checked across its whole span, not its first page."""
+    from repro import Machine, MachineConfig
+
+    # A 1 MB firmware region puts the pool at a 1 MB (not 2 MB) boundary.
+    machine = Machine(MachineConfig(firmware_size=1 << 20))
+    pool_base = machine.monitor.pool.regions[0][0]
+    leaf_pa = pool_base & ~((2 << 20) - 1)
+    assert leaf_pa < pool_base < leaf_pa + (2 << 20)
+    session = machine.launch_confidential_vm(image=b"x" * 4096)
+    table = machine.host_allocator.alloc()
+    machine.dram.zero_range(table, PAGE_SIZE)
+    machine.dram.write_u64(table + 8 * 3, (leaf_pa >> 12) << 10 | 0b111)
+    with pytest.raises(SecurityViolation, match="maps secure memory"):
+        machine.monitor.split.link_shared_subtree(session.cvm, 300, table)
