@@ -10,10 +10,11 @@ having to thread counters through its call tree.
 The ledger sits on the hottest path in the simulator (every guest access
 charges it several times), so the implementation is wall-clock-optimized:
 counters live in a flat int list indexed by a precomputed per-category
-index (no enum hashing), and spans track only the categories actually
-charged inside them (a dirty set per open span, propagated to the parent
-on close) instead of snapshotting and diffing whole category dicts.  None
-of this changes what is charged -- the cycle model is identical.
+index (no enum hashing), and a charge touches nothing but the counters:
+spans keep no per-charge bookkeeping, because counters only ever grow, so
+a span's breakdown is the categories whose counter moved between its
+start and end snapshots.  None of this changes what is charged -- the
+cycle model is identical.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class CycleLedger:
     mirroring a hardware cycle counter.
     """
 
-    __slots__ = ("_total", "_counts", "_charged_mask", "_span_stack")
+    __slots__ = ("_total", "_counts", "_charged_mask")
 
     def __init__(self):
         self._total = 0
@@ -63,8 +64,6 @@ class CycleLedger:
         #: included), preserving ``by_category``'s historical contract of
         #: listing every category that has been touched.
         self._charged_mask = 0
-        #: Dirty sets of the currently-open spans, innermost last.
-        self._span_stack: list = []
 
     @property
     def total(self) -> int:
@@ -91,9 +90,6 @@ class CycleLedger:
         self._total += cycles
         self._counts[index] += cycles
         self._charged_mask |= 1 << index
-        stack = self._span_stack
-        if stack:
-            stack[-1].add(index)
 
     def charger(self, category: Category, cycles):
         """Precompile a zero-argument charge of fixed ``(category, cycles)``.
@@ -114,9 +110,6 @@ class CycleLedger:
             self._total += cycles
             self._counts[index] += cycles
             self._charged_mask |= bit
-            stack = self._span_stack
-            if stack:
-                stack[-1].add(index)
 
         return fire
 
@@ -133,14 +126,15 @@ class CycleLedger:
 class Span:
     """A window over a ledger measuring one compound operation.
 
-    Spans nest LIFO (the ``with`` discipline): closing a span folds its
-    dirty-category set into the enclosing span so that parents observe
-    everything charged inside children.
+    A span is a pair of counter snapshots, taken when it opens and when
+    it closes; the ledger knows nothing of open spans.  Nesting therefore
+    needs no propagation: an enclosing span's window contains every
+    charge made inside its children.
     """
 
     __slots__ = (
         "_ledger", "_start_total", "_start_counts", "_end_counts",
-        "_dirty", "_closed", "_breakdown", "cycles",
+        "_closed", "_breakdown", "cycles",
     )
 
     def __init__(self, ledger: CycleLedger):
@@ -148,10 +142,8 @@ class Span:
         self._start_total = ledger._total
         self._start_counts = tuple(ledger._counts)
         self._end_counts = None
-        self._dirty: set = set()
         self._closed = False
         self._breakdown = None
-        ledger._span_stack.append(self._dirty)
         self.cycles = 0
 
     def __enter__(self) -> "Span":
@@ -166,12 +158,6 @@ class Span:
             return
         self._closed = True
         ledger = self._ledger
-        stack = ledger._span_stack
-        stack.pop()
-        if stack:
-            # Propagate to the parent: charges inside this span happened
-            # inside the enclosing span too.
-            stack[-1].update(self._dirty)
         self.cycles = ledger._total - self._start_total
         self._end_counts = tuple(ledger._counts)
 
@@ -181,7 +167,9 @@ class Span:
 
         Most spans (one per SM-handled stage-2 fault) are measured only
         for ``cycles``; building the dict eagerly on every close was pure
-        overhead, so it materialises on first access.
+        overhead, so it materialises on first access.  Counters only grow,
+        so a category was charged a non-zero amount inside the span
+        exactly when its counter moved; categories appear in index order.
         """
         if not self._closed:
             return {}
@@ -189,8 +177,8 @@ class Span:
             start = self._start_counts
             ends = self._end_counts
             self._breakdown = {
-                _CATEGORIES[i]: ends[i] - start[i]
-                for i in sorted(self._dirty)
-                if ends[i] != start[i]
+                category: end - begin
+                for category, begin, end in zip(_CATEGORIES, start, ends)
+                if end != begin
             }
         return self._breakdown

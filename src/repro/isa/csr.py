@@ -172,9 +172,20 @@ class CsrFile:
 
     def snapshot(self, names) -> dict:
         """Raw values of the listed CSRs (for vCPU state save)."""
-        return {name: self.read_raw(name) for name in names}
+        values = self._values
+        try:
+            return {name: values[name] for name in names}
+        except KeyError as missing:
+            raise KeyError(f"unknown CSR {missing.args[0]!r}") from None
 
     def load_snapshot(self, values: dict) -> None:
-        """Raw-restore a set of CSRs (for vCPU state restore)."""
-        for name, value in values.items():
-            self.write_raw(name, value)
+        """Raw-restore a set of CSRs (for vCPU state restore).
+
+        Every value is masked to 64 bits, as :meth:`write_raw` does; names
+        are checked before anything is written.
+        """
+        current = self._values
+        if not values.keys() <= current.keys():
+            unknown = sorted(values.keys() - current.keys())[0]
+            raise KeyError(f"unknown CSR {unknown!r}")
+        current.update({name: value & _MASK64 for name, value in values.items()})

@@ -22,6 +22,12 @@ GPR_NAMES = (
     "t3 t4 t5 t6"
 ).split()
 
+#: Names a GPR write accepts: the 31 writable GPRs plus the two names of
+#: the hard-wired zero register, whose writes are ignored.
+_WRITABLE_NAMES = frozenset(GPR_NAMES) | {"zero", "x0"}
+
+_MASK64 = (1 << 64) - 1
+
 
 #: Memoized set-views of delegation CSR values.  Trap dispatch reads the
 #: medeleg/hedeleg views on every guest fault, and the CSRs only ever
@@ -89,16 +95,26 @@ class Hart:
             return
         if name not in self.gprs:
             raise KeyError(f"unknown GPR {name!r}")
-        self.gprs[name] = value & (1 << 64) - 1
+        self.gprs[name] = value & _MASK64
 
     def gpr_snapshot(self) -> dict:
         """A copy of the full GPR file (vCPU state save)."""
         return dict(self.gprs)
 
     def load_gprs(self, values: dict) -> None:
-        """Bulk-restore GPRs from a snapshot."""
-        for name, value in values.items():
-            self.write_gpr(name, value)
+        """Bulk-restore GPRs from a snapshot (every value masked to 64 bits).
+
+        The same writes as one :meth:`write_gpr` per entry, as a single
+        dict update: the world switch restores the whole file on every
+        CVM entry.  Names are checked before anything is written.
+        """
+        if not values.keys() <= _WRITABLE_NAMES:
+            unknown = sorted(values.keys() - _WRITABLE_NAMES)[0]
+            raise KeyError(f"unknown GPR {unknown!r}")
+        masked = {name: value & _MASK64 for name, value in values.items()}
+        masked.pop("zero", None)
+        masked.pop("x0", None)
+        self.gprs.update(masked)
 
     # -- delegation views -----------------------------------------------------
 

@@ -116,6 +116,21 @@ class PmpUnit:
         self._entries[index] = entry
         self._rebuild()
 
+    def set_entries(self, programme) -> None:
+        """Program several ``(index, entry)`` pairs with one rebuild.
+
+        The same writes as one :meth:`set_entry` per pair, except that
+        every target is checked for the lock bit before any is written,
+        so a refused programme leaves the unit untouched.
+        """
+        entries = self._entries
+        for index, _entry in programme:
+            if entries[index].locked:
+                raise PermissionError(f"PMP entry {index} is locked")
+        for index, entry in programme:
+            entries[index] = entry
+        self._rebuild()
+
     def entries(self):
         """A copy of the 16-entry array."""
         return list(self._entries)

@@ -17,6 +17,8 @@ asymmetry the paper's macrobenchmarks measure.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import struct
 
 from repro.cycles import Category, CycleCosts, CycleLedger, DEFAULT_COSTS
 from repro.errors import (
@@ -55,6 +57,57 @@ WAIT_DOORBELL = object()
 #: Returned by :meth:`Machine._replay_seq` when a recorded trace failed its
 #: structural validity check and the sequence must re-execute live.
 _REPLAY_REJECT = object()
+
+#: Operations of the single-access engine (:meth:`Machine._single_access`).
+#: Bit 0 selects a store; bit 1 a bulk-copy page chunk (data in bytes, no
+#: compute cycle: the caller charges the copy) instead of a scalar word.
+_LOAD, _STORE, _READ, _WRITE = 0, 1, 2, 3
+
+#: PTE permission bit each operation needs.
+_REQUIRED = (
+    AccessType.LOAD.required_pte_bit,
+    AccessType.STORE.required_pte_bit,
+    AccessType.LOAD.required_pte_bit,
+    AccessType.STORE.required_pte_bit,
+)
+
+_MASK64 = (1 << 64) - 1
+_U64 = struct.Struct("<Q")
+
+
+def _move_word(dram, pa: int, op: int, size: int, value):
+    """The data half of a scalar access that fits in one page."""
+    small = size if size < 8 else 8
+    if op:
+        if small == 8 and not pa & 7:
+            dram.write_u64(pa, value)
+        else:
+            dram.write(pa, (value & (1 << 8 * small) - 1).to_bytes(small, "little"))
+        return None
+    if small == 8 and not pa & 7:
+        return dram.read_u64(pa)
+    return int.from_bytes(dram.read(pa, small), "little")
+
+
+def _split_scalar(access, gva: int, op: int, small: int, first: int, value):
+    """A page-straddling scalar access, as the two accesses it splits into.
+
+    The ``first`` bytes up to the page end and the rest from the next
+    page are each an access of their own: translated, PMP-checked and
+    charged (timer check, TLB lookup or walk, compute cycle) in address
+    order, so the upper bytes land in the guest's next page, not the
+    physically adjacent frame.  A load's value is reassembled
+    little-endian.
+    """
+    second = small - first
+    shift = 8 * first
+    if op:
+        access(gva, op, first, value & (1 << shift) - 1)
+        access(gva + first, op, second, (value & _MASK64) >> shift)
+        return None
+    low = access(gva, op, first, None)
+    high = access(gva + first, op, second, None)
+    return low & (1 << shift) - 1 | (high & (1 << 8 * second) - 1) << shift
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,14 +160,11 @@ class GuestSession:
         #: invoked when the guest WFIs.  Returns True if it produced work.
         self.host_work = None
         self.active = False
-
-    @property
-    def vmid(self) -> int:
-        return self.cvm.vmid if self.kind is VmKind.CONFIDENTIAL else self.normal_vm.vmid
-
-    @property
-    def layout(self) -> GpaLayout:
-        return self.cvm.layout if self.kind is VmKind.CONFIDENTIAL else self.normal_vm.layout
+        vm = cvm if kind is VmKind.CONFIDENTIAL else normal_vm
+        #: The VM's VMID and GPA layout: fixed for the session's lifetime,
+        #: and read on every guest access.
+        self.vmid: int = vm.vmid
+        self.layout: GpaLayout = vm.layout
 
     @property
     def hgatp_root(self) -> int:
@@ -604,51 +654,157 @@ class Machine:
         return self._engine_seq(session, op, gva0, step, count, size,
                                 values, gvas, key)
 
-    def _access_one(self, session: GuestSession, gva: int, access: AccessType):
-        """Single-access engine fast path: resolved PA, or ``None``.
+    def _single_access(self, session: GuestSession):
+        """Build ``session``'s single-access engine: one call per guest access.
 
-        The inlined common case of :meth:`guest_access` -- timer compare,
-        TLB hit or valid-walk miss on an ordinary memory address -- with
-        identical charges, statistics and LRU motion.  Returns ``None``
-        *before* charging or mutating anything whenever the access needs
-        the generic machinery (MMIO or out-of-region addresses,
-        permission faults, stage-2 faults), so the caller falls back to
-        :meth:`guest_access` with nothing to undo.  Channel-ring header
-        words and payload chunks are the hot callers.
+        Returns ``access(gva, op, size, value)`` for the operations
+        :data:`_LOAD`/:data:`_STORE` (a scalar word: returns the loaded
+        value) and :data:`_READ`/:data:`_WRITE` (one page chunk of a bulk
+        copy: returns the bytes read).  The session's fixed constants --
+        its VMID, its engine address window, the TLB dict, the
+        ``mtimecmp`` list -- are bound once here; ``hart``,
+        ``hgatp_root`` and ``vsatp_root`` are read on every access.
+
+        On a TLB hit the engine performs, in the order
+        :meth:`_reference_access` does: the timer compare, the range
+        check, the TLB statistics and LRU motion, the TLB-hit charge
+        (fused with the compute cycle of a scalar access -- no timer check
+        can fall between them), and the data move.  A miss with a valid
+        walk charges and fills exactly as the translator would.  Anything
+        else -- MMIO or out-of-window addresses, insufficient
+        permissions, faults, VS-stage paging, page-straddling scalars --
+        takes :meth:`_reference_access` *before* charging or mutating
+        anything, so the detour is invisible.  Machines without the trace
+        cache (``trace_cache=False``, non-integral costs) get the
+        reference path itself.
         """
+        reference = self._reference_access
+        if self._trace_cache is None:
+            return functools.partial(reference, session)
         ledger = self.ledger
-        hart = session.hart
-        if ledger._total >= self.clint._mtimecmp[hart.hart_id]:
-            self.check_timer(session)
-        layout = session.layout
-        if session.kind is VmKind.CONFIDENTIAL:
-            if not 0 <= gva - layout.dram_base < layout.dram_size:
-                return None
-        elif layout.mmio_base <= gva < layout.mmio_base + layout.mmio_size:
-            return None
+        counts = ledger._counts
+        charge = ledger.charge
+        charge_compute = self._charge_seq_compute
+        mtimecmp = self.clint._mtimecmp
+        check_timer = self.check_timer
         translator = self.translator
         tlb = translator.tlb
-        key = (session.vmid, gva >> 12)
-        entry = tlb._entries.get(key)
-        required = access.required_pte_bit
-        if entry is not None:
-            ppage, flags = entry
-            if not flags & required:
-                return None
-            tlb.hits += 1
-            tlb._entries.move_to_end(key)
-            translator._charge_tlb_hit()
-            return ppage << 12 | gva & 0xFFF
-        if not 0 <= gva < translator.sv39x4._va_limit:
-            return None
-        wpa, wflags, levels, _slot = translator.probe_gpa(session.hgatp_root, gva)
-        if wpa is None or not wflags & required:
-            return None
-        tlb.misses += 1
-        ledger.charge(Category.PAGE_WALK, levels * int(self.costs.page_walk_level))
-        self.bus._cpu_check(hart, wpa, 1, access)
-        tlb.insert(session.vmid, gva >> 12, wpa >> 12, wflags)
-        return wpa
+        entries_get = tlb._entries.get
+        move_to_end = tlb._entries.move_to_end
+        insert = tlb.insert
+        probe = translator.probe_gpa
+        va_limit = translator.sv39x4._va_limit
+        cpu_check = self.bus._cpu_check
+        dram = self.dram
+        pages = dram._pages
+        dread = dram.read
+        dwrite = dram.write
+        unpack_from = _U64.unpack_from
+        pack_into = _U64.pack_into
+        vmid = session.vmid
+        layout = session.layout
+        # The engine's window: a CVM's private DRAM, or everything outside
+        # a normal VM's MMIO window.
+        inside = session.kind is VmKind.CONFIDENTIAL
+        if inside:
+            lo, hi = layout.dram_base, layout.dram_base + layout.dram_size
+        else:
+            lo, hi = layout.mmio_base, layout.mmio_base + layout.mmio_size
+        tlb_hit = int(self.costs.tlb_hit)
+        walk_cost = int(self.costs.page_walk_level)
+        tlb_index = Category.TLB.index
+        compute_index = Category.COMPUTE.index
+        tlb_bit = 1 << tlb_index
+        scalar_bits = tlb_bit | 1 << compute_index
+        scalar_hit = tlb_hit + 1
+
+        def access(gva, op, size, value):
+            if op < 2 and (size != 8 or gva & 7):
+                small = size if size < 8 else 8
+                first = PAGE_SIZE - (gva & 0xFFF)
+                if first < small:
+                    return _split_scalar(access, gva, op, small, first, value)
+            hart = session.hart
+            if ledger._total >= mtimecmp[hart.hart_id]:
+                check_timer(session)
+            if (lo <= gva < hi) is not inside or session.vsatp_root is not None:
+                return reference(session, gva, op, size, value)
+            key = (vmid, gva >> 12)
+            entry = entries_get(key)
+            if entry is not None:
+                if not entry[1] & _REQUIRED[op]:
+                    # Hardware re-walks; the reference path does.
+                    return reference(session, gva, op, size, value)
+                tlb.hits += 1
+                move_to_end(key)
+                pa = entry[0] << 12 | gva & 0xFFF
+                if op > 1:
+                    ledger._total += tlb_hit
+                    counts[tlb_index] += tlb_hit
+                    ledger._charged_mask |= tlb_bit
+                else:
+                    ledger._total += scalar_hit
+                    counts[tlb_index] += tlb_hit
+                    counts[compute_index] += 1
+                    ledger._charged_mask |= scalar_bits
+            else:
+                if not 0 <= gva < va_limit:
+                    return reference(session, gva, op, size, value)
+                pa, flags, levels, _slot = probe(session.hgatp_root, gva)
+                if pa is None or not flags & _REQUIRED[op]:
+                    return reference(session, gva, op, size, value)
+                tlb.misses += 1
+                charge(Category.PAGE_WALK, levels * walk_cost)
+                cpu_check(hart, pa, 1, AccessType.STORE if op & 1 else AccessType.LOAD)
+                insert(vmid, gva >> 12, pa >> 12, flags)
+                if op < 2:
+                    charge_compute()
+            if op > 1:
+                return dread(pa, size) if op == _READ else dwrite(pa, value)
+            if size == 8 and not pa & 7:
+                # The aligned word, read or written in place.
+                page = pages.get(pa >> 12)
+                if op:
+                    if page is None:
+                        page = pages[pa >> 12] = bytearray(PAGE_SIZE)
+                    pack_into(page, pa & 0xFFF, value & _MASK64)
+                    return None
+                return 0 if page is None else unpack_from(page, pa & 0xFFF)[0]
+            return _move_word(dram, pa, op, size, value)
+
+        return access
+
+    def _reference_access(self, session: GuestSession, gva: int, op: int,
+                          size: int, value):
+        """The reference single access: :meth:`guest_access`, then the data.
+
+        Same operations and results as the engine
+        :meth:`_single_access` builds.  A scalar access also charges its
+        compute cycle; one that straddles a page boundary is performed as
+        the two accesses it splits into (:func:`_split_scalar`).  A bulk
+        chunk that lands in an MMIO window is a
+        :class:`~repro.errors.ConfigurationError`.
+        """
+        access = AccessType.STORE if op & 1 else AccessType.LOAD
+        if op > 1:
+            pa, kind = self.guest_access(session, gva, access, size)
+            if kind != "memory":
+                raise ConfigurationError(
+                    f"bulk {'write' if op & 1 else 'read'} hit an MMIO window"
+                )
+            return self.dram.read(pa, size) if op == _READ else self.dram.write(pa, value)
+        small = size if size < 8 else 8
+        first = PAGE_SIZE - (gva & 0xFFF)
+        if first < small:
+            return _split_scalar(
+                functools.partial(self._reference_access, session),
+                gva, op, small, first, value,
+            )
+        result, kind = self.guest_access(session, gva, access, size)
+        self._charge_seq_compute()
+        if kind == "mmio":
+            return None if op else result
+        return _move_word(self.dram, result, op, size, value)
 
     def _engine_seq(self, session: GuestSession, op: str, gva0: int, step: int,
                     count: int, size: int, values, gvas, key,
@@ -661,9 +817,10 @@ class Machine:
         same order -- but with translation inlined for the common
         outcomes.  Anything unusual (MMIO or shared-region addresses,
         permission-insufficient entries, faults that cannot take the SM's
-        fused fix, VS-stage paging enabled upstream) detours that one
-        access through the generic :meth:`guest_access` *before* any
-        charge or mutation, so the detour is invisible.
+        fused fix, page-straddling accesses, VS-stage paging enabled
+        upstream) detours that one access through
+        :meth:`_reference_access` *before* any charge or mutation, so the
+        detour is invisible.
 
         A clean pure-flavor run starting at ``start == 0`` is recorded
         under ``key`` for future replay.
@@ -687,7 +844,7 @@ class Machine:
         vmid = session.vmid
         root = session.hgatp_root
         cpu_check = self.bus._cpu_check
-        guest_access = self.guest_access
+        reference = self._reference_access
         dram = self.dram
         read_u64 = dram.read_u64
         dread = dram.read
@@ -721,6 +878,11 @@ class Machine:
         small = min(size, 8)
         small_mask = (1 << (8 * small)) - 1
         aligned8 = size == 8
+        # Every access is aligned to its power-of-two size when the base
+        # and stride are, and then none can straddle a page.
+        may_straddle = small > 1 and bool(
+            (gva0 | step) & (small - 1) or small & (small - 1)
+        )
 
         if out is None and op == "L":
             out = []
@@ -743,6 +905,8 @@ class Machine:
                 if confidential
                 else not mmio_lo <= gva < mmio_hi
             )
+            if may_straddle and (gva & 0xFFF) + small > PAGE_SIZE:
+                engine_ok = False  # the reference path splits it
             pa = 0
             if engine_ok:
                 for _attempt in range(8):
@@ -814,25 +978,11 @@ class Machine:
                 if op == "S":
                     value = values[i]
                     self._pending_store_value = value & mask64
-                    res, kind = guest_access(session, gva, access, size)
-                    charge_compute()
-                    if kind != "mmio":
-                        if aligned8 and not res & 7:
-                            write_u64(res, value)
-                        else:
-                            dwrite(res, (value & small_mask).to_bytes(small, "little"))
+                    reference(session, gva, _STORE, size, value)
                 elif op == "L":
-                    res, kind = guest_access(session, gva, access, size)
-                    charge_compute()
-                    if kind == "mmio":
-                        append(res)
-                    elif aligned8 and not res & 7:
-                        append(read_u64(res))
-                    else:
-                        append(int.from_bytes(dread(res, small), "little"))
+                    append(reference(session, gva, _LOAD, size, None))
                 else:
-                    guest_access(session, gva, access, 1)
-                    charge_compute()
+                    reference(session, gva, _LOAD, 1, None)
                 i += 1
                 continue
             charge_compute()
@@ -1194,9 +1344,8 @@ class GuestContext:
         self.session = session
         self.ledger = machine.ledger
         self.costs = machine.costs
-        # Precompiled "one compute cycle" charge: every load/store issues
-        # it, so the generic charge() path was measurable.
-        self._charge_access = machine.ledger.charger(Category.COMPUTE, 1)
+        #: The session's single-access engine (:meth:`Machine._single_access`).
+        self._access = machine._single_access(session)
 
     # -- computation -------------------------------------------------------
 
@@ -1216,44 +1365,12 @@ class GuestContext:
 
     def load(self, gva: int, size: int = 8) -> int:
         """Guest load; returns the value (integers up to 8 bytes)."""
-        machine = self.machine
-        if machine._trace_cache is not None and self.session.vsatp_root is None:
-            pa = machine._access_one(self.session, gva, AccessType.LOAD)
-            if pa is not None:
-                self._charge_access()
-                if size == 8 and not pa & 7:
-                    return machine.dram.read_u64(pa)
-                return int.from_bytes(machine.dram.read(pa, min(size, 8)), "little")
-        value, kind = machine.guest_access(self.session, gva, AccessType.LOAD, size)
-        self._charge_access()
-        if kind == "mmio":
-            return value
-        if size == 8 and not value & 7:
-            return machine.dram.read_u64(value)
-        data = machine.dram.read(value, min(size, 8))
-        return int.from_bytes(data, "little")
+        return self._access(gva, _LOAD, size, None)
 
     def store(self, gva: int, value: int, size: int = 8) -> None:
         """Guest store of an integer value."""
-        machine = self.machine
-        machine._pending_store_value = value & (1 << 64) - 1
-        if machine._trace_cache is not None and self.session.vsatp_root is None:
-            pa = machine._access_one(self.session, gva, AccessType.STORE)
-            if pa is not None:
-                self._charge_access()
-                if size == 8 and not pa & 7:
-                    machine.dram.write_u64(pa, value)
-                    return
-                machine.dram.write(pa, (value & (1 << (8 * min(size, 8))) - 1).to_bytes(min(size, 8), "little"))
-                return
-        pa, kind = machine.guest_access(self.session, gva, AccessType.STORE, size)
-        self._charge_access()
-        if kind == "mmio":
-            return
-        if size == 8 and not pa & 7:
-            machine.dram.write_u64(pa, value)
-            return
-        machine.dram.write(pa, (value & (1 << (8 * min(size, 8))) - 1).to_bytes(min(size, 8), "little"))
+        self.machine._pending_store_value = value & _MASK64
+        self._access(gva, _STORE, size, value)
 
     def load_seq(self, gva: int, count: int, size: int = 8, stride: int | None = None) -> list:
         """Batched guest loads: ``count`` values starting at ``gva``.
@@ -1268,23 +1385,8 @@ class GuestContext:
         session = self.session
         if machine._trace_cache is not None and session.vsatp_root is None:
             return machine.run_seq(session, "L", gva, step, count, size, None, None)
-        guest_access = machine.guest_access
-        charge = self._charge_access
-        read_u64 = machine.dram.read_u64
-        read = machine.dram.read
-        out = []
-        append = out.append
-        for i in range(count):
-            addr = gva + i * step
-            value, kind = guest_access(session, addr, AccessType.LOAD, size)
-            charge()
-            if kind == "mmio":
-                append(value)
-            elif size == 8 and not value & 7:
-                append(read_u64(value))
-            else:
-                append(int.from_bytes(read(value, min(size, 8)), "little"))
-        return out
+        access = self._access
+        return [access(gva + i * step, _LOAD, size, None) for i in range(count)]
 
     def store_seq(self, gva: int, values, size: int = 8, stride: int | None = None) -> None:
         """Batched guest stores of ``values`` starting at ``gva``.
@@ -1301,70 +1403,33 @@ class GuestContext:
                 values = list(values)
             machine.run_seq(session, "S", gva, step, len(values), size, values, None)
             return
-        guest_access = machine.guest_access
-        charge = self._charge_access
-        write_u64 = machine.dram.write_u64
-        write = machine.dram.write
-        mask64 = (1 << 64) - 1
-        small = min(size, 8)
-        small_mask = (1 << (8 * small)) - 1
+        access = self._access
         for i, value in enumerate(values):
-            addr = gva + i * step
-            machine._pending_store_value = value & mask64
-            pa, kind = guest_access(session, addr, AccessType.STORE, size)
-            charge()
-            if kind == "mmio":
-                continue
-            if size == 8 and not pa & 7:
-                write_u64(pa, value)
-            else:
-                write(pa, (value & small_mask).to_bytes(small, "little"))
+            machine._pending_store_value = value & _MASK64
+            access(gva + i * step, _STORE, size, value)
 
     def write_bytes(self, gva: int, data: bytes) -> None:
         """Bulk guest write (page-wise translation, per-byte copy charge)."""
-        machine = self.machine
-        fast = machine._trace_cache is not None and self.session.vsatp_root is None
-        offset = 0
-        while offset < len(data):
-            chunk = min(len(data) - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            pa = (
-                machine._access_one(self.session, gva + offset, AccessType.STORE)
-                if fast
-                else None
-            )
-            if pa is None:
-                pa, kind = machine.guest_access(
-                    self.session, gva + offset, AccessType.STORE, chunk
-                )
-                if kind != "memory":
-                    raise ConfigurationError("bulk write hit an MMIO window")
-            machine.dram.write(pa, data[offset : offset + chunk])
-            offset += chunk
-        self.ledger.charge(Category.COPY, self.costs.copy_bytes(len(data)))
-
-    def read_bytes(self, gva: int, length: int) -> bytes:
-        """Bulk guest read."""
-        machine = self.machine
-        fast = machine._trace_cache is not None and self.session.vsatp_root is None
-        out = bytearray()
+        access = self._access
+        length = len(data)
         offset = 0
         while offset < length:
             chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            pa = (
-                machine._access_one(self.session, gva + offset, AccessType.LOAD)
-                if fast
-                else None
-            )
-            if pa is None:
-                pa, kind = machine.guest_access(
-                    self.session, gva + offset, AccessType.LOAD, chunk
-                )
-                if kind != "memory":
-                    raise ConfigurationError("bulk read hit an MMIO window")
-            out += machine.dram.read(pa, chunk)
+            access(gva + offset, _WRITE, chunk, data[offset : offset + chunk])
             offset += chunk
         self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
-        return bytes(out)
+
+    def read_bytes(self, gva: int, length: int) -> bytes:
+        """Bulk guest read."""
+        access = self._access
+        chunks = []
+        offset = 0
+        while offset < length:
+            chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
+            chunks.append(access(gva + offset, _READ, chunk, None))
+            offset += chunk
+        self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
+        return b"".join(chunks)
 
     def touch(self, gva: int) -> None:
         """Touch one page (a minimal load; populates mappings and TLB)."""
@@ -1383,10 +1448,11 @@ class GuestContext:
 
         Architecturally identical to touching each address in a Python
         loop -- same timer checks, translations, and compute charges --
-        but with the loop overhead hoisted and the discarded 1-byte data
-        fetch skipped (reading DRAM has no model-visible effect; the
-        cycle cost of a load is charged by the access path, not by the
-        byte copy).  MMIO touches still perform the full device access.
+        but with the loop overhead hoisted and, on the batched engine,
+        the discarded 1-byte data fetch skipped (reading DRAM has no
+        model-visible effect; the cycle cost of a load is charged by the
+        access path, not by the byte copy).  MMIO touches still perform
+        the full device access.
         """
         machine = self.machine
         session = self.session
@@ -1394,11 +1460,9 @@ class GuestContext:
             gvas = tuple(gvas)
             machine.run_seq(session, "T", 0, 0, len(gvas), 1, None, gvas)
             return
-        guest_access = machine.guest_access
-        charge = self._charge_access
+        access = self._access
         for gva in gvas:
-            guest_access(session, gva, AccessType.LOAD, 1)
-            charge()
+            access(gva, _LOAD, 1, None)
 
     # -- virtio driver construction ---------------------------------------------
 

@@ -29,13 +29,20 @@ class DelegationProfile:
     mideleg: frozenset
     hedeleg: frozenset
     hideleg: frozenset
+    #: The four CSR words, encoded once: every world switch applies a
+    #: profile, and the cause sets never change.
+    _words: dict = dataclasses.field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        words = {
+            name: sum(1 << cause.value for cause in getattr(self, name))
+            for name in ("medeleg", "mideleg", "hedeleg", "hideleg")
+        }
+        object.__setattr__(self, "_words", words)
 
     def apply(self, hart) -> None:
         """Write the four delegation CSRs onto the hart."""
-        hart.medeleg = self.medeleg
-        hart.mideleg = self.mideleg
-        hart.hedeleg = self.hedeleg
-        hart.hideleg = self.hideleg
+        hart.csrs.load_snapshot(self._words)
 
 
 #: Exceptions a confidential VM's kernel can resolve internally.

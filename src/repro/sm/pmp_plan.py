@@ -54,6 +54,10 @@ class PmpController:
         self._pool_regions: list[tuple[int, int]] = []
         #: Pool state per hart id: True when open (CVM mode).
         self._pool_open: dict[int, bool] = {}
+        #: open_ -> the ``(index, PmpEntry)`` programme that sets every
+        #: pool entry to that state; built on first use, dropped when a
+        #: region registers.
+        self._programmes: dict[bool, tuple] = {}
         self._install_static_entries()
 
     # -- static configuration ---------------------------------------------
@@ -102,6 +106,7 @@ class PmpController:
                 f"PMP can only carve {MAX_POOL_REGIONS} pool regions"
             )
         self._pool_regions.append((base, size))
+        self._programmes.clear()
         index = _FIRST_POOL_ENTRY + len(self._pool_regions) - 1
         for hart in self._harts:
             open_now = self._pool_open[hart.hart_id]
@@ -143,13 +148,16 @@ class PmpController:
         self._set_pool(hart, open_=False, charge=charge)
 
     def _set_pool(self, hart, open_: bool, charge: bool = True) -> None:
-        for i, (base, size) in enumerate(self._pool_regions):
-            hart.pmp.set_entry(
-                _FIRST_POOL_ENTRY + i, self._pool_entry(base, size, open_)
+        programme = self._programmes.get(open_)
+        if programme is None:
+            programme = self._programmes[open_] = tuple(
+                (_FIRST_POOL_ENTRY + i, self._pool_entry(base, size, open_))
+                for i, (base, size) in enumerate(self._pool_regions)
             )
-            if charge:
-                self._ledger.charge(Category.PMP, self._costs.pmp_entry_write)
+        hart.pmp.set_entries(programme)
         if charge:
+            for _ in programme:
+                self._ledger.charge(Category.PMP, self._costs.pmp_entry_write)
             self._ledger.charge(Category.PMP, self._costs.pmp_fence)
         self._pool_open[hart.hart_id] = open_
 

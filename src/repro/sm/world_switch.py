@@ -25,6 +25,12 @@ so totals and per-category breakdowns are bit-identical to the unfused
 sequence, including on reply-refusal paths (entry charges are split into
 a pre-validation and a post-validation plan around the only exception
 seam).  The goldens in ``tests/goldens/cycle_exact.json`` pin this.
+
+The register programme a switch replays is precomputed as well: each
+delegation profile carries its four encoded CSR words, the PMP
+controller keeps the open and closed pool-entry programmes (written in
+one locked-entry-checked ``PmpUnit.set_entries`` call), and the vCPU
+save/restore moves the GPR file and guest CSRs as whole dicts.
 """
 
 from __future__ import annotations

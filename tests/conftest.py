@@ -2,10 +2,19 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from repro import Machine, MachineConfig
 from repro.cycles import DEFAULT_COSTS, CycleLedger
+
+#: ``HYPOTHESIS_PROFILE=ci`` runs property tests that leave
+#: ``max_examples`` to the profile (the single-access differential test,
+#: the ledger span property) four times longer than the default 100.
+settings.register_profile("ci", max_examples=400, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

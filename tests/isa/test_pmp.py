@@ -119,5 +119,21 @@ class TestChecking:
         with pytest.raises(PermissionError):
             unit.set_entry(0, tor(0x8000_0000, 0x1000, r=True))
 
+    def test_set_entries_programs_every_pair(self):
+        unit = PmpUnit()
+        unit.set_entries([(1, tor(0x8000_0000, 0x1000, r=True)),
+                          (2, tor(0x9000_0000, 0x1000, w=True))])
+        assert unit.check(0x8000_0000, 8, LOAD, VS)
+        assert unit.check(0x9000_0000, 8, STORE, VS)
+
+    def test_set_entries_checks_every_lock_before_writing(self):
+        unit = PmpUnit()
+        unit.set_entry(2, tor(0x9000_0000, 0x1000, locked=True))
+        with pytest.raises(PermissionError):
+            unit.set_entries([(1, tor(0x8000_0000, 0x1000, r=True)),
+                              (2, tor(0x9000_0000, 0x1000, r=True))])
+        assert unit[1] == PmpEntry()
+        assert not unit.check(0x8000_0000, 8, LOAD, VS)
+
     def test_entry_count(self):
         assert len(PmpUnit().entries()) == 16

@@ -80,6 +80,14 @@ class TestApply:
         assert hart.medeleg == NORMAL_MODE.medeleg
         assert E.ECALL_FROM_VS in hart.medeleg
 
+    def test_apply_writes_the_same_words_as_the_cause_set_setters(self):
+        for profile in (CVM_MODE, NORMAL_MODE):
+            applied, set_one_by_one = Hart(0), Hart(1)
+            profile.apply(applied)
+            for name in ("medeleg", "mideleg", "hedeleg", "hideleg"):
+                setattr(set_one_by_one, name, getattr(profile, name))
+                assert applied.csrs.read_raw(name) == set_one_by_one.csrs.read_raw(name)
+
     def test_profiles_differ_exactly_on_host_visible_traps(self):
         diff = NORMAL_MODE.medeleg - CVM_MODE.medeleg
         assert diff == frozenset(

@@ -118,3 +118,19 @@ def test_entries_used_accounting(env):
     assert controller.pmp_entries_used == 2
     controller.add_pool_region(POOL, POOL_SIZE)
     assert controller.pmp_entries_used == 3
+
+
+def test_toggle_after_a_new_region_covers_it(env):
+    """The cached open/close programmes are rebuilt when a region registers."""
+    harts, _, controller, _ = env
+    controller.add_pool_region(POOL, POOL_SIZE)
+    controller.open_pool(harts[0])
+    controller.close_pool(harts[0])
+    second = POOL + POOL_SIZE
+    controller.add_pool_region(second, POOL_SIZE)
+    controller.open_pool(harts[0])
+    for base in (POOL, second):
+        assert harts[0].pmp.check(base, 8, AccessType.STORE, PrivilegeMode.VS)
+    controller.close_pool(harts[0])
+    for base in (POOL, second):
+        assert not harts[0].pmp.check(base, 8, AccessType.LOAD, PrivilegeMode.VS)
