@@ -46,12 +46,14 @@ class Swiotlb:
             raise MemoryError_("SWIOTLB exhausted")
         # Contiguous slots: take from the low end of the free stack.
         taken = sorted(self._free[-needed:])
-        run_ok = all(b - a == 1 for a, b in zip(taken, taken[1:]))
-        if not run_ok:
+        if all(b - a == 1 for a, b in zip(taken, taken[1:])):
+            # The stack's tail is the run: pop it whole.
+            del self._free[-needed:]
+        else:
             # Fall back: linear scan for a contiguous run.
             taken = self._find_run(needed)
-        for slot in taken:
-            self._free.remove(slot)
+            for slot in taken:
+                self._free.remove(slot)
         gpa = self.base_gpa + taken[0] * self.slot_size
         self._allocated[gpa] = needed
         return gpa

@@ -86,11 +86,8 @@ class Hypervisor:
         self.pool_expansions = 0
         self.mmio_exits = 0
         #: Monotonic epoch bumped on every hypervisor-side stage-2 table
-        #: mutation (normal-VM demand maps and shared-subtree edits).  The
-        #: access trace cache pairs it with the SM split manager's epoch;
-        #: see share.py.  Shared-window extensions (``on_share_request``,
-        #: ``_fix_shared_fault``) edit tables without any fence, so flush
-        #: statistics alone cannot prove a recorded trace still valid.
+        #: mutation (normal-VM demand maps and shared-subtree edits), the
+        #: counterpart of the SM split manager's epoch (see share.py).
         self.map_generation = 0
         #: Platform interrupt controller; installed by the machine.
         self.plic = None

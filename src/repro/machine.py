@@ -63,13 +63,9 @@ _REPLAY_REJECT = object()
 #: compute cycle: the caller charges the copy) instead of a scalar word.
 _LOAD, _STORE, _READ, _WRITE = 0, 1, 2, 3
 
-#: PTE permission bit each operation needs.
-_REQUIRED = (
-    AccessType.LOAD.required_pte_bit,
-    AccessType.STORE.required_pte_bit,
-    AccessType.LOAD.required_pte_bit,
-    AccessType.STORE.required_pte_bit,
-)
+#: Access type and PTE permission bit of each operation.
+_ACCESS = (AccessType.LOAD, AccessType.STORE, AccessType.LOAD, AccessType.STORE)
+_REQUIRED = tuple(access.required_pte_bit for access in _ACCESS)
 
 _MASK64 = (1 << 64) - 1
 _U64 = struct.Struct("<Q")
@@ -643,10 +639,7 @@ class Machine:
             size,
         )
         trace = self._trace_cache.get(key)
-        if trace is not None and trace.token == (
-            self.monitor.split.map_generation,
-            self.hypervisor.map_generation,
-        ):
+        if trace is not None:
             result = self._replay_seq(session, op, trace, gva0, step, count,
                                       size, values, gvas)
             if result is not _REPLAY_REJECT:
@@ -669,22 +662,21 @@ class Machine:
         :meth:`_reference_access` does: the timer compare, the range
         check, the TLB statistics and LRU motion, the TLB-hit charge
         (fused with the compute cycle of a scalar access -- no timer check
-        can fall between them), and the data move.  A miss with a valid
-        walk charges and fills exactly as the translator would.  Anything
-        else -- MMIO or out-of-window addresses, insufficient
-        permissions, faults, VS-stage paging, page-straddling scalars --
-        takes :meth:`_reference_access` *before* charging or mutating
-        anything, so the detour is invisible.  Machines without the trace
-        cache (``trace_cache=False``, non-integral costs) get the
-        reference path itself.
+        can fall between them), and the data move.  A miss with a valid,
+        PMP-permitted walk charges and fills exactly as the translator
+        would.  Anything else -- MMIO or out-of-window addresses,
+        insufficient permissions, faults, PMP denials, VS-stage paging,
+        page-straddling scalars -- takes :meth:`_reference_access`
+        *before* charging or mutating anything, so the detour is
+        invisible.  Machines without the trace cache
+        (``trace_cache=False``, non-integral costs) get the reference
+        path itself.
         """
         reference = self._reference_access
         if self._trace_cache is None:
             return functools.partial(reference, session)
         ledger = self.ledger
         counts = ledger._counts
-        charge = ledger.charge
-        charge_compute = self._charge_seq_compute
         mtimecmp = self.clint._mtimecmp
         check_timer = self.check_timer
         translator = self.translator
@@ -694,7 +686,6 @@ class Machine:
         insert = tlb.insert
         probe = translator.probe_gpa
         va_limit = translator.sv39x4._va_limit
-        cpu_check = self.bus._cpu_check
         dram = self.dram
         pages = dram._pages
         dread = dram.read
@@ -714,8 +705,11 @@ class Machine:
         walk_cost = int(self.costs.page_walk_level)
         tlb_index = Category.TLB.index
         compute_index = Category.COMPUTE.index
+        walk_index = Category.PAGE_WALK.index
         tlb_bit = 1 << tlb_index
+        walk_bit = 1 << walk_index
         scalar_bits = tlb_bit | 1 << compute_index
+        scalar_walk_bits = walk_bit | 1 << compute_index
         scalar_hit = tlb_hit + 1
 
         def access(gva, op, size, value):
@@ -751,14 +745,21 @@ class Machine:
                 if not 0 <= gva < va_limit:
                     return reference(session, gva, op, size, value)
                 pa, flags, levels, _slot = probe(session.hgatp_root, gva)
-                if pa is None or not flags & _REQUIRED[op]:
+                if (pa is None or not flags & _REQUIRED[op]
+                        or not hart.pmp.check(pa, 1, _ACCESS[op], hart.mode)):
+                    # A fault or a PMP denial: the reference path traps.
                     return reference(session, gva, op, size, value)
                 tlb.misses += 1
-                charge(Category.PAGE_WALK, levels * walk_cost)
-                cpu_check(hart, pa, 1, AccessType.STORE if op & 1 else AccessType.LOAD)
+                walk = levels * walk_cost
+                counts[walk_index] += walk
+                if op > 1:
+                    ledger._total += walk
+                    ledger._charged_mask |= walk_bit
+                else:
+                    ledger._total += walk + 1
+                    counts[compute_index] += 1
+                    ledger._charged_mask |= scalar_walk_bits
                 insert(vmid, gva >> 12, pa >> 12, flags)
-                if op < 2:
-                    charge_compute()
             if op > 1:
                 return dread(pa, size) if op == _READ else dwrite(pa, value)
             if size == 8 and not pa & 7:
@@ -815,51 +816,57 @@ class Machine:
         per-element :meth:`guest_access` loop performs -- same timer
         check, same TLB statistics and LRU motion, same charges in the
         same order -- but with translation inlined for the common
-        outcomes.  Anything unusual (MMIO or shared-region addresses,
-        permission-insufficient entries, faults that cannot take the SM's
-        fused fix, page-straddling accesses, VS-stage paging enabled
-        upstream) detours that one access through
-        :meth:`_reference_access` *before* any charge or mutation, so the
-        detour is invisible.
+        outcomes, charges made in place on the ledger's counters, and
+        aligned words moved in place.  Anything unusual (MMIO or
+        shared-region addresses, permission-insufficient entries, PMP
+        denials, faults that cannot take the SM's fused fix,
+        page-straddling accesses, VS-stage paging enabled upstream)
+        detours that one access through :meth:`_reference_access`
+        *before* any charge or mutation, so the detour is invisible.
 
-        A clean pure-flavor run starting at ``start == 0`` is recorded
-        under ``key`` for future replay.
+        A run from ``start == 0`` in which every access is a TLB hit is
+        recorded under ``key`` for replay.
         """
         ledger = self.ledger
-        charge = ledger.charge
+        counts = ledger._counts
         tlb = self.translator.tlb
+        tlb_gen = tlb.generation
         entries = tlb._entries
         entries_get = entries.get
         move_to_end = entries.move_to_end
         insert = tlb.insert
-        charge_tlb_hit = self.translator._charge_tlb_hit
-        charge_compute = self._charge_seq_compute
         probe = self.translator.probe_gpa
         va_limit = self.translator.sv39x4._va_limit
         walk_cost = int(self.costs.page_walk_level)
+        tlb_hit = int(self.costs.tlb_hit)
+        hit_cost = tlb_hit + 1  # the TLB hit and the compute cycle
+        tlb_index = Category.TLB.index
+        walk_index = Category.PAGE_WALK.index
+        compute_index = Category.COMPUTE.index
+        walk_bit = 1 << walk_index
+        hit_bits = 1 << tlb_index | 1 << compute_index
+        walk_bits = walk_bit | 1 << compute_index
         hart = session.hart
         hart_id = hart.hart_id
+        pmp_check = hart.pmp.check
         mtimecmp = self.clint._mtimecmp
         check_timer = self.check_timer
         vmid = session.vmid
         root = session.hgatp_root
-        cpu_check = self.bus._cpu_check
         reference = self._reference_access
         dram = self.dram
-        read_u64 = dram.read_u64
-        dread = dram.read
-        write_u64 = dram.write_u64
-        dwrite = dram.write
+        pages = dram._pages
+        unpack_from = _U64.unpack_from
+        pack_into = _U64.pack_into
         confidential = session.kind is VmKind.CONFIDENTIAL
         layout = session.layout
         if confidential:
-            private_lo = layout.dram_base
-            private_hi = private_lo + layout.dram_size
+            lo, hi = layout.dram_base, layout.dram_base + layout.dram_size
         else:
-            mmio_lo = layout.mmio_base
-            mmio_hi = mmio_lo + layout.mmio_size
-        access = AccessType.STORE if op == "S" else AccessType.LOAD
-        required = access.required_pte_bit
+            lo, hi = layout.mmio_base, layout.mmio_base + layout.mmio_size
+        op_code = _STORE if op == "S" else _LOAD
+        access = _ACCESS[op_code]
+        required = _REQUIRED[op_code]
         # The SM's fused fault fix applies only when the fault would route
         # to M mode with nobody observing the piecewise handler.  Routing
         # depends only on the delegation CSRs, which world switches restore
@@ -874,9 +881,7 @@ class Machine:
         monitor = self.monitor
         cvm = session.cvm
         vcpu_id = session.vcpu_id
-        mask64 = (1 << 64) - 1
         small = min(size, 8)
-        small_mask = (1 << (8 * small)) - 1
         aligned8 = size == 8
         # Every access is aligned to its power-of-two size when the base
         # and stride are, and then none can straddle a page.
@@ -891,20 +896,14 @@ class Machine:
         recording = key is not None and start == 0
         rec_keys: list = []
         rec_pas: list = []
-        rec_entries: list = []
-        rec_walks: list = []
-        any_hit = any_miss = False
+        expected: dict = {}
 
         i = start
         while i < count:
             gva = gvas[i] if gvas is not None else gva0 + i * step
             if ledger._total >= mtimecmp[hart_id]:
                 check_timer(session)
-            engine_ok = (
-                private_lo <= gva < private_hi
-                if confidential
-                else not mmio_lo <= gva < mmio_hi
-            )
+            engine_ok = (lo <= gva < hi) is confidential
             if may_straddle and (gva & 0xFFF) + small > PAGE_SIZE:
                 engine_ok = False  # the reference path splits it
             pa = 0
@@ -913,55 +912,51 @@ class Machine:
                     key2 = (vmid, gva >> 12)
                     entry = entries_get(key2)
                     if entry is not None:
-                        ppage, flags = entry
-                        if not flags & required:
-                            # Hardware re-walks; take the generic path (the
-                            # probe above mutated nothing).
+                        if not entry[1] & required:
+                            # Hardware re-walks; take the generic path.
                             engine_ok = False
                             break
                         tlb.hits += 1
                         move_to_end(key2)
-                        charge_tlb_hit()
-                        pa = ppage << 12 | gva & 0xFFF
+                        ledger._total += hit_cost
+                        counts[tlb_index] += tlb_hit
+                        counts[compute_index] += 1
+                        ledger._charged_mask |= hit_bits
+                        pa = entry[0] << 12 | gva & 0xFFF
                         if recording:
-                            if any_miss:
-                                recording = False
-                            else:
-                                any_hit = True
-                                rec_keys.append(key2)
-                                rec_pas.append(pa)
-                                rec_entries.append(entry)
+                            rec_keys.append(key2)
+                            rec_pas.append(pa)
+                            # Within an all-hit run no entry can change: a
+                            # new value needs a removal, then a miss.
+                            expected[key2] = entry
                         break
+                    recording = False
                     if not 0 <= gva < va_limit:
                         engine_ok = False
                         break
                     wpa, wflags, levels, leaf_slot = probe(root, gva)
+                    walk = levels * walk_cost
                     if wpa is not None:
-                        if not wflags & required:
+                        if not wflags & required or not pmp_check(wpa, 1, access, hart.mode):
+                            # The reference path takes the access fault.
                             engine_ok = False
                             break
                         tlb.misses += 1
-                        charge(Category.PAGE_WALK, levels * walk_cost)
-                        cpu_check(hart, wpa, 1, access)
+                        ledger._total += walk + 1
+                        counts[walk_index] += walk
+                        counts[compute_index] += 1
+                        ledger._charged_mask |= walk_bits
                         insert(vmid, gva >> 12, wpa >> 12, wflags)
                         pa = wpa
-                        if recording:
-                            if any_hit:
-                                recording = False
-                            else:
-                                any_miss = True
-                                rec_keys.append(key2)
-                                rec_pas.append(pa)
-                                rec_entries.append((wpa >> 12, wflags))
-                                rec_walks.append(levels * walk_cost)
                         break
                     # Invalid walk: a stage-2 guest page fault.
                     if not fault_direct:
                         engine_ok = False
                         break
-                    recording = False
                     tlb.misses += 1
-                    charge(Category.PAGE_WALK, levels * walk_cost)
+                    ledger._total += walk
+                    counts[walk_index] += walk
+                    ledger._charged_mask |= walk_bit
                     if not leaf_slot or not monitor.fault_fix_fast(
                         cvm, vcpu_id, gva, leaf_slot
                     ):
@@ -977,191 +972,132 @@ class Machine:
                 recording = False
                 if op == "S":
                     value = values[i]
-                    self._pending_store_value = value & mask64
+                    self._pending_store_value = value & _MASK64
                     reference(session, gva, _STORE, size, value)
                 elif op == "L":
                     append(reference(session, gva, _LOAD, size, None))
                 else:
                     reference(session, gva, _LOAD, 1, None)
-                i += 1
-                continue
-            charge_compute()
-            if op == "L":
-                if aligned8 and not pa & 7:
-                    append(read_u64(pa))
+            elif op == "T":
+                pass
+            elif aligned8 and not pa & 7:
+                # The aligned word, read or written in place.
+                page = pages.get(pa >> 12)
+                if op == "L":
+                    append(0 if page is None else unpack_from(page, pa & 0xFFF)[0])
                 else:
-                    append(int.from_bytes(dread(pa, small), "little"))
-            elif op == "S":
-                value = values[i]
-                if aligned8 and not pa & 7:
-                    write_u64(pa, value)
-                else:
-                    dwrite(pa, (value & small_mask).to_bytes(small, "little"))
+                    if page is None:
+                        page = pages[pa >> 12] = bytearray(PAGE_SIZE)
+                    pack_into(page, pa & 0xFFF, values[i] & _MASK64)
+            elif op == "L":
+                append(_move_word(dram, pa, _LOAD, size, None))
+            else:
+                _move_word(dram, pa, _STORE, size, values[i])
             i += 1
 
         if op == "S":
             # Residual-state parity: the per-access loop leaves the last
             # store value latched for MMIO emulation.
-            self._pending_store_value = values[count - 1] & mask64
+            self._pending_store_value = values[count - 1] & _MASK64
 
         if recording:
-            token = (self.monitor.split.map_generation, self.hypervisor.map_generation)
-            if any_miss and not any_hit and len(set(rec_keys)) == count:
-                self._trace_cache.put(key, SeqTrace(
-                    "miss", token, None, rec_keys, rec_pas, rec_entries,
-                    rec_walks, None,
-                ))
-            elif any_hit and not any_miss:
-                expected: dict = {}
-                consistent = True
-                for k, e in zip(rec_keys, rec_entries):
-                    prev = expected.get(k)
-                    if prev is None:
-                        expected[k] = e
-                    elif prev != e:
-                        consistent = False
-                        break
-                if consistent:
-                    self._trace_cache.put(key, SeqTrace(
-                        "hit", token, tlb.generation, rec_keys, rec_pas,
-                        None, None, expected,
-                    ))
+            self._trace_cache.put(key, SeqTrace(tlb_gen, rec_keys, rec_pas, expected))
         return out
 
     def _replay_seq(self, session: GuestSession, op: str, trace, gva0: int,
                     step: int, count: int, size: int, values, gvas):
         """Replay a validated trace; ``_REPLAY_REJECT`` if validation fails.
 
-        The caller has already checked the map token.  Here the TLB-side
-        proof runs, then the replay performs the identical state updates
-        and charges the live engine would.  All-hit replays fuse each
+        The proof is the TLB's alone (:mod:`repro.mem.tracecache`): its
+        generation is unchanged, or every recorded entry is still present
+        with its recorded value.  The replay then performs the identical
+        state updates and charges the live engine would, fusing each
         timer-window's worth of accesses into one pair of charges; the
         chunk boundary is computed so the timer fires at exactly the
         access where the per-access loop would have fired it.
         """
         tlb = self.translator.tlb
         entries = tlb._entries
-        keys = trace.keys
-        if trace.flavor == "hit":
-            if tlb.generation != trace.tlb_gen:
-                entries_get = entries.get
-                for k, e in trace.expected.items():
-                    if entries_get(k) != e:
-                        return _REPLAY_REJECT
-                trace.tlb_gen = tlb.generation
-        else:
-            for k in keys:
-                if k in entries:
+        if tlb.generation != trace.tlb_gen:
+            entries_get = entries.get
+            for k, e in trace.expected.items():
+                if entries_get(k) != e:
                     return _REPLAY_REJECT
+            trace.tlb_gen = tlb.generation
 
         ledger = self.ledger
         hart_id = session.hart.hart_id
         mtimecmp = self.clint._mtimecmp
         check_timer = self.check_timer
         dram = self.dram
-        read_u64 = dram.read_u64
-        dread = dram.read
-        write_u64 = dram.write_u64
-        dwrite = dram.write
-        mask64 = (1 << 64) - 1
-        small = min(size, 8)
-        small_mask = (1 << (8 * small)) - 1
+        pages = dram._pages
+        unpack_from = _U64.unpack_from
+        pack_into = _U64.pack_into
         aligned8 = size == 8
+        keys = trace.keys
         pas = trace.pas
         out = [] if op == "L" else None
-
-        if trace.flavor == "miss":
-            # Per-access replay: the PMP check can legitimately raise, so
-            # charges must land access-by-access exactly as recorded.
-            charge = ledger.charge
-            hart = session.hart
-            cpu_check = self.bus._cpu_check
-            insert = tlb.insert
-            access = AccessType.STORE if op == "S" else AccessType.LOAD
-            charge_compute = self._charge_seq_compute
-            ents = trace.entries
-            walks = trace.walk_cycles
-            for i in range(count):
-                if ledger._total >= mtimecmp[hart_id]:
-                    check_timer(session)
-                tlb.misses += 1
-                charge(Category.PAGE_WALK, walks[i])
-                pa = pas[i]
-                cpu_check(hart, pa, 1, access)
-                k = keys[i]
-                e = ents[i]
-                insert(k[0], k[1], e[0], e[1])
-                charge_compute()
-                if op == "L":
-                    if aligned8 and not pa & 7:
-                        out.append(read_u64(pa))
-                    else:
-                        out.append(int.from_bytes(dread(pa, small), "little"))
-                elif op == "S":
-                    value = values[i]
-                    if aligned8 and not pa & 7:
-                        write_u64(pa, value)
-                    else:
-                        dwrite(pa, (value & small_mask).to_bytes(small, "little"))
-        else:
-            move_to_end = entries.move_to_end
-            tlb_hit = int(self.costs.tlb_hit)
-            per_access = tlb_hit + 1  # TLB hit + the compute charge
-            charge = ledger.charge
-            append = out.append if op == "L" else None
-            i = 0
-            while i < count:
+        move_to_end = entries.move_to_end
+        tlb_hit = int(self.costs.tlb_hit)
+        per_access = tlb_hit + 1  # TLB hit + the compute charge
+        charge = ledger.charge
+        append = out.append if op == "L" else None
+        i = 0
+        while i < count:
+            total = ledger._total
+            cmp_ = mtimecmp[hart_id]
+            if total >= cmp_:
+                generation = tlb.generation
+                check_timer(session)
+                if tlb.generation != generation:
+                    # The tick flushed translations: the rest of the
+                    # sequence misses, which this trace cannot speak
+                    # for -- hand the tail to the live engine.
+                    return self._engine_seq(
+                        session, op, gva0, step, count, size, values,
+                        gvas, None, start=i, out=out,
+                    )
                 total = ledger._total
                 cmp_ = mtimecmp[hart_id]
-                if total >= cmp_:
-                    generation = tlb.generation
-                    check_timer(session)
-                    if tlb.generation != generation:
-                        # The tick flushed translations: the rest of the
-                        # sequence misses, which this trace cannot speak
-                        # for -- hand the tail to the live engine.
-                        return self._engine_seq(
-                            session, op, gva0, step, count, size, values,
-                            gvas, None, start=i, out=out,
-                        )
-                    total = ledger._total
-                    cmp_ = mtimecmp[hart_id]
-                # Largest chunk whose accesses all run before the next
-                # tick: access j fires the timer iff the total *before* it
-                # reached mtimecmp, so n accesses are safe when
-                # total + (n-1)*per_access < cmp.
-                n = (cmp_ - total - 1) // per_access + 1
-                remaining = count - i
-                if n > remaining:
-                    n = remaining
-                end = i + n
-                if op == "L":
-                    for j in range(i, end):
-                        move_to_end(keys[j])
-                        pa = pas[j]
-                        if aligned8 and not pa & 7:
-                            append(read_u64(pa))
-                        else:
-                            append(int.from_bytes(dread(pa, small), "little"))
-                elif op == "S":
-                    for j in range(i, end):
-                        move_to_end(keys[j])
-                        pa = pas[j]
-                        value = values[j]
-                        if aligned8 and not pa & 7:
-                            write_u64(pa, value)
-                        else:
-                            dwrite(pa, (value & small_mask).to_bytes(small, "little"))
-                else:
-                    for j in range(i, end):
-                        move_to_end(keys[j])
-                tlb.hits += n
-                charge(Category.TLB, n * tlb_hit)
-                charge(Category.COMPUTE, n)
-                i = end
+            # Largest chunk whose accesses all run before the next
+            # tick: access j fires the timer iff the total *before* it
+            # reached mtimecmp, so n accesses are safe when
+            # total + (n-1)*per_access < cmp.
+            n = (cmp_ - total - 1) // per_access + 1
+            remaining = count - i
+            if n > remaining:
+                n = remaining
+            end = i + n
+            if op == "L":
+                for j in range(i, end):
+                    move_to_end(keys[j])
+                    pa = pas[j]
+                    if aligned8 and not pa & 7:
+                        page = pages.get(pa >> 12)
+                        append(0 if page is None else unpack_from(page, pa & 0xFFF)[0])
+                    else:
+                        append(_move_word(dram, pa, _LOAD, size, None))
+            elif op == "S":
+                for j in range(i, end):
+                    move_to_end(keys[j])
+                    pa = pas[j]
+                    if aligned8 and not pa & 7:
+                        page = pages.get(pa >> 12)
+                        if page is None:
+                            page = pages[pa >> 12] = bytearray(PAGE_SIZE)
+                        pack_into(page, pa & 0xFFF, values[j] & _MASK64)
+                    else:
+                        _move_word(dram, pa, _STORE, size, values[j])
+            else:
+                for j in range(i, end):
+                    move_to_end(keys[j])
+            tlb.hits += n
+            charge(Category.TLB, n * tlb_hit)
+            charge(Category.COMPUTE, n)
+            i = end
 
         if op == "S":
-            self._pending_store_value = values[count - 1] & mask64
+            self._pending_store_value = values[count - 1] & _MASK64
         return out
 
     # ------------------------------------------------------------------

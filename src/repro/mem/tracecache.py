@@ -1,32 +1,30 @@
-"""Guest-access trace cache: recorded replays of hot access sequences.
+"""Guest-access trace cache: recorded replays of hot, all-hit access sequences.
 
 Workload hot loops issue the same ``load_seq``/``store_seq``/``touch_seq``
 shapes over and over (a redis request touches the same 10 working-set
-pages; a ring poll reads the same descriptors).  The first execution of a
-shape runs the real per-access engine and *records* what happened -- the
-resolved host addresses and the exact charge vector.  Later executions
-replay the record against physical memory, provided a set of cheap
-validity proofs shows the machine state still implies the identical
-architectural outcome:
+pages; a ring poll reads the same descriptors).  When every access of
+such a sequence is a TLB hit, the live engine *records* what happened --
+each access's TLB key and resolved host address.  Later executions of the
+same shape replay the record against physical memory.
 
-- a **map token** ``(SplitTableManager.map_generation,
-  Hypervisor.map_generation)``: unchanged means no stage-2 table anywhere
-  was mutated, so every recorded walk still resolves identically;
-- for all-hit traces, the TLB ``generation`` (or, when that is stale, a
-  structural re-check that every recorded entry is still present with the
-  recorded value): entries can only change via a flush/evict, each of
-  which bumps the generation;
-- for all-miss traces, every recorded key being *absent* from the TLB.
+A TLB hit never reads a page table: it charges the hit, moves the entry
+to the LRU tail and uses the entry's physical page.  So a replay is
+proven by the TLB alone, whatever happened to the page tables since:
 
-Only *pure* runs are stored -- every access a TLB hit, or every access a
-TLB miss with a valid walk (distinct pages, no faults, no fallback to the
-generic path).  Mixed runs, faulting runs, and anything that left the
-fast-path region replay nothing and always re-execute.  This keeps the
-validity argument airtight: replays are bit-identical in total cycles,
-per-category counts, TLB statistics, and memory effects, because the
-replay performs the same state updates in the same order and the proofs
-guarantee each recorded per-access outcome is the one the live engine
-would reach.
+- the TLB ``generation`` is unchanged since the recording began -- it is
+  bumped by every flush and capacity eviction, and an entry can only
+  change value by being removed and re-filled, so every recorded entry
+  is still present with its recorded value; or
+- when the generation has moved, a structural re-check finds every
+  recorded entry still present with its recorded value.
+
+Either way the live engine would hit on every access, in the same order,
+so the replay performs the same state updates and charges: bit-identical
+total cycles, per-category counts, TLB statistics, LRU order and memory
+effects.  A run with any miss, fault or detour to the reference path is
+not recorded and always re-executes; a timer tick that flushes the TLB
+partway through a replay hands the rest of the sequence to the live
+engine.
 
 Wall-clock only: the cache changes how fast *Python* reproduces a
 sequence, never what the sequence charges.
@@ -38,35 +36,18 @@ from collections import OrderedDict
 
 
 class SeqTrace:
-    """One recorded access sequence, pure in flavor ("hit" or "miss")."""
+    """One recorded access sequence whose every access was a TLB hit."""
 
-    __slots__ = (
-        "flavor",
-        "token",
-        "tlb_gen",
-        "keys",
-        "pas",
-        "entries",
-        "walk_cycles",
-        "expected",
-    )
+    __slots__ = ("tlb_gen", "keys", "pas", "expected")
 
-    def __init__(self, flavor, token, tlb_gen, keys, pas, entries, walk_cycles, expected):
-        #: "hit" (every access a TLB hit) or "miss" (every access a valid-walk miss).
-        self.flavor = flavor
-        #: (split.map_generation, hypervisor.map_generation) at record time.
-        self.token = token
-        #: TLB generation at record time ("hit" traces; fast validity shortcut).
+    def __init__(self, tlb_gen, keys, pas, expected):
+        #: TLB generation when the recording began (the fast proof).
         self.tlb_gen = tlb_gen
         #: Per-access TLB key ``(vmid, vpage)``.
         self.keys = keys
         #: Per-access resolved physical address.
         self.pas = pas
-        #: Per-access TLB entry value ``(ppage, flags)`` ("miss": what to insert).
-        self.entries = entries
-        #: Per-access fused walk charge, cycles ("miss" traces only).
-        self.walk_cycles = walk_cycles
-        #: key -> (ppage, flags) expected present ("hit" traces only).
+        #: key -> (ppage, flags) expected present (the structural proof).
         self.expected = expected
 
 

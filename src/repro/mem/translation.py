@@ -12,12 +12,16 @@ for ``htval``.
 
 from __future__ import annotations
 
+import struct
+
 from repro.cycles import Category, CycleCosts, CycleLedger
 from repro.errors import TrapRaised
 from repro.isa.traps import AccessType, guest_page_fault_for, page_fault_for
 from repro.mem.pagetable import _PPN_MASK, _PPN_SHIFT, Sv39, Sv39x4
 from repro.mem.physmem import PAGE_SIZE
 from repro.mem.tlb import Tlb
+
+_unpack_u64 = struct.Struct("<Q").unpack_from
 
 
 class TranslationResult:
@@ -89,6 +93,9 @@ class AddressTranslator:
         self.sv39 = Sv39()
         self.sv39x4 = Sv39x4()
         self._accessor = _RawAccessor(bus.dram, ledger, costs)
+        sv = self.sv39x4
+        #: :meth:`probe_gpa`'s per-level geometry and DRAM page lookup.
+        self._probe_geometry = (sv._shifts, sv._masks, sv._spans, bus.dram._pages.get)
         self._charge_tlb_hit = ledger.charger(Category.TLB, costs.tlb_hit)
         self._charge_flush_page = ledger.charger(Category.TLB, costs.tlb_flush_page)
 
@@ -112,7 +119,7 @@ class AddressTranslator:
         return result.pa, result.flags
 
     def probe_gpa(self, hgatp_root: int, gpa: int) -> tuple:
-        """Uncharged, non-mutating G-stage walk for the batched access engine.
+        """Uncharged, non-mutating G-stage walk for the guest-access engines.
 
         Returns ``(pa, flags, levels, leaf_slot)``:
 
@@ -128,24 +135,47 @@ class AddressTranslator:
         commits to an outcome; probing performs no charge and no TLB or
         statistics mutation, so the caller can still fall back to the
         generic per-access path with nothing to undo.
+
+        Sv39x4 always walks three levels, so the walk is unrolled and each
+        PTE word is read in place from its DRAM page.
         """
-        sv = self.sv39x4
-        read_u64 = self.bus.dram.read_u64
-        shifts = sv._shifts
-        masks = sv._masks
-        spans = sv._spans
-        last = sv.levels - 1
-        table = hgatp_root
-        for depth in range(sv.levels):
-            slot = table + 8 * ((gpa >> shifts[depth]) & masks[depth])
-            pte = read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; each caller charges levels*page_walk_level in bulk once it commits (batched engine and fused SM fault path both do)
+        (s0, s1, s2), (m0, m1, m2), (span0, span1, span2), get = self._probe_geometry
+        slot = hgatp_root + 8 * (gpa >> s0 & m0)
+        page = get(slot >> 12)
+        depth = 0
+        if page is not None:
+            pte = _unpack_u64(page, slot & 0xFFF)[0]
             if not pte & 1:  # PTE_V
-                return None, 0, depth + 1, slot if depth == last else 0
+                return None, 0, 1, 0
+            base = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
             if pte & 0b1110:  # leaf (R|W|X)
+                return base + (gpa & span0 - 1), pte & 0xFF, 1, 0
+            slot = base + 8 * (gpa >> s1 & m1)
+            page = get(slot >> 12)
+            depth = 1
+            if page is not None:
+                pte = _unpack_u64(page, slot & 0xFFF)[0]
+                if not pte & 1:
+                    return None, 0, 2, 0
                 base = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
-                return base + (gpa & (spans[depth] - 1)), pte & 0xFF, depth + 1, 0
-            table = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
-        return None, 0, sv.levels, 0
+                if pte & 0b1110:
+                    return base + (gpa & span1 - 1), pte & 0xFF, 2, 0
+                slot = base + 8 * (gpa >> s2 & m2)
+                page = get(slot >> 12)
+                depth = 2
+                if page is not None:
+                    pte = _unpack_u64(page, slot & 0xFFF)[0]
+                    if not pte & 1:
+                        return None, 0, 3, slot
+                    if pte & 0b1110:
+                        base = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
+                        return base + (gpa & span2 - 1), pte & 0xFF, 3, 0
+                    return None, 0, 3, 0
+        # The slot's DRAM page was never written, so its PTE reads as
+        # zero (invalid) -- or the slot lies outside DRAM, and the read
+        # raises MemoryError_.
+        self.bus.dram.read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; each caller charges levels*page_walk_level in bulk once it commits (batched engine and fused SM fault path both do)
+        return None, 0, depth + 1, slot if depth == 2 else 0
 
     def translate(
         self,

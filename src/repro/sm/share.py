@@ -57,11 +57,9 @@ class SplitTableManager:
             Category.PAGE_WALK, costs.page_walk_level * self._sv39x4.levels
         )
         #: Monotonic epoch bumped on every SM-side stage-2 table mutation
-        #: (map/unmap/subtree link).  Together with the hypervisor's own
-        #: epoch it proves to the access trace cache that no mapping a
-        #: recorded trace depends on can have changed.  Flush counters are
-        #: NOT a substitute: subtree links and hypervisor shared-window
-        #: extensions mutate tables without a fence.
+        #: (map/unmap/subtree link).  The access trace cache does not read
+        #: it: a recorded trace replays TLB hits only, which never read a
+        #: table, so the TLB alone proves it (``repro.mem.tracecache``).
         self.map_generation = 0
 
     def shared_root_index_base(self, cvm: ConfidentialVm) -> int:

@@ -1,5 +1,7 @@
 """SWIOTLB bounce-buffer allocator."""
 
+import random
+
 import pytest
 
 from repro.cycles import Category, CycleLedger, DEFAULT_COSTS
@@ -111,3 +113,94 @@ class TestBatchedMappings:
         for length in lengths:
             single.bounce(length)
         assert batched == reference.by_category()[Category.COPY]
+
+
+class _ReferenceSwiotlb(Swiotlb):
+    """The earlier ``map_single``: every taken slot removed by value."""
+
+    def map_single(self, length: int) -> int:
+        if length > MAX_MAPPING:
+            raise MemoryError_(
+                f"SWIOTLB mapping of {length} exceeds the {MAX_MAPPING} limit"
+            )
+        needed = -(-length // self.slot_size)
+        if needed > len(self._free):
+            raise MemoryError_("SWIOTLB exhausted")
+        taken = sorted(self._free[-needed:])
+        run_ok = all(b - a == 1 for a, b in zip(taken, taken[1:]))
+        if not run_ok:
+            taken = self._find_run(needed)
+        for slot in taken:
+            self._free.remove(slot)
+        gpa = self.base_gpa + taken[0] * self.slot_size
+        self._allocated[gpa] = needed
+        return gpa
+
+
+def _counting_find_run(pool):
+    """Count ``pool``'s fallbacks to the linear run scan."""
+    calls = []
+    find_run = pool._find_run
+
+    def counted(needed):
+        calls.append(needed)
+        return find_run(needed)
+
+    pool._find_run = counted
+    return calls
+
+
+def _replay(pool, script):
+    """Run a map/unmap script; returns every outcome and the free stack."""
+    outcomes = []
+    live = []
+    for action, arg in script:
+        if action == "unmap":
+            if live:
+                gpa = live.pop(arg % len(live))
+                pool.unmap_single(gpa)
+                outcomes.append(("unmap", gpa))
+            continue
+        try:
+            gpa = pool.map_single(arg)
+        except MemoryError_ as error:
+            outcomes.append(("refused", str(error)))
+        else:
+            live.append(gpa)
+            outcomes.append(("map", gpa))
+    return outcomes, list(pool._free)
+
+
+class TestMapSingleMatchesReference:
+    """``map_single`` pops a contiguous tail run in place; the GPAs it
+    hands out must be exactly those of the slot-by-slot algorithm."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("pool_size", [64 * 1024, 2 << 20])
+    def test_seeded_mixed_lengths_and_out_of_order_unmaps(self, seed, pool_size):
+        rng = random.Random(seed)
+        lengths = [1, 2048, 2049, 4096, 6000, 10_000, 32 * 1024, 100_000]
+        script = [
+            ("unmap", rng.randrange(1 << 16)) if rng.random() < 0.45
+            else ("map", rng.choice(lengths))
+            for _ in range(600)
+        ]
+        fast = Swiotlb(BASE, pool_size, CycleLedger(), DEFAULT_COSTS)
+        fallbacks = _counting_find_run(fast)
+        reference = _ReferenceSwiotlb(BASE, pool_size, CycleLedger(), DEFAULT_COSTS)
+        assert _replay(fast, script) == _replay(reference, script)
+        assert fallbacks, "the script never reached the run-scan fallback"
+
+    def test_fragmenting_pattern_reaches_find_run(self):
+        # 32 one-slot mappings, every other one released: the free stack
+        # holds 16 isolated slots, so a two-slot mapping must scan.
+        script = [("map", 2048)] * 32
+        script += [("unmap", i) for i in range(16)]
+        script += [("map", 4096), ("map", 2048), ("unmap", 3), ("map", 6000)]
+        fast = Swiotlb(BASE, 64 * 1024, CycleLedger(), DEFAULT_COSTS)
+        fallbacks = _counting_find_run(fast)
+        reference = _ReferenceSwiotlb(BASE, 64 * 1024, CycleLedger(), DEFAULT_COSTS)
+        outcomes, free = _replay(fast, script)
+        assert (outcomes, free) == _replay(reference, script)
+        assert fallbacks
+        assert ("refused", "SWIOTLB fragmented: no contiguous run") in outcomes

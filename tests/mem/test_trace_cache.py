@@ -244,3 +244,71 @@ class TestInvalidation:
         costs = dataclasses.replace(DEFAULT_COSTS, tlb_hit=0.5)
         machine = Machine(MachineConfig(costs=costs))
         assert machine._trace_cache is None
+
+
+class TestHitProof:
+    """A hit trace is proven by the TLB alone, not by the map epoch."""
+
+    @staticmethod
+    def _hot_then(between):
+        """Warm 8 pages, record their all-hit ``load_seq``, run ``between``,
+        then issue the same ``load_seq`` again; returns both results."""
+
+        def workload(ctx):
+            base = ctx.session.layout.dram_base + (44 << 20)
+            ctx.store_seq(base, list(range(1, 9)), stride=PAGE_SIZE)
+            first = ctx.load_seq(base, 8, stride=PAGE_SIZE)
+            between(ctx, base)
+            second = ctx.load_seq(base, 8, stride=PAGE_SIZE)
+            return first, second
+
+        return workload
+
+    @staticmethod
+    def _count_live_runs(machine):
+        """Count the sequences ``machine`` executes live instead of replaying."""
+        runs = []
+        engine = machine._engine_seq
+
+        def counted(*args, **kwargs):
+            runs.append(args[1])
+            return engine(*args, **kwargs)
+
+        machine._engine_seq = counted
+        return runs
+
+    def _run(self, between):
+        """The workload on a cached and a reference machine, diffed."""
+        outcomes = []
+        for trace_cache in (True, False):
+            machine = Machine(MachineConfig(trace_cache=trace_cache))
+            session = machine.launch_confidential_vm(image=IMAGE)
+            runs = self._count_live_runs(machine)
+            result = machine.run(session, self._hot_then(between))["workload_result"]
+            outcomes.append((machine, runs, result))
+        (cached, runs, result), (reference, _, reference_result) = outcomes
+        assert result == reference_result
+        assert result[0] == result[1] == list(range(1, 9))
+        assert _fingerprint(cached) == _fingerprint(reference)
+        return cached, runs
+
+    def test_replays_across_a_map_epoch_bump(self):
+        def first_touch_elsewhere(ctx, base):
+            # The mem_churn shape: a first-touch fault maps a fresh page
+            # (bumping the SM's map epoch) while the hot entries stay.
+            epoch = ctx.machine.monitor.split.map_generation
+            ctx.store_seq(base + (1 << 20), [0xF00D])
+            assert ctx.machine.monitor.split.map_generation != epoch
+
+        cached, runs = self._run(first_touch_elsewhere)
+        # The two store_seqs and the recording load_seq ran live; the
+        # second load_seq replayed.
+        assert runs == ["S", "L", "S"]
+        assert len(cached._trace_cache) >= 1
+
+    def test_reexecutes_when_an_entry_was_flushed(self):
+        def flush_one_page(ctx, base):
+            ctx.machine.translator.sfence_page(ctx.session.vmid, base + 3 * PAGE_SIZE)
+
+        _cached, runs = self._run(flush_one_page)
+        assert runs == ["S", "L", "L"]
