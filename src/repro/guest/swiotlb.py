@@ -37,6 +37,9 @@ class Swiotlb:
 
     def map_single(self, length: int) -> int:
         """Allocate a bounce region for one mapping; returns its GPA."""
+        if length <= 0:
+            # ``free[-0:]`` would be the whole stack, recorded as 0 slots.
+            raise MemoryError_(f"SWIOTLB mapping length {length} is not positive")
         if length > MAX_MAPPING:
             raise MemoryError_(
                 f"SWIOTLB mapping of {length} exceeds the {MAX_MAPPING} limit"

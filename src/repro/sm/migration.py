@@ -11,8 +11,10 @@ untrusted hypervisors ferry the blob; they can neither read nor undetectably
 modify it.
 
 Crypto is stdlib-only: an HMAC-SHA256 keystream cipher (CTR construction)
-with encrypt-then-MAC.  The construction is standard; the primitive
-choice is a simulation stand-in for the AES-GCM a real SM would use.
+under a per-export nonce, with encrypt-then-MAC.  The construction is
+standard; the primitive choice is a simulation stand-in for the AES-GCM a
+real SM would use.  A blob is ``ZIONMIG2 || nonce || ciphertext || tag``,
+and the tag covers ``nonce || ciphertext``.
 """
 
 from __future__ import annotations
@@ -31,12 +33,9 @@ from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import CvmState, GpaLayout
 from repro.sm.vcpu import GUEST_CSRS
 
-_MAGIC = b"ZIONMIG1"
-_COUNTER = struct.Struct("<Q")
-# HMAC (RFC 2104) pads, as ``bytes.translate`` tables: XOR with 0x36 / 0x5C.
-_HMAC_BLOCK = hashlib.sha256().block_size
-_IPAD = bytes(byte ^ 0x36 for byte in range(256))
-_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+_MAGIC = b"ZIONMIG2"
+_NONCE = struct.Struct("<Q")
+_TAG_SIZE = 32
 _LAYOUT_FIELDS = frozenset(field.name for field in dataclasses.fields(GpaLayout))
 _VCPU_FIELDS = frozenset(("gprs", "csrs", "pc"))
 _GPR_NAMES = frozenset(GPR_NAMES)
@@ -48,23 +47,16 @@ def derive_migration_key(fleet_secret: bytes, src_nonce: bytes, dst_nonce: bytes
     return hmac.new(fleet_secret, b"migrate" + src_nonce + dst_nonce, hashlib.sha256).digest()
 
 
-def _keystream(key: bytes, length: int) -> bytes:
-    # HMAC-SHA256 in counter mode: block i is HMAC(enc_key, u64le(i)).
-    # The HMAC inner and outer SHA-256 states absorb the key pads once per
-    # call; each block then costs two compressions, not a full re-key.
-    # Nothing is cached across calls: a cache would hold key material.
-    enc_key = hmac.digest(key, b"enc", "sha256").ljust(_HMAC_BLOCK, b"\0")
-    inner_copy = hashlib.sha256(enc_key.translate(_IPAD)).copy
-    outer_copy = hashlib.sha256(enc_key.translate(_OPAD)).copy
-    pack = _COUNTER.pack
-    stream = []
-    for counter in range(-(-length // 32)):
-        inner = inner_copy()
-        inner.update(pack(counter))
-        outer = outer_copy()
-        outer.update(inner.digest())
-        stream.append(outer.digest())
-    return b"".join(stream)[:length]
+def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    # HMAC-SHA256 in counter mode: block i (from 1) is
+    # HMAC(enc_key, nonce || u32be(i)).  That is exactly PBKDF2-HMAC-SHA256
+    # with one iteration (RFC 8018 section 5.2, c = 1), so one C call
+    # produces the whole stream.  Nothing is cached across calls: a cache
+    # would hold key material.
+    if length == 0:
+        return b""
+    enc_key = hmac.digest(key, b"enc", "sha256")
+    return hashlib.pbkdf2_hmac("sha256", enc_key, nonce, 1, length)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -138,8 +130,11 @@ def export_cvm(monitor, cvm_id: int, key: bytes) -> bytes:
 
     monitor.ledger.charge(Category.COPY, monitor.costs.copy_bytes(len(plaintext)))
     monitor.ledger.charge(Category.SM_LOGIC, 12_000)  # key schedule + bookkeeping
-    ciphertext = _xor(plaintext, _keystream(key, len(plaintext)))
-    blob = _MAGIC + ciphertext + _mac(key, ciphertext)
+    # The export counter never repeats in one SM's life, and the key binds
+    # the host pair, so no two blobs sealed under one key share a nonce.
+    nonce = _NONCE.pack(monitor.migration_export_seq)
+    ciphertext = _xor(plaintext, _keystream(key, nonce, len(plaintext)))
+    blob = _MAGIC + nonce + ciphertext + _mac(key, nonce + ciphertext)
 
     # The source instance is gone: scrub and recycle, like destroy.
     monitor.ecall_resume(cvm_id)  # destroy requires a non-suspended state
@@ -267,10 +262,12 @@ def import_cvm(monitor, blob: bytes, key: bytes, vcpu_count: int | None = None) 
     and its frames recycled -- before the error propagates, so a failed
     arrival can never leak secure memory.
     """
-    if len(blob) < len(_MAGIC) + 32 or not blob.startswith(_MAGIC):
+    start = len(_MAGIC) + _NONCE.size
+    if len(blob) < start + _TAG_SIZE or not blob.startswith(_MAGIC):
         raise SecurityViolation("migration blob framing invalid")
-    ciphertext, tag = blob[len(_MAGIC):-32], blob[-32:]
-    if not hmac.compare_digest(_mac(key, ciphertext), tag):
+    nonce = blob[len(_MAGIC):start]
+    ciphertext, tag = blob[start:-_TAG_SIZE], blob[-_TAG_SIZE:]
+    if not hmac.compare_digest(_mac(key, blob[len(_MAGIC):-_TAG_SIZE]), tag):
         raise SecurityViolation("migration blob failed authentication")
     if tag in monitor.migration_imports:
         raise SecurityViolation(
@@ -279,7 +276,7 @@ def import_cvm(monitor, blob: bytes, key: bytes, vcpu_count: int | None = None) 
         )
     monitor.ledger.charge(Category.COPY, monitor.costs.copy_bytes(len(ciphertext)))
     monitor.ledger.charge(Category.SM_LOGIC, 12_000)
-    plaintext = _xor(ciphertext, _keystream(key, len(ciphertext)))
+    plaintext = _xor(ciphertext, _keystream(key, nonce, len(ciphertext)))
 
     header, layout, offset = _parse_header(plaintext)
     vcpus = header["vcpus"]
@@ -310,7 +307,7 @@ def import_cvm(monitor, blob: bytes, key: bytes, vcpu_count: int | None = None) 
         if header["measurement"] is not None:
             cvm.measurement = bytes.fromhex(header["measurement"])
         cvm.rtmrs = [bytes.fromhex(r) for r in header.get("rtmrs", [])] or cvm.rtmrs
-        cvm.measurement_log.extend("migrated-in", blob[-32:])
+        cvm.measurement_log.extend("migrated-in", tag)
         cvm.measurement_log.finalize()
     except Exception:
         # Fail-stop without a leak: scrub and recycle whatever the

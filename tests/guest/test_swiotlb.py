@@ -65,6 +65,15 @@ def test_max_mapping_enforced(swiotlb):
         swiotlb.map_single(MAX_MAPPING + 1)
 
 
+@pytest.mark.parametrize("length", [0, -1, -5000])
+def test_empty_or_negative_mapping_refused(swiotlb, length):
+    """An empty mapping takes no slots (it used to take the whole pool)."""
+    with pytest.raises(MemoryError_):
+        swiotlb.map_single(length)
+    assert swiotlb.free_slots == 32
+    assert swiotlb.map_many([2048] * 32)  # every slot still mappable
+
+
 def test_unmap_unmapped_rejected(swiotlb):
     with pytest.raises(MemoryError_):
         swiotlb.unmap_single(BASE)
@@ -102,6 +111,11 @@ class TestBatchedMappings:
     def test_map_many_rolls_back_on_oversized_member(self, swiotlb):
         with pytest.raises(MemoryError_):
             swiotlb.map_many([4096, MAX_MAPPING + 1])
+        assert swiotlb.free_slots == 32
+
+    def test_map_many_rolls_back_on_empty_member(self, swiotlb):
+        with pytest.raises(MemoryError_):
+            swiotlb.map_many([64, 0])
         assert swiotlb.free_slots == 32
 
     def test_bounce_many_charges_sum_of_singles(self, ledger, swiotlb):

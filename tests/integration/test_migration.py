@@ -1,11 +1,33 @@
 """CVM migration between machines (extension; see repro.sm.migration)."""
 
+import hmac
+import struct
+
 import pytest
 
 from repro import Machine, MachineConfig, SecurityViolation
-from repro.sm.migration import derive_migration_key
+from repro.sm.migration import _MAGIC, _keystream, _xor, derive_migration_key
 
 FLEET_SECRET = b"fleet-provisioning-secret"
+
+
+def _pool_state(machine):
+    """Every secure-pool frame's owner, plus the free-block count."""
+    pool = machine.monitor.pool
+    return dict(pool._page_owner), pool.free_blocks
+
+
+def _seal_v1(plaintext: bytes, key: bytes) -> bytes:
+    """The retired ZIONMIG1 seal: blocks HMAC(enc_key, u64le(i)) from 0,
+    no nonce, and a tag over the ciphertext alone."""
+    enc_key = hmac.digest(key, b"enc", "sha256")
+    stream = b"".join(
+        hmac.digest(enc_key, struct.pack("<Q", i), "sha256")
+        for i in range(-(-len(plaintext) // 32))
+    )
+    ciphertext = _xor(plaintext, stream)
+    mac_key = hmac.digest(key, b"mac", "sha256")
+    return b"ZIONMIG1" + ciphertext + hmac.digest(mac_key, ciphertext, "sha256")
 
 
 @pytest.fixture
@@ -125,6 +147,47 @@ class TestBlobSecurity:
         first = Machine(MachineConfig()).import_confidential_vm(blob, key)
         second = Machine(MachineConfig()).import_confidential_vm(blob, key)
         assert first.cvm.measurement == second.cvm.measurement
+
+    def test_exports_under_one_key_do_not_share_a_keystream(self, key):
+        """Two identical CVMs exported under one key: without a fresh
+        per-export nonce their ciphertexts would agree wherever their
+        plaintexts do (a two-time pad); with one, only by chance."""
+        source = Machine(MachineConfig())
+        twins = [source.launch_confidential_vm(image=b"twin-guest" * 200) for _ in range(2)]
+        assert twins[0].cvm.measurement == twins[1].cvm.measurement
+        first, second = (
+            source.export_confidential_vm(twin, key)[len(_MAGIC):-32] for twin in twins
+        )
+        assert len(first) == len(second) > 4096
+        agreeing = sum(a == b for a, b in zip(first, second))
+        assert agreeing < 0.05 * len(first)  # chance alone gives about 1/256
+
+    def test_flipped_nonce_byte_rejected_without_leak(self, source_pair, key):
+        source, session = source_pair
+        blob = bytearray(source.export_confidential_vm(session, key))
+        blob[len(_MAGIC)] ^= 0x01
+        destination = Machine(MachineConfig())
+        before = _pool_state(destination)
+        with pytest.raises(SecurityViolation, match="authentication"):
+            destination.import_confidential_vm(bytes(blob), key)
+        assert _pool_state(destination) == before
+        assert not destination.monitor.cvms
+
+    def test_old_format_blob_rejected_without_leak(self, source_pair, key):
+        """A ZIONMIG1 blob, correctly sealed in the retired format under
+        the right key, is refused before anything is decrypted or mapped."""
+        source, session = source_pair
+        blob = source.export_confidential_vm(session, key)
+        start = len(_MAGIC) + 8
+        nonce, ciphertext = blob[len(_MAGIC):start], blob[start:-32]
+        plaintext = _xor(ciphertext, _keystream(key, nonce, len(ciphertext)))
+        destination = Machine(MachineConfig())
+        before = _pool_state(destination)
+        for old in (_seal_v1(plaintext, key), b"ZIONMIG1" + blob[len(_MAGIC):]):
+            with pytest.raises(SecurityViolation, match="framing"):
+                destination.import_confidential_vm(old, key)
+        assert _pool_state(destination) == before
+        assert not destination.monitor.cvms
 
 
 class TestMigratedInMeasurementLog:

@@ -99,7 +99,7 @@ class TestSeqEquivalence:
         pages = {base_off + i * step for i in range(count)}
         cached, session, results = _run_pair(
             workload,
-            repeats=3,  # cross-run replays hit the all-miss flavor (TLB flushed between runs)
+            repeats=3,  # cross-run repeats walk live again (TLB flushed between runs); only hit traces replay
             check_pages=[
                 0x8000_0000 + off for off in sorted(pages)[:8]
             ],

@@ -16,6 +16,7 @@ from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import CvmState
 from repro.sm.migration import (
     _MAGIC,
+    _NONCE,
     _keystream,
     _mac,
     _xor,
@@ -28,9 +29,10 @@ KEY = derive_migration_key(b"test-fleet", b"src-nonce", b"dst-nonce")
 
 
 def _seal(plaintext: bytes, key: bytes = KEY) -> bytes:
-    """Seal arbitrary plaintext the way a peer SM would (valid MAC)."""
-    ciphertext = _xor(plaintext, _keystream(key, len(plaintext)))
-    return _MAGIC + ciphertext + _mac(key, ciphertext)
+    """Seal arbitrary plaintext the way a peer SM's first export would."""
+    nonce = _NONCE.pack(1)
+    ciphertext = _xor(plaintext, _keystream(key, nonce, len(plaintext)))
+    return _MAGIC + nonce + ciphertext + _mac(key, nonce + ciphertext)
 
 
 def _frame(header: dict, pages: bytes = b"") -> bytes:

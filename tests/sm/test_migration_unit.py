@@ -12,17 +12,28 @@ from repro.mem.pagetable import Sv39x4
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.migration import _keystream, _mac, _xor, derive_migration_key
 
-#: Fixed key for the known-answer pins below.
+#: Fixed key and nonce for the known-answer pins below.  The nonce is the
+#: one a fresh SM's first export uses (``u64le(export_seq)``).
 KAT_KEY = derive_migration_key(b"kat-fleet", b"kat-src", b"kat-dst")
+KAT_NONCE = struct.pack("<Q", 1)
+
+#: Stream lengths around the 32-byte block edges, plus multi-page ones.
+KEYSTREAM_LENGTHS = st.one_of(
+    st.sampled_from([0, 1, 31, 32, 33]),
+    st.integers(0, 300),
+    st.integers(2 * PAGE_SIZE, 3 * PAGE_SIZE + 100),
+)
 
 
-def _reference_keystream(key: bytes, length: int) -> bytes:
-    """One ``hmac.new`` object per 32-byte counter block."""
+def _reference_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """One ``hmac.new`` object per 32-byte block: block i (from 1) is
+    ``HMAC(enc_key, nonce || u32be(i))``."""
     out = bytearray()
-    counter = 0
+    counter = 1
     enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
     while len(out) < length:
-        out += hmac.new(enc_key, struct.pack("<Q", counter), hashlib.sha256).digest()
+        block = nonce + struct.pack(">I", counter)
+        out += hmac.new(enc_key, block, hashlib.sha256).digest()
         counter += 1
     return bytes(out[:length])
 
@@ -33,10 +44,14 @@ def _reference_xor(data: bytes, stream: bytes) -> bytes:
 
 
 class TestAgainstReference:
-    @settings(max_examples=60, deadline=None)
-    @given(key=st.binary(min_size=1, max_size=48), length=st.integers(0, 300))
-    def test_keystream(self, key, length):
-        assert _keystream(key, length) == _reference_keystream(key, length)
+    @settings(deadline=None)
+    @given(
+        key=st.binary(min_size=1, max_size=48),
+        nonce=st.binary(max_size=16),
+        length=KEYSTREAM_LENGTHS,
+    )
+    def test_keystream(self, key, nonce, length):
+        assert _keystream(key, nonce, length) == _reference_keystream(key, nonce, length)
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.binary(max_size=300), stream=st.binary(max_size=300))
@@ -45,23 +60,21 @@ class TestAgainstReference:
 
 
 class TestKeystreamAgainstHmacBlocks:
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     @given(
         key=st.binary(min_size=32, max_size=32),
-        length=st.one_of(
-            st.sampled_from([0, 1, 31, 32, 33]),
-            st.integers(2 * PAGE_SIZE, 3 * PAGE_SIZE + 100),
-        ),
+        nonce=st.binary(min_size=8, max_size=8),
+        length=KEYSTREAM_LENGTHS,
     )
-    def test_blocks_are_one_shot_hmacs(self, key, length):
-        """Block i is ``hmac.digest(enc_key, u64le(i))``, whatever the
-        precomputed-pad path does to get there."""
+    def test_blocks_are_one_shot_hmacs(self, key, nonce, length):
+        """Block i (from 1) is ``hmac.digest(enc_key, nonce || u32be(i))``,
+        whatever single call produces the stream."""
         enc_key = hmac.digest(key, b"enc", "sha256")
         reference = b"".join(
-            hmac.digest(enc_key, struct.pack("<Q", i), "sha256")
-            for i in range(-(-length // 32))
+            hmac.digest(enc_key, nonce + struct.pack(">I", i), "sha256")
+            for i in range(1, -(-length // 32) + 1)
         )[:length]
-        assert _keystream(key, length) == reference
+        assert _keystream(key, nonce, length) == reference
 
 
 class TestSealKnownAnswers:
@@ -70,7 +83,9 @@ class TestSealKnownAnswers:
     The blob's MAC tag feeds the destination's replay registry and its
     ``migrated-in`` measurement-log entry, so any change to the keystream,
     XOR or MAC bytes is a format break, not an optimisation.  These values
-    were recorded from the reference per-block/per-byte implementation.
+    were recorded from ``_reference_keystream`` and ``_reference_xor``
+    above (the blob by exporting with ``_keystream`` replaced by the
+    reference), not from the code under test.
     """
 
     def test_key_is_pinned(self):
@@ -80,16 +95,16 @@ class TestSealKnownAnswers:
 
     @pytest.mark.parametrize("length, digest", [
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        (1, "ef2d127de37b942baad06145e54b0c619a1f22327b2ebbcfbec78f5564afe39d"),
-        (31, "8be0600f590cad3ca9b3ab70321ef44e8b954547a06f55c5874cd4f993fba9b6"),
-        (32, "5e8cef10a8c570220037e4a11cb1abe969420830495d9c79cb2baa27ce36da03"),
-        (33, "07dda9bfd7ec67c11dc8451a4d848d5f509818b6770dce9ea8bcb0443526458c"),
+        (1, "0bfe935e70c321c7ca3afc75ce0d0ca2f98b5422e008bb31c00c6d7f1f1c0ad6"),
+        (31, "8694c5bf0d6da4585dcdc3e03234e228b9b73d94ba7795c6d5aa316174359cbc"),
+        (32, "7b5aed9e85906087dc0d34e4b85eca32b913ba2c6246da578aa5051550c4586d"),
+        (33, "1c1e6277913dddaad9c9a6a4fd04e500868941448af80e6ec17fffc1aabec5b6"),
         # Eight page records (GPA word + page) plus a 17-byte remainder.
         (8 * 4104 + 17,
-         "a296c43a80d8bbfdb00859935585828fcb89746667ba319fbff515cd79976cb5"),
+         "f02aae0bcf3e16e6d1cb220851ef1fc308ceec35e9405f2a0ef3113eb16f4540"),
     ])
     def test_keystream(self, length, digest):
-        stream = _keystream(KAT_KEY, length)
+        stream = _keystream(KAT_KEY, KAT_NONCE, length)
         assert len(stream) == length
         assert hashlib.sha256(stream).hexdigest() == digest
 
@@ -99,9 +114,9 @@ class TestSealKnownAnswers:
         )
 
     def test_xor_truncates_to_the_shorter_input(self):
-        longer_data = _xor(bytes(range(40)), _keystream(KAT_KEY, 33))
+        longer_data = _xor(bytes(range(40)), _keystream(KAT_KEY, KAT_NONCE, 33))
         assert longer_data.hex() == (
-            "3593af6b514bf3a4ea7554dd376280f9f8667b583922c1d1cd89134d0b0588da89"
+            "758405aa76b2249f0774ed350fd04776b323dcb15ed23e9bab568afe899ddb6fd9"
         )
         longer_stream = _xor(bytes(range(10)), bytes(range(100, 140)))
         assert longer_stream.hex() == "646464646c6c6c6c6464"
@@ -114,27 +129,36 @@ class TestSealKnownAnswers:
         base = session.layout.dram_base + (4 << 20)
         machine.run(session, lambda ctx: ctx.write_bytes(base, b"pinned state" * 300))
         blob = machine.export_confidential_vm(session, KAT_KEY)
-        assert len(blob) == 9359
+        assert len(blob) == 9367
+        assert blob[8:16] == KAT_NONCE  # the SM's first export
         assert hashlib.sha256(blob).hexdigest() == (
-            "0ec334741711c93364c27de333d8d7bfd354273dee00cf42e0ee4c2bbadf82a1"
+            "707209e5e12b26bd1321e26e83250f5f919b15e9076050ff9fb1b640d3ca0777"
         )
 
 
 class TestKeystream:
     def test_deterministic(self):
-        assert _keystream(b"k" * 32, 100) == _keystream(b"k" * 32, 100)
+        assert _keystream(b"k" * 32, KAT_NONCE, 100) == _keystream(b"k" * 32, KAT_NONCE, 100)
 
     def test_prefix_property(self):
         """Longer streams extend shorter ones (CTR construction)."""
-        short = _keystream(b"k" * 32, 40)
-        long = _keystream(b"k" * 32, 200)
+        short = _keystream(b"k" * 32, KAT_NONCE, 40)
+        long = _keystream(b"k" * 32, KAT_NONCE, 200)
         assert long[:40] == short
 
     def test_key_separation(self):
-        assert _keystream(b"a" * 32, 64) != _keystream(b"b" * 32, 64)
+        assert _keystream(b"a" * 32, KAT_NONCE, 64) != _keystream(b"b" * 32, KAT_NONCE, 64)
+
+    def test_nonce_separation(self):
+        """Two exports under one key share no keystream block."""
+        first = _keystream(b"k" * 32, struct.pack("<Q", 1), 32 * 64)
+        second = _keystream(b"k" * 32, struct.pack("<Q", 2), 32 * 64)
+        first_blocks = {first[i : i + 32] for i in range(0, len(first), 32)}
+        second_blocks = {second[i : i + 32] for i in range(0, len(second), 32)}
+        assert not first_blocks & second_blocks
 
     def test_xor_is_involutive(self):
-        stream = _keystream(b"k" * 32, 32)
+        stream = _keystream(b"k" * 32, KAT_NONCE, 32)
         data = bytes(range(32))
         assert _xor(_xor(data, stream), stream) == data
 
@@ -148,7 +172,7 @@ class TestMac:
     def test_mac_key_differs_from_enc_key(self):
         """Encrypt and MAC must not share a key (domain separation)."""
         key = b"k" * 32
-        assert _keystream(key, 32) != _mac(key, b"")
+        assert _keystream(key, KAT_NONCE, 32) != _mac(key, b"")
 
 
 class TestKeyDerivation:
