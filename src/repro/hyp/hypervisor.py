@@ -17,6 +17,7 @@ from __future__ import annotations
 import struct
 
 from repro.cycles import Category, CycleCosts, CycleLedger
+from repro.errors import MemoryError_
 from repro.hyp.devices import MmioRegistry
 from repro.hyp.vm import CvmHostHandle, NormalVm
 from repro.isa.privilege import PrivilegeMode
@@ -159,9 +160,16 @@ class Hypervisor:
 
         The dominant cost is the measurement-calibrated ``kvm_fault_fixed``
         (memslot lookup + get_user_pages + mmu lock on the paper's 100 MHz
-        platform); the PTE installation is charged on top.
+        platform); the PTE installation is charged on top.  A permission
+        fault on a present leaf is refused with :class:`MemoryError_`
+        before any frame is allocated: demand mapping cannot fix it.
         """
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_fault_fixed)
+        if self.translator.probe_gpa(vm.hgatp_root, gpa)[0] is not None:
+            raise MemoryError_(
+                f"stage-2 fault at GPA {gpa:#x} of VM {vm.name!r} hit a "
+                "present leaf: a permission fault, not a missing page"
+            )
         page_gpa = gpa & ~(PAGE_SIZE - 1)
         pa = self._alloc_zeroed_page(hart)
         self.ledger.charge(Category.HYP_LOGIC, self.costs.zero_bytes(PAGE_SIZE))

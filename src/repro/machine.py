@@ -161,6 +161,9 @@ class GuestSession:
         #: and read on every guest access.
         self.vmid: int = vm.vmid
         self.layout: GpaLayout = vm.layout
+        #: The batched engine (:meth:`Machine._build_seq_engine`), built by
+        #: the session's first live sequence.
+        self._seq_engine = None
 
     @property
     def hgatp_root(self) -> int:
@@ -810,125 +813,143 @@ class Machine:
     def _engine_seq(self, session: GuestSession, op: str, gva0: int, step: int,
                     count: int, size: int, values, gvas, key,
                     start: int = 0, out=None):
-        """The live per-access engine: TLB probe, walk, fault fix, record.
+        """Run accesses ``start..count`` of one sequence live.
 
-        Per access this performs exactly the architectural sequence the
-        per-element :meth:`guest_access` loop performs -- same timer
+        ``session``'s engine is built by its first live sequence
+        (:meth:`_build_seq_engine`) and kept for the session's lifetime.
+        A run from ``start == 0`` in which every access is a TLB hit is
+        recorded under ``key`` for replay.
+        """
+        engine = session._seq_engine
+        if engine is None:
+            engine = session._seq_engine = self._build_seq_engine(session)
+        return engine(op, gva0, step, count, size, values, gvas, key, start, out)
+
+    def _build_seq_engine(self, session: GuestSession):
+        """Build ``session``'s live per-access engine: TLB probe, walk, fault fix.
+
+        Per access the engine performs exactly the architectural sequence
+        the per-element :meth:`guest_access` loop performs -- same timer
         check, same TLB statistics and LRU motion, same charges in the
         same order -- but with translation inlined for the common
         outcomes, charges made in place on the ledger's counters, and
-        aligned words moved in place.  Anything unusual (MMIO or
-        shared-region addresses, permission-insufficient entries, PMP
-        denials, faults that cannot take the SM's fused fix,
+        aligned words moved in place.  A stage-2 fault that routes to the
+        VM's own fault handler (the SM in M mode for a CVM, KVM in HS for
+        a normal VM) is taken in place: the walk is charged, the handler
+        the reference path calls runs, and the access retries.  Anything
+        unusual (MMIO or shared-region addresses, permission-insufficient
+        entries, permission faults on a present leaf, PMP denials, any
+        other fault route, a CVM fault while a ``fault_observer`` is set,
         page-straddling accesses, VS-stage paging enabled upstream)
         detours that one access through :meth:`_reference_access`
         *before* any charge or mutation, so the detour is invisible.
 
-        A run from ``start == 0`` in which every access is a TLB hit is
-        recorded under ``key`` for replay.
+        The session's constants are bound once, here, and unpacked into
+        locals per call; ``hart``, ``hgatp_root`` and the TLB generation
+        are read on every call.  The fault route is read at each fault,
+        memoised on the access, the hart's mode and the raw ``medeleg``/
+        ``hedeleg`` values.
         """
+        machine = self
         ledger = self.ledger
-        counts = ledger._counts
         tlb = self.translator.tlb
-        tlb_gen = tlb.generation
         entries = tlb._entries
-        entries_get = entries.get
-        move_to_end = entries.move_to_end
-        insert = tlb.insert
-        probe = self.translator.probe_gpa
-        va_limit = self.translator.sv39x4._va_limit
-        walk_cost = int(self.costs.page_walk_level)
-        tlb_hit = int(self.costs.tlb_hit)
-        hit_cost = tlb_hit + 1  # the TLB hit and the compute cycle
-        tlb_index = Category.TLB.index
-        walk_index = Category.PAGE_WALK.index
-        compute_index = Category.COMPUTE.index
-        walk_bit = 1 << walk_index
-        hit_bits = 1 << tlb_index | 1 << compute_index
-        walk_bits = walk_bit | 1 << compute_index
-        hart = session.hart
-        hart_id = hart.hart_id
-        pmp_check = hart.pmp.check
-        mtimecmp = self.clint._mtimecmp
-        check_timer = self.check_timer
-        vmid = session.vmid
-        root = session.hgatp_root
-        reference = self._reference_access
-        dram = self.dram
-        pages = dram._pages
-        unpack_from = _U64.unpack_from
-        pack_into = _U64.pack_into
-        confidential = session.kind is VmKind.CONFIDENTIAL
         layout = session.layout
+        confidential = session.kind is VmKind.CONFIDENTIAL
+        # The engine's window: a CVM's private DRAM, or everything outside
+        # a normal VM's MMIO window.
         if confidential:
             lo, hi = layout.dram_base, layout.dram_base + layout.dram_size
         else:
             lo, hi = layout.mmio_base, layout.mmio_base + layout.mmio_size
-        op_code = _STORE if op == "S" else _LOAD
-        access = _ACCESS[op_code]
-        required = _REQUIRED[op_code]
-        # The SM's fused fault fix applies only when the fault would route
-        # to M mode with nobody observing the piecewise handler.  Routing
-        # depends only on the delegation CSRs, which world switches restore
-        # identically, so one check covers the whole sequence.
-        fault_direct = (
-            confidential
-            and self.fault_observer is None
-            and route_exception(
-                guest_page_fault_for(access), hart.mode, hart.medeleg, hart.hedeleg
-            ) is PrivilegeMode.M
+        tlb_hit = int(self.costs.tlb_hit)
+        tlb_index = Category.TLB.index
+        walk_index = Category.PAGE_WALK.index
+        compute_index = Category.COMPUTE.index
+        walk_bit = 1 << walk_index
+        consts = (
+            ledger, ledger._counts, tlb, entries.get, entries.move_to_end,
+            tlb.insert, self.translator.probe_gpa,
+            self.translator.sv39x4._va_limit, int(self.costs.page_walk_level),
+            tlb_hit, tlb_hit + 1,  # a hit: the TLB hit and the compute cycle
+            tlb_index, walk_index, compute_index, walk_bit,
+            1 << tlb_index | 1 << compute_index, walk_bit | 1 << compute_index,
+            self.clint._mtimecmp, session.vmid, self.dram._pages,
+            _U64.unpack_from, _U64.pack_into, confidential, lo, hi,
         )
-        monitor = self.monitor
-        cvm = session.cvm
-        vcpu_id = session.vcpu_id
-        small = min(size, 8)
-        aligned8 = size == 8
-        # Every access is aligned to its power-of-two size when the base
-        # and stride are, and then none can straddle a page.
-        may_straddle = small > 1 and bool(
-            (gva0 | step) & (small - 1) or small & (small - 1)
-        )
+        # Where the VM's stage-2 faults are fixed in place.
+        handler_mode = PrivilegeMode.M if confidential else PrivilegeMode.HS
+        in_place_routes: dict = {}
 
-        if out is None and op == "L":
-            out = []
-        append = out.append if op == "L" else None
+        def fault_in_place(hart, op_code: int) -> bool:
+            csrs = hart.csrs
+            route = (op_code, hart.mode, csrs.read_raw("medeleg"), csrs.read_raw("hedeleg"))
+            in_place = in_place_routes.get(route)
+            if in_place is None:
+                in_place = in_place_routes[route] = route_exception(
+                    guest_page_fault_for(_ACCESS[op_code]),
+                    hart.mode, hart.medeleg, hart.hedeleg,
+                ) is handler_mode
+            return in_place
 
-        recording = key is not None and start == 0
-        rec_keys: list = []
-        rec_pas: list = []
-        expected: dict = {}
+        def run(op, gva0, step, count, size, values, gvas, key, start, out):
+            (ledger, counts, tlb, entries_get, move_to_end, insert, probe,
+             va_limit, walk_cost, tlb_hit, hit_cost, tlb_index, walk_index,
+             compute_index, walk_bit, hit_bits, walk_bits, mtimecmp, vmid,
+             pages, unpack_from, pack_into, confidential, lo, hi) = consts
+            hart = session.hart
+            hart_id = hart.hart_id
+            pmp_check = hart.pmp.check
+            root = session.hgatp_root
+            tlb_gen = tlb.generation
+            op_code = _STORE if op == "S" else _LOAD
+            access = _ACCESS[op_code]
+            required = _REQUIRED[op_code]
+            small = size if size < 8 else 8
+            aligned8 = size == 8
+            # Every access is aligned to its power-of-two size when the base
+            # and stride are, and then none can straddle a page.
+            may_straddle = small > 1 and bool(
+                (gva0 | step) & (small - 1) or small & (small - 1)
+            )
+            if out is None and op == "L":
+                out = []
+            append = out.append if op == "L" else None
+            recording = key is not None and start == 0
+            rec_keys: list = []
+            rec_pas: list = []
+            expected: dict = {}
 
-        i = start
-        while i < count:
-            gva = gvas[i] if gvas is not None else gva0 + i * step
-            if ledger._total >= mtimecmp[hart_id]:
-                check_timer(session)
-            engine_ok = (lo <= gva < hi) is confidential
-            if may_straddle and (gva & 0xFFF) + small > PAGE_SIZE:
-                engine_ok = False  # the reference path splits it
-            pa = 0
-            if engine_ok:
-                for _attempt in range(8):
-                    key2 = (vmid, gva >> 12)
-                    entry = entries_get(key2)
+            i = start
+            while i < count:
+                gva = gvas[i] if gvas is not None else gva0 + i * step
+                if ledger._total >= mtimecmp[hart_id]:
+                    machine.check_timer(session)
+                engine_ok = (lo <= gva < hi) is confidential
+                if may_straddle and (gva & 0xFFF) + small > PAGE_SIZE:
+                    engine_ok = False  # the reference path splits it
+                faults = 0
+                while engine_ok:
+                    tkey = (vmid, gva >> 12)
+                    entry = entries_get(tkey)
                     if entry is not None:
                         if not entry[1] & required:
                             # Hardware re-walks; take the generic path.
                             engine_ok = False
                             break
                         tlb.hits += 1
-                        move_to_end(key2)
+                        move_to_end(tkey)
                         ledger._total += hit_cost
                         counts[tlb_index] += tlb_hit
                         counts[compute_index] += 1
                         ledger._charged_mask |= hit_bits
                         pa = entry[0] << 12 | gva & 0xFFF
                         if recording:
-                            rec_keys.append(key2)
+                            rec_keys.append(tkey)
                             rec_pas.append(pa)
                             # Within an all-hit run no entry can change: a
                             # new value needs a removal, then a miss.
-                            expected[key2] = entry
+                            expected[tkey] = entry
                         break
                     recording = False
                     if not 0 <= gva < va_limit:
@@ -938,7 +959,7 @@ class Machine:
                     walk = levels * walk_cost
                     if wpa is not None:
                         if not wflags & required or not pmp_check(wpa, 1, access, hart.mode):
-                            # The reference path takes the access fault.
+                            # The reference path takes the fault.
                             engine_ok = False
                             break
                         tlb.misses += 1
@@ -950,59 +971,68 @@ class Machine:
                         pa = wpa
                         break
                     # Invalid walk: a stage-2 guest page fault.
-                    if not fault_direct:
+                    if not fault_in_place(hart, op_code) or (
+                        confidential and machine.fault_observer is not None
+                    ):
                         engine_ok = False
                         break
                     tlb.misses += 1
                     ledger._total += walk
                     counts[walk_index] += walk
                     ledger._charged_mask |= walk_bit
-                    if not leaf_slot or not monitor.fault_fix_fast(
-                        cvm, vcpu_id, gva, leaf_slot
+                    if not confidential:
+                        machine._kvm_demand_map(session, gva)
+                    elif not leaf_slot or not machine.monitor.fault_fix_fast(
+                        session.cvm, session.vcpu_id, gva, leaf_slot
                     ):
-                        monitor.handle_guest_page_fault(hart, cvm, vcpu_id, gva)
-                    # Retry in-engine: charges already landed, and the
-                    # per-access loop performs no extra timer check between
-                    # a fault fix and its retry.
-                else:
-                    raise ConfigurationError(
-                        f"guest access at {gva:#x} did not make progress after 8 faults"
-                    )
-            if not engine_ok:
-                recording = False
-                if op == "S":
-                    value = values[i]
-                    self._pending_store_value = value & _MASK64
-                    reference(session, gva, _STORE, size, value)
+                        machine.monitor.handle_guest_page_fault(
+                            hart, session.cvm, session.vcpu_id, gva
+                        )
+                    # Retry in place: the charges already landed, and the
+                    # per-access loop performs no timer check between a
+                    # fault fix and its retry.
+                    faults += 1
+                    if faults == 8:
+                        raise ConfigurationError(
+                            f"guest access at {gva:#x} did not make progress after 8 faults"
+                        )
+                if not engine_ok:
+                    recording = False
+                    if op == "S":
+                        value = values[i]
+                        machine._pending_store_value = value & _MASK64
+                        machine._reference_access(session, gva, _STORE, size, value)
+                    elif op == "L":
+                        append(machine._reference_access(session, gva, _LOAD, size, None))
+                    else:
+                        machine._reference_access(session, gva, _LOAD, 1, None)
+                elif op == "T":
+                    pass
+                elif aligned8 and not pa & 7:
+                    # The aligned word, read or written in place.
+                    page = pages.get(pa >> 12)
+                    if op == "L":
+                        append(0 if page is None else unpack_from(page, pa & 0xFFF)[0])
+                    else:
+                        if page is None:
+                            page = pages[pa >> 12] = bytearray(PAGE_SIZE)
+                        pack_into(page, pa & 0xFFF, values[i] & _MASK64)
                 elif op == "L":
-                    append(reference(session, gva, _LOAD, size, None))
+                    append(_move_word(machine.dram, pa, _LOAD, size, None))
                 else:
-                    reference(session, gva, _LOAD, 1, None)
-            elif op == "T":
-                pass
-            elif aligned8 and not pa & 7:
-                # The aligned word, read or written in place.
-                page = pages.get(pa >> 12)
-                if op == "L":
-                    append(0 if page is None else unpack_from(page, pa & 0xFFF)[0])
-                else:
-                    if page is None:
-                        page = pages[pa >> 12] = bytearray(PAGE_SIZE)
-                    pack_into(page, pa & 0xFFF, values[i] & _MASK64)
-            elif op == "L":
-                append(_move_word(dram, pa, _LOAD, size, None))
-            else:
-                _move_word(dram, pa, _STORE, size, values[i])
-            i += 1
+                    _move_word(machine.dram, pa, _STORE, size, values[i])
+                i += 1
 
-        if op == "S":
-            # Residual-state parity: the per-access loop leaves the last
-            # store value latched for MMIO emulation.
-            self._pending_store_value = values[count - 1] & _MASK64
+            if op == "S":
+                # Residual-state parity: the per-access loop leaves the last
+                # store value latched for MMIO emulation.
+                machine._pending_store_value = values[count - 1] & _MASK64
 
-        if recording:
-            self._trace_cache.put(key, SeqTrace(tlb_gen, rec_keys, rec_pas, expected))
-        return out
+            if recording:
+                machine._trace_cache.put(key, SeqTrace(tlb_gen, rec_keys, rec_pas, expected))
+            return out
+
+        return run
 
     def _replay_seq(self, session: GuestSession, op: str, trace, gva0: int,
                     step: int, count: int, size: int, values, gvas):
@@ -1149,16 +1179,32 @@ class Machine:
                 self.hypervisor.normal_vm_enter(session.hart)
                 self._deliver_normal_irqs(session)
                 return value
-            with self.ledger.span() as span:
-                self.hypervisor.normal_vm_exit(session.hart)
-                self.hypervisor.handle_normal_stage2_fault(
-                    session.hart, session.normal_vm, gpa
-                )
-                self.hypervisor.normal_vm_enter(session.hart)
-            if self.fault_observer is not None:
-                self.fault_observer("kvm", None, span.cycles)
+            self._kvm_demand_map(session, gpa)
             return None
         raise SecurityViolation(f"unhandled normal-VM trap {trap.cause!r}")
+
+    def _kvm_demand_map(self, session: GuestSession, gpa: int) -> None:
+        """KVM's demand-map round trip for a normal VM's stage-2 fault.
+
+        The VM exit, :meth:`Hypervisor.handle_normal_stage2_fault` and
+        the VM entry; the entry is charged even when the handler refuses
+        the fault, so the hart always returns to the guest.  With a
+        ``fault_observer`` set, the round trip's cycles are reported as
+        ``("kvm", None, cycles)``.
+        """
+        hypervisor = self.hypervisor
+        hart = session.hart
+        observer = self.fault_observer
+        # Spans are charge-free snapshots: open one only for an observer.
+        span = None if observer is None else self.ledger.span()
+        hypervisor.normal_vm_exit(hart)
+        try:
+            hypervisor.handle_normal_stage2_fault(hart, session.normal_vm, gpa)
+        finally:
+            hypervisor.normal_vm_enter(hart)
+        if span is not None:
+            span.close()
+            observer("kvm", None, span.cycles)
 
     def _emulate_mmio_normal(self, session: GuestSession, gpa: int, access: AccessType):
         self.hypervisor.mmio_exits += 1

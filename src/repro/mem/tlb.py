@@ -23,10 +23,6 @@ class Tlb:
     def __init__(self, capacity: int = 512):
         self.capacity = capacity
         self._entries: OrderedDict = OrderedDict()
-        #: Per-VMID key index so ``flush_vmid`` (the world-switch
-        #: ``hfence.gvma`` path) drops exactly one VMID's keys instead of
-        #: scanning all ``capacity`` entries.
-        self._by_vmid: dict = {}
         self.hits = 0
         self.misses = 0
         #: Whole-TLB and per-VMID flushes (hfence.gvma-scale events).
@@ -57,41 +53,34 @@ class Tlb:
         key = (vmid, vpage)
         entries[key] = (ppage, flags)
         entries.move_to_end(key)
-        index = self._by_vmid.get(vmid)
-        if index is None:
-            index = self._by_vmid[vmid] = set()
-        index.add(key)
-        while len(entries) > self.capacity:
-            evicted, _ = entries.popitem(last=False)
+        # One insert adds at most one entry, so it evicts at most one.
+        if len(entries) > self.capacity:
+            entries.popitem(last=False)
             self.generation += 1
-            victim_index = self._by_vmid[evicted[0]]
-            victim_index.discard(evicted)
-            if not victim_index:
-                del self._by_vmid[evicted[0]]
 
     def flush_all(self) -> None:
         """Drop every cached translation."""
         self._entries.clear()
-        self._by_vmid.clear()
         self.flushes += 1
         self.generation += 1
 
     def flush_vmid(self, vmid: int) -> None:
-        """Drop all translations of one VMID (O(entries of that VMID))."""
-        for key in self._by_vmid.pop(vmid, ()):
-            del self._entries[key]
+        """Drop all translations of one VMID (a scan of every entry).
+
+        Only rare events fence one VMID -- a shared-subtree re-link, a
+        CVM's destruction, a guest enabling or disabling ``vsatp`` -- so
+        the scan is cheaper overall than indexing every insert by VMID.
+        """
+        entries = self._entries
+        for key in [key for key in entries if key[0] == vmid]:
+            del entries[key]
         self.flushes += 1
         self.generation += 1
 
     def flush_page(self, vmid: int, vpage: int) -> None:
         """Drop one page's translation (counted even if absent)."""
         self.generation += 1
-        key = (vmid, vpage)
-        if self._entries.pop(key, None) is not None:
-            index = self._by_vmid[vmid]
-            index.discard(key)
-            if not index:
-                del self._by_vmid[vmid]
+        self._entries.pop((vmid, vpage), None)
         self.page_flushes += 1
 
     def __len__(self):

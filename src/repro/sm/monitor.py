@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 
 from repro.cycles import Category, CycleCosts, CycleLedger
-from repro.errors import EcallError, SecurityViolation, TrapRaised
+from repro.errors import EcallError, MemoryError_, SecurityViolation, TrapRaised
 from repro.isa.traps import AccessType
 from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, pte_pack
 from repro.mem.physmem import PAGE_SIZE
@@ -504,13 +504,20 @@ class SecureMonitor:
         Returns the allocation stage that satisfied it.  MMIO and
         shared-region faults never reach here (the dispatcher exits to the
         hypervisor for those); a fault outside every known region is a
-        security violation and kills the access.
+        security violation and kills the access.  A permission fault on a
+        present leaf is refused with :class:`MemoryError_` before any page
+        is allocated: demand allocation cannot fix it.
         """
         self._charge_trap_to_m()
         self._charge_fault_fixed()
         if not cvm.layout.in_private_dram(gpa):
             raise SecurityViolation(
                 f"unresolvable stage-2 fault at GPA {gpa:#x} for CVM {cvm.cvm_id}"
+            )
+        if self.translator.probe_gpa(cvm.hgatp_root, gpa)[0] is not None:
+            raise MemoryError_(
+                f"stage-2 fault at GPA {gpa:#x} for CVM {cvm.cvm_id} hit a "
+                "present leaf: a permission fault, not a missing page"
             )
         page_gpa = gpa & ~(PAGE_SIZE - 1)
         pa, stage = self._alloc_page_with_expansion(hart, cvm, vcpu_id)

@@ -16,7 +16,8 @@ guest DRAM, mixed with:
 
 After every step the two machines must agree on the values returned, the
 error types raised, ``ledger.by_category()``, the TLB statistics and
-generation, and the TLB's LRU key order.
+generation, the TLB's LRU key order, the fault handlers' counters and
+allocations, and the hart's mode.
 """
 
 from __future__ import annotations

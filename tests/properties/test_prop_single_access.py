@@ -9,7 +9,8 @@ read-only mapping, the MMIO window, out-of-range and page-straddling
 addresses, with compute padding that lands timer ticks mid-sequence.
 After every step the two machines must agree on the values returned,
 the error types raised, ``ledger.by_category()``, the TLB statistics and
-generation, and the TLB's LRU key order.
+generation, the TLB's LRU key order, the fault handlers' counters and
+allocations, and the hart's mode.
 """
 
 from __future__ import annotations
@@ -90,12 +91,20 @@ class _Side:
         machine = self.machine
         tlb = machine.translator.tlb
         vmid = self.session.vmid
+        normal_vm = self.session.normal_vm
         return {
             "by_category": machine.ledger.by_category(),
             "tlb": (tlb.hits, tlb.misses, tlb.generation, tlb.flushes, tlb.page_flushes),
             # VMIDs of normal VMs come from a process-wide counter, so
             # keys are compared as (own VM?, page).
             "tlb_order": [(key[0] == vmid, key[1]) for key in tlb._entries],
+            # Which fault handlers ran, what they mapped and allocated,
+            # and the mode the hart came back in.
+            "kvm_maps": machine.hypervisor.map_generation,
+            "host_free": machine.hypervisor.allocator.free_bytes(),
+            "sm_fault_stages": dict(machine.monitor.fault_stage_counts),
+            "kvm_faults": None if normal_vm is None else normal_vm.fault_count,
+            "hart_mode": self.session.hart.mode,
         }
 
 
