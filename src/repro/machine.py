@@ -835,14 +835,15 @@ class Machine:
         outcomes, charges made in place on the ledger's counters, and
         aligned words moved in place.  A stage-2 fault that routes to the
         VM's own fault handler (the SM in M mode for a CVM, KVM in HS for
-        a normal VM) is taken in place: the walk is charged, the handler
-        the reference path calls runs, and the access retries.  Anything
-        unusual (MMIO or shared-region addresses, permission-insufficient
-        entries, permission faults on a present leaf, PMP denials, any
-        other fault route, a CVM fault while a ``fault_observer`` is set,
-        page-straddling accesses, VS-stage paging enabled upstream)
-        detours that one access through :meth:`_reference_access`
-        *before* any charge or mutation, so the detour is invisible.
+        a normal VM) is taken in place: the walk is charged, the helper
+        the reference path calls (:meth:`_sm_fault`, given the engine's
+        walk, or :meth:`_kvm_demand_map`) runs, and the access retries.
+        Anything unusual (MMIO or shared-region addresses, permission-
+        insufficient entries, permission faults on a present leaf, PMP
+        denials, any other fault route, page-straddling accesses, VS-stage
+        paging enabled upstream) detours that one access through
+        :meth:`_reference_access` *before* any charge or mutation, so the
+        detour is invisible.
 
         The session's constants are bound once, here, and unpacked into
         locals per call; ``hart``, ``hgatp_root`` and the TLB generation
@@ -955,7 +956,8 @@ class Machine:
                     if not 0 <= gva < va_limit:
                         engine_ok = False
                         break
-                    wpa, wflags, levels, leaf_slot = probe(root, gva)
+                    probed = probe(root, gva)
+                    wpa, wflags, levels, _ = probed
                     walk = levels * walk_cost
                     if wpa is not None:
                         if not wflags & required or not pmp_check(wpa, 1, access, hart.mode):
@@ -971,23 +973,18 @@ class Machine:
                         pa = wpa
                         break
                     # Invalid walk: a stage-2 guest page fault.
-                    if not fault_in_place(hart, op_code) or (
-                        confidential and machine.fault_observer is not None
-                    ):
+                    if not fault_in_place(hart, op_code):
                         engine_ok = False
                         break
                     tlb.misses += 1
                     ledger._total += walk
                     counts[walk_index] += walk
                     ledger._charged_mask |= walk_bit
-                    if not confidential:
+                    if confidential:
+                        # Nothing ran since the probe: the SM takes its walk.
+                        machine._sm_fault(session, gva, probed)
+                    else:
                         machine._kvm_demand_map(session, gva)
-                    elif not leaf_slot or not machine.monitor.fault_fix_fast(
-                        session.cvm, session.vcpu_id, gva, leaf_slot
-                    ):
-                        machine.monitor.handle_guest_page_fault(
-                            hart, session.cvm, session.vcpu_id, gva
-                        )
                     # Retry in place: the charges already landed, and the
                     # per-access loop performs no timer check between a
                     # fault fix and its retry.
@@ -1206,6 +1203,25 @@ class Machine:
             span.close()
             observer("kvm", None, span.cycles)
 
+    def _sm_fault(self, session: GuestSession, gpa: int, walk=None) -> None:
+        """The SM's fix of a CVM's private stage-2 fault, in M mode.
+
+        The CVM counterpart of :meth:`_kvm_demand_map`:
+        :meth:`SecureMonitor.handle_guest_page_fault`, given the caller's
+        uncharged walk of ``gpa`` when it has one.  With a
+        ``fault_observer`` set, the fix's cycles are reported as
+        ``("sm", stage, cycles)``.
+        """
+        observer = self.fault_observer
+        # Spans are charge-free snapshots: open one only for an observer.
+        span = None if observer is None else self.ledger.span()
+        stage = self.monitor.handle_guest_page_fault(
+            session.hart, session.cvm, session.vcpu_id, gpa, walk
+        )
+        if span is not None:
+            span.close()
+            observer("sm", stage, span.cycles)
+
     def _emulate_mmio_normal(self, session: GuestSession, gpa: int, access: AccessType):
         self.hypervisor.mmio_exits += 1
         self.ledger.charge(Category.HYP_LOGIC, self.costs.qemu_mmio_dispatch)
@@ -1228,18 +1244,7 @@ class Machine:
         if layout.in_private_dram(gpa):
             # Stage-2 fault on private memory: the SM resolves it alone --
             # no world switch, the whole point of SM-side allocation.
-            # Spans are charge-free snapshots, so opening one only matters
-            # when an observer will read it.
-            if self.fault_observer is None:
-                self.monitor.handle_guest_page_fault(
-                    session.hart, session.cvm, session.vcpu_id, gpa
-                )
-                return None
-            with self.ledger.span() as span:
-                stage = self.monitor.handle_guest_page_fault(
-                    session.hart, session.cvm, session.vcpu_id, gpa
-                )
-            self.fault_observer("sm", stage, span.cycles)
+            self._sm_fault(session, gpa)
             return None
         if layout.in_mmio(gpa):
             return self._emulate_mmio_cvm(session, gpa, access)

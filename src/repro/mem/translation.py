@@ -127,9 +127,9 @@ class AddressTranslator:
           reads a charged walk performs;
         - invalid: ``pa`` is ``None``, ``levels`` is the reads a charged
           walk would perform before faulting, and ``leaf_slot`` is the
-          physical slot of the invalid *full-depth* leaf PTE (0 when an
-          intermediate table is missing -- the SM's fused fault fix needs
-          the leaf slot to already exist).
+          physical slot of the invalid *full-depth* leaf PTE, or 0 when an
+          intermediate table is missing.  The SM's fault handler writes
+          the new leaf into that slot, and walks only when it is 0.
 
         The caller charges ``levels * page_walk_level`` itself once it
         commits to an outcome; probing performs no charge and no TLB or
@@ -174,7 +174,7 @@ class AddressTranslator:
         # The slot's DRAM page was never written, so its PTE reads as
         # zero (invalid) -- or the slot lies outside DRAM, and the read
         # raises MemoryError_.
-        self.bus.dram.read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; each caller charges levels*page_walk_level in bulk once it commits (batched engine and fused SM fault path both do)
+        self.bus.dram.read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; each caller charges levels*page_walk_level in bulk once it commits (the batched engines do; the SM fault handler's refusal probe is uncharged, the trap already charged the walk)
         return None, 0, depth + 1, slot if depth == 2 else 0
 
     def translate(

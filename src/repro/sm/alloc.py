@@ -42,12 +42,6 @@ class VcpuPageCache:
     def __len__(self):
         return len(self._pages)
 
-    def pop(self) -> int | None:
-        """Take one cached page, or ``None`` when empty."""
-        if not self._pages:
-            return None
-        return self._pages.pop()
-
     def refill(self, block) -> None:
         """Make ``block`` the cache's backing store (all pages free)."""
         self.block = block
@@ -99,12 +93,14 @@ class HierarchicalAllocator:
         """
         if not self.use_page_cache:
             return self._alloc_uncached(cvm_id)
-        cache = self.cache_for(vcpu_id)
+        cache = self._caches.get(vcpu_id)
+        if cache is None:
+            cache = self.cache_for(vcpu_id)
 
         # Stage 1: per-vCPU page cache.
-        page = cache.pop()
         self._charge_cache_pop()
-        if page is not None:
+        if cache._pages:
+            page = cache._pages.pop()
             self.stage_counts[AllocStage.PAGE_CACHE] += 1
             self._pool.set_page_owner(page, cvm_id)
             return page, AllocStage.PAGE_CACHE
@@ -120,35 +116,10 @@ class HierarchicalAllocator:
         self._ledger.charge(
             Category.ALLOC, self._costs.cache_slot_init * block.page_count
         )
-        page = cache.pop()
+        page = cache._pages.pop()
         self.stage_counts[AllocStage.NEW_BLOCK] += 1
         self._pool.set_page_owner(page, cvm_id)
         return page, AllocStage.NEW_BLOCK
-
-    def alloc_page_fast(self, cvm_id: int, vcpu_id: int) -> int | None:
-        """Stage-1-only allocation for the monitor's fused fault path.
-
-        Succeeds exactly when :meth:`alloc_page` would be satisfied by the
-        vCPU's page cache, with the identical charge (one
-        ``page_cache_pop``) and identical state updates.  Returns ``None``
-        -- before charging or mutating anything -- whenever stage 2/3
-        would be involved (cache missing or empty) or the page-cache
-        ablation is off, so the caller can take the full path instead.
-
-        Skipping the monitor's per-CVM block-list membership scan is safe
-        here: a cache only ever holds pages because a prior stage-2
-        refill went through the full path, which registered the block.
-        """
-        if not self.use_page_cache:
-            return None
-        cache = self._caches.get(vcpu_id)
-        if cache is None or not cache._pages:
-            return None
-        page = cache._pages.pop()
-        self._charge_cache_pop()
-        self.stage_counts[AllocStage.PAGE_CACHE] += 1
-        self._pool.set_page_owner(page, cvm_id)
-        return page
 
     def _alloc_uncached(self, cvm_id: int) -> tuple[int, AllocStage]:
         """The no-page-cache baseline: every fault takes the global list.

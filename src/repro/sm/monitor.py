@@ -15,7 +15,6 @@ import itertools
 from repro.cycles import Category, CycleCosts, CycleLedger
 from repro.errors import EcallError, MemoryError_, SecurityViolation, TrapRaised
 from repro.isa.traps import AccessType
-from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, pte_pack
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.abi import SHARED_SUBTREE_SPAN, CvmDescriptor
 from repro.sm.alloc import AllocStage, HierarchicalAllocator, PoolExhausted
@@ -26,11 +25,6 @@ from repro.sm.secmem import OWNER_SM, SecureMemoryPool
 from repro.sm.share import SplitTableManager
 from repro.sm.vcpu import SHARED_VCPU_SIZE, SharedVcpu
 from repro.sm.world_switch import WorldSwitch
-
-
-#: Leaf flags map_private installs for a demand-faulted private page
-#: (writable + executable defaults); fault_fix_fast writes the same PTE.
-_PRIVATE_LEAF_FLAGS = PTE_V | PTE_R | PTE_W | PTE_X | PTE_U | PTE_D
 
 
 class _MetadataAllocator:
@@ -98,20 +92,6 @@ class SecureMonitor:
         self._charge_fault_fixed = ledger.charger(Category.SM_LOGIC, costs.sm_fault_fixed)
         self._charge_zero_page = ledger.charger(Category.SM_LOGIC, costs.zero_bytes(PAGE_SIZE))
         self._charge_xret = ledger.charger(Category.TRAP, costs.xret)
-        # Fused variants for fault_fix_fast: a stage-1 fault fix spans no
-        # timer checkpoint and no exception seam past the point of no
-        # return, so its fixed costs fuse per category (trap entry+exit;
-        # fault fixed cost + page zero + map ownership check) with totals
-        # and breakdowns identical to the piecewise handler above.
-        self._charge_fault_fast_trap = ledger.charger(
-            Category.TRAP, costs.trap_to_m + costs.xret
-        )
-        self._charge_fault_fast_sm = ledger.charger(
-            Category.SM_LOGIC,
-            costs.sm_fault_fixed
-            + costs.zero_bytes(PAGE_SIZE)
-            + costs.ownership_check,
-        )
         self.attestation = AttestationService(device_secret, entropy_seed)
         self.world_switch = WorldSwitch(
             ledger,
@@ -498,7 +478,9 @@ class SecureMonitor:
     # Stage-2 guest-page fault handling (paper IV-C/IV-D)
     # ------------------------------------------------------------------
 
-    def handle_guest_page_fault(self, hart, cvm: ConfidentialVm, vcpu_id: int, gpa: int) -> AllocStage:
+    def handle_guest_page_fault(
+        self, hart, cvm: ConfidentialVm, vcpu_id: int, gpa: int, walk=None
+    ) -> AllocStage:
         """Resolve a private-DRAM stage-2 fault with hierarchical allocation.
 
         Returns the allocation stage that satisfied it.  MMIO and
@@ -507,6 +489,12 @@ class SecureMonitor:
         security violation and kills the access.  A permission fault on a
         present leaf is refused with :class:`MemoryError_` before any page
         is allocated: demand allocation cannot fix it.
+
+        ``walk`` is the uncharged G-stage walk of ``gpa``
+        (:meth:`AddressTranslator.probe_gpa`) its caller made with nothing
+        run since; without one -- a trap does not say whether the leaf is
+        present -- the handler walks.  The new leaf goes into the walk's
+        full-depth slot unless a stage-3 expansion left the SM in between.
         """
         self._charge_trap_to_m()
         self._charge_fault_fixed()
@@ -514,7 +502,9 @@ class SecureMonitor:
             raise SecurityViolation(
                 f"unresolvable stage-2 fault at GPA {gpa:#x} for CVM {cvm.cvm_id}"
             )
-        if self.translator.probe_gpa(cvm.hgatp_root, gpa)[0] is not None:
+        if walk is None:
+            walk = self.translator.probe_gpa(cvm.hgatp_root, gpa)
+        if walk[0] is not None:
             raise MemoryError_(
                 f"stage-2 fault at GPA {gpa:#x} for CVM {cvm.cvm_id} hit a "
                 "present leaf: a permission fault, not a missing page"
@@ -523,47 +513,14 @@ class SecureMonitor:
         pa, stage = self._alloc_page_with_expansion(hart, cvm, vcpu_id)
         self.dram.zero_range(pa, PAGE_SIZE)
         self._charge_zero_page()
-        self.split.map_private(cvm, page_gpa, pa, self._alloc_table_page)
+        self.split.map_private(
+            cvm, page_gpa, pa, self._alloc_table_page,
+            leaf_slot=0 if stage is AllocStage.POOL_EXPANSION else walk[3],
+        )
         self.translator.sfence_page(cvm.vmid, page_gpa)
         self.fault_stage_counts[stage] += 1
         self._charge_xret()
         return stage
-
-    def fault_fix_fast(self, cvm: ConfidentialVm, vcpu_id: int, gpa: int, leaf_slot: int) -> bool:
-        """Fused stage-1 fault fix for the machine's access engine.
-
-        The caller has already raw-walked the stage-2 table, verified the
-        GPA is in the CVM's private DRAM, and found the full-depth leaf
-        slot invalid with every intermediate table present -- the stage-1
-        common case.  This performs the identical state mutations and
-        charges the identical cycle totals as
-        :meth:`handle_guest_page_fault`, with the fixed costs fused per
-        category (see the charger comments in ``__init__``).  Returns
-        ``False`` -- before charging or mutating anything -- whenever a
-        rarer stage would be involved, so the caller falls back to the
-        piecewise handler.
-        """
-        allocator = self._allocators.get(cvm.cvm_id)
-        if allocator is None:
-            return False
-        pa = allocator.alloc_page_fast(cvm.cvm_id, vcpu_id)
-        if pa is None:
-            return False
-        # Point of no return: the allocator charged and handed out a page.
-        self._charge_fault_fast_trap()
-        self._charge_fault_fast_sm()
-        owner = self.pool.owner_of(pa)
-        if owner != cvm.cvm_id:
-            raise SecurityViolation(
-                f"frame {pa:#x} is owned by {owner!r}, not CVM {cvm.cvm_id}"
-            )
-        self.dram.zero_range(pa, PAGE_SIZE)
-        page_gpa = gpa & ~(PAGE_SIZE - 1)
-        self.dram.write_u64(leaf_slot, pte_pack(pa, _PRIVATE_LEAF_FLAGS))
-        self.split.note_external_leaf_install()
-        self.translator.sfence_page(cvm.vmid, page_gpa)
-        self.fault_stage_counts[AllocStage.PAGE_CACHE] += 1
-        return True
 
     def _alloc_and_map(self, cvm: ConfidentialVm, vcpu_id: int, gpa: int) -> int:
         """Allocation + mapping used by image loading (no fault framing)."""
@@ -602,9 +559,12 @@ class SecureMonitor:
                 )
             allocator.note_expansion()
             stage = AllocStage.POOL_EXPANSION
-        cache = allocator.cache_for(vcpu_id)
-        if cache.block is not None and cache.block not in self._cvm_blocks[cvm.cvm_id]:
-            self._cvm_blocks[cvm.cvm_id].append(cache.block)
+        if stage is not AllocStage.PAGE_CACHE:
+            # Stages 2 and 3 hand the vCPU a fresh block, which the CVM
+            # holds until it is destroyed (the uncached ablation has none).
+            block = allocator.cache_for(vcpu_id).block
+            if block is not None:
+                self._cvm_blocks[cvm.cvm_id].append(block)
         return pa, stage
 
     def _request_pool_expansion(self, hart, cvm: ConfidentialVm, vcpu_id: int) -> None:

@@ -27,7 +27,9 @@ import struct
 
 from repro.cycles import Category, CycleCosts, CycleLedger
 from repro.errors import SecurityViolation
-from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_W, PTE_X, Sv39x4, pte_is_leaf, pte_target
+from repro.mem.pagetable import (
+    PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, Sv39x4, pte_is_leaf, pte_pack, pte_target,
+)
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import ConfidentialVm
 from repro.sm.secmem import SecureMemoryPool
@@ -99,18 +101,6 @@ class SplitTableManager:
         cvm.shared_subtrees[root_index] = table_pa
         self.map_generation += 1
 
-    def note_external_leaf_install(self) -> None:
-        """Seam for PTE installs performed outside this manager.
-
-        The monitor's fused fault path writes the leaf PTE itself (it
-        already holds the probed slot address), but the map epoch and
-        the walk charge belong to the split-table manager: every writer
-        of ``map_generation`` must be a method of its owner, or the SMP
-        refactor cannot wrap the epoch in a lock (ZL5).
-        """
-        self.map_generation += 1
-        self._charge_map_walk()
-
     def _validate_subtree(self, table_pa: int, depth: int) -> None:
         """Reject any existing PTE in a donated subtree that reaches the pool.
 
@@ -157,12 +147,19 @@ class SplitTableManager:
         alloc_table,
         writable: bool = True,
         executable: bool = True,
+        leaf_slot: int = 0,
     ) -> None:
         """Map a private-region GPA to a secure frame (SM raw access).
 
         ``alloc_table`` must return zeroed secure-pool pages (the paper's
         controlled-channel defence: CVM page tables never leave the pool).
         Enforces CVM-disjointness: the frame must be owned by this CVM.
+
+        A non-zero ``leaf_slot`` is the invalid full-depth leaf PTE that
+        a walk of ``gpa`` just found, with no table edit since; the leaf
+        is written there.  Otherwise the table is walked and any missing
+        level created.  Either way the map charges the ownership check
+        and one full walk.
         """
         if not cvm.layout.in_private_dram(gpa):
             raise SecurityViolation(
@@ -175,9 +172,13 @@ class SplitTableManager:
                 f"frame {pa:#x} is owned by {owner!r}, not CVM {cvm.cvm_id}"
             )
         flags = PTE_R | PTE_U | PTE_D | (PTE_W if writable else 0) | (PTE_X if executable else 0)
-        tables = self._sv39x4.map(
-            self._accessor, cvm.hgatp_root, gpa, pa, flags, alloc_table
-        )
+        if leaf_slot:
+            self._dram.write_u64(leaf_slot, pte_pack(pa, flags | PTE_V))
+            tables = ()
+        else:
+            tables = self._sv39x4.map(
+                self._accessor, cvm.hgatp_root, gpa, pa, flags, alloc_table
+            )
         self.map_generation += 1
         for table in tables:
             if not self._pool.contains(table, PAGE_SIZE):

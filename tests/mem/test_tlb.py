@@ -95,7 +95,7 @@ def test_page_flushes_counted_separately_from_flushes():
     assert tlb.page_flushes == 2
 
 
-# -- per-vmid index consistency (flush_vmid without a full scan) ----------
+# -- flush_vmid after evictions and page flushes ----------------------------
 
 
 def test_flush_vmid_drops_exactly_that_vmid():
@@ -110,8 +110,8 @@ def test_flush_vmid_drops_exactly_that_vmid():
 
 
 def test_flush_vmid_after_eviction_skips_evicted_entries():
-    """LRU eviction must also retire the entry from the per-vmid index,
-    or a later flush_vmid would try to delete it twice."""
+    """An entry LRU eviction already retired is not flushed a second
+    time: a later flush_vmid drops only the entries still present."""
     tlb = Tlb(capacity=2)
     tlb.insert(1, 0, 10, 0)
     tlb.insert(1, 1, 11, 0)

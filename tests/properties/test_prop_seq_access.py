@@ -11,8 +11,12 @@ guest DRAM, mixed with:
 - TLB flushes, through a timer tick landing mid-sequence or an
   ``sfence`` of one page;
 - reclaiming a private page and touching it again (a remap);
-- first-touch stores to fresh pages, which move the map epoch while the
-  TLB keeps its entries (the ``mem_churn`` shape).
+- first-touch stores to runs of fresh pages, which move the map epoch
+  while the TLB keeps its entries (the ``mem_churn`` shape).
+
+Runs may boot both machines with a four-page secure block, so a
+CVM's first touches cross stage-2 refills and pool expansions inside one
+sequence.
 
 After every step the two machines must agree on the values returned, the
 error types raised, ``ledger.by_category()``, the TLB statistics and
@@ -37,9 +41,11 @@ from tests.properties.test_prop_single_access import (
 
 DRAM = LAYOUT.dram_base
 PRIVATE = DRAM + PRIVATE_OFFSET
-#: First-touch stores go to fresh pages from here, one page per store.
+#: First-touch stores go to fresh pages from here, one word per page.
 FRESH = DRAM + (40 << 20)
 
+#: The small-block variant's secure block size.
+SMALL_BLOCK = 4 * PAGE_SIZE
 #: Strided shapes ``(gva0, size, stride, count)``, few enough that the
 #: same shape recurs -- and replays -- within one run.
 STRIDED = [
@@ -67,10 +73,17 @@ CVM_TOUCHES = [(DRAM + WINDOW_OFFSET, DRAM + WINDOW_OFFSET + PAGE_SIZE, PRIVATE)
 class SeqAccessDiff(RuleBasedStateMachine):
     """Batched-engine and reference machines, stepped in lockstep."""
 
-    @initialize(kind=st.sampled_from(["cvm", "normal"]))
-    def boot(self, kind):
+    @initialize(kind=st.sampled_from(["cvm", "normal"]), small_blocks=st.booleans())
+    def boot(self, kind, small_blocks):
         self.kind = kind
-        self.sides = (_Side(kind, trace_cache=True), _Side(kind, trace_cache=False))
+        # A few-page secure block in a pool of a few blocks: a CVM's
+        # first touches cross stage-2 refills and a pool expansion.
+        config = {}
+        if small_blocks:
+            config = {"secure_block_size": SMALL_BLOCK, "initial_pool_bytes": 16 * SMALL_BLOCK}
+        self.sides = tuple(
+            _Side(kind, trace_cache=trace_cache, **config) for trace_cache in (True, False)
+        )
         assert self.sides[0].machine._trace_cache is not None
         assert self.sides[1].machine._trace_cache is None
         cvm = kind == "cvm"
@@ -120,11 +133,12 @@ class SeqAccessDiff(RuleBasedStateMachine):
         self._both("reclaim_pages", gpa, 1)
         self._both("load", gpa)
 
-    @rule(value=st.integers(0, (1 << 64) - 1))
-    def first_touch(self, value):
-        """A one-word ``store_seq`` to a fresh page: the map epoch moves."""
-        self._both("store_seq", FRESH + self.fresh * PAGE_SIZE, [value])
-        self.fresh += 1
+    @rule(value=st.integers(0, (1 << 64) - 1), pages=st.integers(1, 6))
+    def first_touch(self, value, pages):
+        """One word per fresh page, in one ``store_seq``: the map epoch moves."""
+        values = [value ^ i for i in range(pages)]
+        self._both("store_seq", FRESH + self.fresh * PAGE_SIZE, values, 8, PAGE_SIZE)
+        self.fresh += pages
 
     @invariant()
     def agree(self):

@@ -54,8 +54,8 @@ def _leaf_slot(machine, root: int, gpa: int) -> int:
 class _Side:
     """One machine of the pair, with its session entered."""
 
-    def __init__(self, kind: str, trace_cache: bool):
-        machine = Machine(MachineConfig(trace_cache=trace_cache))
+    def __init__(self, kind: str, trace_cache: bool, **config):
+        machine = Machine(MachineConfig(trace_cache=trace_cache, **config))
         self.machine = machine
         if kind == "cvm":
             session = machine.launch_confidential_vm(image=IMAGE)
@@ -103,6 +103,7 @@ class _Side:
             "kvm_maps": machine.hypervisor.map_generation,
             "host_free": machine.hypervisor.allocator.free_bytes(),
             "sm_fault_stages": dict(machine.monitor.fault_stage_counts),
+            "pool_free_blocks": machine.monitor.pool.free_blocks,
             "kvm_faults": None if normal_vm is None else normal_vm.fault_count,
             "hart_mode": self.session.hart.mode,
         }
