@@ -58,7 +58,7 @@ WAIT_DOORBELL = object()
 #: structural validity check and the sequence must re-execute live.
 _REPLAY_REJECT = object()
 
-#: Operations of the single-access engine (:meth:`Machine._single_access`).
+#: Operations of the guest-access engine (:meth:`Machine._build_engine`).
 #: Bit 0 selects a store; bit 1 a bulk-copy page chunk (data in bytes, no
 #: compute cycle: the caller charges the copy) instead of a scalar word.
 _LOAD, _STORE, _READ, _WRITE = 0, 1, 2, 3
@@ -127,9 +127,11 @@ class MachineConfig:
     secure_block_size: int | None = None
     #: Ablation switch: stage-1 per-vCPU page caches (paper IV-D).
     use_page_cache: bool = True
-    #: Wall-clock switch: record/replay hot guest-access sequences
-    #: (:mod:`repro.mem.tracecache`).  Cycle-exact either way; exposed so
-    #: the equivalence tests can diff cached against uncached runs.
+    #: Wall-clock switch: ``False`` puts every guest access on the
+    #: reference path (``Machine._reference_access``) -- no engine, no
+    #: record/replay of hot sequences (:mod:`repro.mem.tracecache`).
+    #: Cycle-exact either way; exposed so the equivalence tests can diff
+    #: the engine against the reference path.
     trace_cache: bool = True
     costs: CycleCosts = DEFAULT_COSTS
 
@@ -161,9 +163,8 @@ class GuestSession:
         #: and read on every guest access.
         self.vmid: int = vm.vmid
         self.layout: GpaLayout = vm.layout
-        #: The batched engine (:meth:`Machine._build_seq_engine`), built by
-        #: the session's first live sequence.
-        self._seq_engine = None
+        #: The session's guest-access engine (:meth:`Machine._build_engine`).
+        self._engine = machine._build_engine(self)
 
     @property
     def hgatp_root(self) -> int:
@@ -248,11 +249,12 @@ class Machine:
         self.ecall_interface = EcallInterface(
             self.monitor, running_cvm_of=self._running_cvm_of
         )
-        # Batched guest-access engine state.  The engine fuses same-category
+        # Guest-access engine state.  The engine and the trace-cache replay
+        # charge the ledger's counters in place and fuse same-category
         # charges (n TLB hits as one charge of n*tlb_hit), which is only
         # bit-identical to per-access charging when the per-access costs are
-        # integral (charge() floors); non-integral cost ablations fall back
-        # to the per-access loops wholesale.
+        # integral (charge() floors); non-integral cost ablations put every
+        # access on the reference path.
         costs_integral = (
             self.costs.tlb_hit == int(self.costs.tlb_hit)
             and self.costs.page_walk_level == int(self.costs.page_walk_level)
@@ -619,7 +621,7 @@ class Machine:
             )
 
     # ------------------------------------------------------------------
-    # Batched guest-access engine (load_seq / store_seq / touch_seq)
+    # The guest-access engine and the trace-cache replay
     # ------------------------------------------------------------------
 
     def run_seq(self, session: GuestSession, op: str, gva0: int, step: int,
@@ -630,10 +632,15 @@ class Machine:
         touch_seq).  Strided sequences address ``gva0 + i*step``; touch
         sequences carry their literal ``gvas`` tuple.  Cycle-exact against
         the per-access loops by construction (see
-        :mod:`repro.mem.tracecache` for the validity argument).
+        :mod:`repro.mem.tracecache` for the validity argument).  With no
+        trace cache, or VS-stage paging on, every sequence runs live.
         """
         if count <= 0:
             return [] if op == "L" else None
+        cache = self._trace_cache
+        if cache is None or session.vsatp_root is not None:
+            return self._live_seq(session, op, gva0, step, count, size,
+                                  values, gvas, None)
         key = (
             op,
             session.vmid,
@@ -641,47 +648,63 @@ class Machine:
             gvas if gvas is not None else (gva0, step, count),
             size,
         )
-        trace = self._trace_cache.get(key)
+        trace = cache.get(key)
         if trace is not None:
             result = self._replay_seq(session, op, trace, gva0, step, count,
                                       size, values, gvas)
             if result is not _REPLAY_REJECT:
                 return result
-        return self._engine_seq(session, op, gva0, step, count, size,
-                                values, gvas, key)
+        return self._live_seq(session, op, gva0, step, count, size,
+                              values, gvas, key)
 
-    def _single_access(self, session: GuestSession):
-        """Build ``session``'s single-access engine: one call per guest access.
+    def _build_engine(self, session: GuestSession):
+        """Build ``session``'s guest-access engine: one call per guest access.
 
-        Returns ``access(gva, op, size, value)`` for the operations
-        :data:`_LOAD`/:data:`_STORE` (a scalar word: returns the loaded
-        value) and :data:`_READ`/:data:`_WRITE` (one page chunk of a bulk
-        copy: returns the bytes read).  The session's fixed constants --
-        its VMID, its engine address window, the TLB dict, the
-        ``mtimecmp`` list -- are bound once here; ``hart``,
-        ``hgatp_root`` and ``vsatp_root`` are read on every access.
+        Returns ``access(gva, op, size, value, hits=None)`` for the
+        operations :data:`_LOAD`/:data:`_STORE` (a scalar word: returns the
+        loaded value) and :data:`_READ`/:data:`_WRITE` (one page chunk of a
+        bulk copy: returns the bytes read).  It is the only live engine:
+        :class:`GuestContext`'s scalar and bulk calls make one call per
+        access, and :meth:`_live_seq` loops over it for
+        ``load_seq``/``store_seq``/``touch_seq``.  Each
+        :class:`GuestSession` builds it once.  The session's fixed
+        constants -- its VMID, its engine address window, the TLB dict, the
+        ``mtimecmp`` list -- are bound here; ``hart``, ``hgatp_root`` and
+        ``vsatp_root`` are read on every access, and the machine's
+        handlers each time one runs.
 
-        On a TLB hit the engine performs, in the order
-        :meth:`_reference_access` does: the timer compare, the range
-        check, the TLB statistics and LRU motion, the TLB-hit charge
-        (fused with the compute cycle of a scalar access -- no timer check
-        can fall between them), and the data move.  A miss with a valid,
-        PMP-permitted walk charges and fills exactly as the translator
-        would.  Anything else -- MMIO or out-of-window addresses,
-        insufficient permissions, faults, PMP denials, VS-stage paging,
-        page-straddling scalars -- takes :meth:`_reference_access`
-        *before* charging or mutating anything, so the detour is
-        invisible.  Machines without the trace cache
-        (``trace_cache=False``, non-integral costs) get the reference
-        path itself.
+        Per access the engine performs, in the order
+        :meth:`_reference_access` does, the timer compare, the range check
+        and the translation.  A TLB hit updates the statistics and LRU
+        order and charges the hit (fused with the compute cycle of a
+        scalar access -- no timer check can fall between them) and appends
+        the entry to ``hits`` when one is given: that is how
+        :meth:`_live_seq` proves a run all-hit.  A miss
+        with a valid, PMP-permitted walk charges and fills exactly as the
+        translator would.  An invalid walk whose stage-2 fault routes to the VM's own
+        handler (the SM in M mode for a CVM, KVM in HS for a normal VM) is
+        taken in place: the walk is charged, the helper the reference path
+        calls (:meth:`_sm_fault`, given the engine's walk, or
+        :meth:`_kvm_demand_map`) runs, and the access retries -- at most
+        eight times, as the reference path does.  Anything else -- MMIO or
+        out-of-window addresses, insufficient permissions, permission
+        faults on a present leaf, PMP denials, any other fault route,
+        VS-stage paging -- takes :meth:`_reference_access` *before*
+        charging or mutating anything, so the detour is invisible.  A
+        page-straddling scalar is the two accesses it splits into
+        (:func:`_split_scalar`).  Machines without the trace cache
+        (``trace_cache=False``, non-integral costs) take the reference
+        path for every access.
         """
-        reference = self._reference_access
+        machine = self
         if self._trace_cache is None:
-            return functools.partial(reference, session)
+            def reference(gva, op, size, value, hits=None):
+                return machine._reference_access(session, gva, op, size, value)
+
+            return reference
         ledger = self.ledger
         counts = ledger._counts
         mtimecmp = self.clint._mtimecmp
-        check_timer = self.check_timer
         translator = self.translator
         tlb = translator.tlb
         entries_get = tlb._entries.get
@@ -704,6 +727,8 @@ class Machine:
             lo, hi = layout.dram_base, layout.dram_base + layout.dram_size
         else:
             lo, hi = layout.mmio_base, layout.mmio_base + layout.mmio_size
+        # Whose ``hgatp_root`` the session's property reads.
+        vm = session.cvm if inside else session.normal_vm
         tlb_hit = int(self.costs.tlb_hit)
         walk_cost = int(self.costs.page_walk_level)
         tlb_index = Category.TLB.index
@@ -714,55 +739,103 @@ class Machine:
         scalar_bits = tlb_bit | 1 << compute_index
         scalar_walk_bits = walk_bit | 1 << compute_index
         scalar_hit = tlb_hit + 1
+        # Where the VM's stage-2 faults are fixed in place.
+        handler_mode = PrivilegeMode.M if inside else PrivilegeMode.HS
+        in_place_routes: dict = {}
 
-        def access(gva, op, size, value):
-            if op < 2 and (size != 8 or gva & 7):
+        def fault_in_place(hart, store: int) -> bool:
+            csrs = hart.csrs
+            route = (store, hart.mode, csrs.read_raw("medeleg"), csrs.read_raw("hedeleg"))
+            in_place = in_place_routes.get(route)
+            if in_place is None:
+                in_place = in_place_routes[route] = route_exception(
+                    guest_page_fault_for(_ACCESS[store]),
+                    hart.mode, hart.medeleg, hart.hedeleg,
+                ) is handler_mode
+            return in_place
+
+        def access(gva, op, size, value, hits=None):
+            if op < 2 and (gva & 0xFFF) + size > PAGE_SIZE:
                 small = size if size < 8 else 8
                 first = PAGE_SIZE - (gva & 0xFFF)
                 if first < small:
                     return _split_scalar(access, gva, op, small, first, value)
             hart = session.hart
             if ledger._total >= mtimecmp[hart.hart_id]:
-                check_timer(session)
+                machine.check_timer(session)
             if (lo <= gva < hi) is not inside or session.vsatp_root is not None:
-                return reference(session, gva, op, size, value)
+                return machine._reference_access(session, gva, op, size, value)
             key = (vmid, gva >> 12)
-            entry = entries_get(key)
-            if entry is not None:
-                if not entry[1] & _REQUIRED[op]:
-                    # Hardware re-walks; the reference path does.
-                    return reference(session, gva, op, size, value)
-                tlb.hits += 1
-                move_to_end(key)
-                pa = entry[0] << 12 | gva & 0xFFF
-                if op > 1:
-                    ledger._total += tlb_hit
-                    counts[tlb_index] += tlb_hit
-                    ledger._charged_mask |= tlb_bit
-                else:
-                    ledger._total += scalar_hit
-                    counts[tlb_index] += tlb_hit
-                    counts[compute_index] += 1
-                    ledger._charged_mask |= scalar_bits
-            else:
+            faults = 0
+            while True:
+                entry = entries_get(key)
+                if entry is not None:
+                    if not entry[1] & _REQUIRED[op]:
+                        # Hardware re-walks; the reference path does.
+                        return machine._reference_access(session, gva, op, size, value)
+                    tlb.hits += 1
+                    move_to_end(key)
+                    pa = entry[0] << 12 | gva & 0xFFF
+                    if op > 1:
+                        ledger._total += tlb_hit
+                        counts[tlb_index] += tlb_hit
+                        ledger._charged_mask |= tlb_bit
+                    else:
+                        ledger._total += scalar_hit
+                        counts[tlb_index] += tlb_hit
+                        counts[compute_index] += 1
+                        ledger._charged_mask |= scalar_bits
+                    if hits is not None:
+                        hits.append(entry)
+                    break
                 if not 0 <= gva < va_limit:
-                    return reference(session, gva, op, size, value)
-                pa, flags, levels, _slot = probe(session.hgatp_root, gva)
-                if (pa is None or not flags & _REQUIRED[op]
-                        or not hart.pmp.check(pa, 1, _ACCESS[op], hart.mode)):
-                    # A fault or a PMP denial: the reference path traps.
-                    return reference(session, gva, op, size, value)
-                tlb.misses += 1
+                    return machine._reference_access(session, gva, op, size, value)
+                probed = probe(vm.hgatp_root, gva)
+                pa, flags, levels, _slot = probed
                 walk = levels * walk_cost
+                if pa is not None:
+                    if not flags & _REQUIRED[op] or not hart.pmp.check(pa, 1, _ACCESS[op], hart.mode):
+                        # A permission fault or a PMP denial: the
+                        # reference path traps.
+                        return machine._reference_access(session, gva, op, size, value)
+                    tlb.misses += 1
+                    counts[walk_index] += walk
+                    if op > 1:
+                        ledger._total += walk
+                        ledger._charged_mask |= walk_bit
+                    else:
+                        ledger._total += walk + 1
+                        counts[compute_index] += 1
+                        ledger._charged_mask |= scalar_walk_bits
+                    insert(vmid, gva >> 12, pa >> 12, flags)
+                    break
+                # Invalid walk: a stage-2 guest page fault.
+                if not fault_in_place(hart, op & 1):
+                    return machine._reference_access(session, gva, op, size, value)
+                if not faults:
+                    # The reference path calls check_timer once per access,
+                    # before its first walk; a faulting access does too, so
+                    # a hook on it (the fault injector's timer seam) counts
+                    # the same occurrences.  The compare above has already
+                    # fired any due tick, and a tick leaves the tables alone.
+                    machine.check_timer(session)
+                tlb.misses += 1
+                ledger._total += walk
                 counts[walk_index] += walk
-                if op > 1:
-                    ledger._total += walk
-                    ledger._charged_mask |= walk_bit
+                ledger._charged_mask |= walk_bit
+                if inside:
+                    # Only the timer check ran since the probe: the SM
+                    # takes its walk.
+                    machine._sm_fault(session, gva, probed)
                 else:
-                    ledger._total += walk + 1
-                    counts[compute_index] += 1
-                    ledger._charged_mask |= scalar_walk_bits
-                insert(vmid, gva >> 12, pa >> 12, flags)
+                    machine._kvm_demand_map(session, gva)
+                # Retry: the reference path performs no timer check
+                # between a fault fix and its retry.
+                faults += 1
+                if faults == 8:
+                    raise ConfigurationError(
+                        f"guest access at {gva:#x} did not make progress after 8 faults"
+                    )
             if op > 1:
                 return dread(pa, size) if op == _READ else dwrite(pa, value)
             if size == 8 and not pa & 7:
@@ -774,6 +847,10 @@ class Machine:
                     pack_into(page, pa & 0xFFF, value & _MASK64)
                     return None
                 return 0 if page is None else unpack_from(page, pa & 0xFFF)[0]
+            if size == 1 and not op:
+                # A byte load (every touch), read in place.
+                page = pages.get(pa >> 12)
+                return 0 if page is None else page[pa & 0xFFF]
             return _move_word(dram, pa, op, size, value)
 
         return access
@@ -782,12 +859,11 @@ class Machine:
                           size: int, value):
         """The reference single access: :meth:`guest_access`, then the data.
 
-        Same operations and results as the engine
-        :meth:`_single_access` builds.  A scalar access also charges its
-        compute cycle; one that straddles a page boundary is performed as
-        the two accesses it splits into (:func:`_split_scalar`).  A bulk
-        chunk that lands in an MMIO window is a
-        :class:`~repro.errors.ConfigurationError`.
+        Same operations and results as the engine :meth:`_build_engine`
+        builds.  A scalar access also charges its compute cycle; one that
+        straddles a page boundary is performed as the two accesses it
+        splits into (:func:`_split_scalar`).  A bulk chunk that lands in
+        an MMIO window is a :class:`~repro.errors.ConfigurationError`.
         """
         access = AccessType.STORE if op & 1 else AccessType.LOAD
         if op > 1:
@@ -810,226 +886,47 @@ class Machine:
             return None if op else result
         return _move_word(self.dram, result, op, size, value)
 
-    def _engine_seq(self, session: GuestSession, op: str, gva0: int, step: int,
-                    count: int, size: int, values, gvas, key,
-                    start: int = 0, out=None):
-        """Run accesses ``start..count`` of one sequence live.
+    def _live_seq(self, session: GuestSession, op: str, gva0: int, step: int,
+                  count: int, size: int, values, gvas, key,
+                  start: int = 0, out=None):
+        """Run accesses ``start..count`` of one sequence live, one engine call each.
 
-        ``session``'s engine is built by its first live sequence
-        (:meth:`_build_seq_engine`) and kept for the session's lifetime.
-        A run from ``start == 0`` in which every access is a TLB hit is
-        recorded under ``key`` for replay.
+        Each access is the scalar call it stands for; a store latches its
+        value for MMIO emulation first, as :meth:`GuestContext.store`
+        does.  A run from ``start == 0`` is recorded under ``key`` for
+        replay when each of its accesses was exactly one engine TLB hit.
+        The engine appends to ``hits`` once for such a hit and never
+        otherwise -- a miss, a fault, a detour or either half of a
+        page-straddling access appends nothing -- so each access adds at
+        most one entry, and a list as long as the run is the proof.
         """
-        engine = session._seq_engine
-        if engine is None:
-            engine = session._seq_engine = self._build_seq_engine(session)
-        return engine(op, gva0, step, count, size, values, gvas, key, start, out)
-
-    def _build_seq_engine(self, session: GuestSession):
-        """Build ``session``'s live per-access engine: TLB probe, walk, fault fix.
-
-        Per access the engine performs exactly the architectural sequence
-        the per-element :meth:`guest_access` loop performs -- same timer
-        check, same TLB statistics and LRU motion, same charges in the
-        same order -- but with translation inlined for the common
-        outcomes, charges made in place on the ledger's counters, and
-        aligned words moved in place.  A stage-2 fault that routes to the
-        VM's own fault handler (the SM in M mode for a CVM, KVM in HS for
-        a normal VM) is taken in place: the walk is charged, the helper
-        the reference path calls (:meth:`_sm_fault`, given the engine's
-        walk, or :meth:`_kvm_demand_map`) runs, and the access retries.
-        Anything unusual (MMIO or shared-region addresses, permission-
-        insufficient entries, permission faults on a present leaf, PMP
-        denials, any other fault route, page-straddling accesses, VS-stage
-        paging enabled upstream) detours that one access through
-        :meth:`_reference_access` *before* any charge or mutation, so the
-        detour is invisible.
-
-        The session's constants are bound once, here, and unpacked into
-        locals per call; ``hart``, ``hgatp_root`` and the TLB generation
-        are read on every call.  The fault route is read at each fault,
-        memoised on the access, the hart's mode and the raw ``medeleg``/
-        ``hedeleg`` values.
-        """
-        machine = self
-        ledger = self.ledger
-        tlb = self.translator.tlb
-        entries = tlb._entries
-        layout = session.layout
-        confidential = session.kind is VmKind.CONFIDENTIAL
-        # The engine's window: a CVM's private DRAM, or everything outside
-        # a normal VM's MMIO window.
-        if confidential:
-            lo, hi = layout.dram_base, layout.dram_base + layout.dram_size
+        access = session._engine
+        tlb_gen = self.translator.tlb.generation
+        hits = [] if key is not None and start == 0 else None
+        if gvas is None:
+            gvas = range(gva0, gva0 + count * step, step) if step else (gva0,) * count
+        tail = gvas[start:] if start else gvas
+        if op == "L":
+            loaded = [access(gva, _LOAD, size, None, hits) for gva in tail]
+            if out is None:
+                out = loaded
+            else:
+                out.extend(loaded)
+        elif op == "S":
+            for gva, value in zip(tail, values[start:] if start else values):
+                self._pending_store_value = value & _MASK64
+                access(gva, _STORE, size, value, hits)
         else:
-            lo, hi = layout.mmio_base, layout.mmio_base + layout.mmio_size
-        tlb_hit = int(self.costs.tlb_hit)
-        tlb_index = Category.TLB.index
-        walk_index = Category.PAGE_WALK.index
-        compute_index = Category.COMPUTE.index
-        walk_bit = 1 << walk_index
-        consts = (
-            ledger, ledger._counts, tlb, entries.get, entries.move_to_end,
-            tlb.insert, self.translator.probe_gpa,
-            self.translator.sv39x4._va_limit, int(self.costs.page_walk_level),
-            tlb_hit, tlb_hit + 1,  # a hit: the TLB hit and the compute cycle
-            tlb_index, walk_index, compute_index, walk_bit,
-            1 << tlb_index | 1 << compute_index, walk_bit | 1 << compute_index,
-            self.clint._mtimecmp, session.vmid, self.dram._pages,
-            _U64.unpack_from, _U64.pack_into, confidential, lo, hi,
-        )
-        # Where the VM's stage-2 faults are fixed in place.
-        handler_mode = PrivilegeMode.M if confidential else PrivilegeMode.HS
-        in_place_routes: dict = {}
-
-        def fault_in_place(hart, op_code: int) -> bool:
-            csrs = hart.csrs
-            route = (op_code, hart.mode, csrs.read_raw("medeleg"), csrs.read_raw("hedeleg"))
-            in_place = in_place_routes.get(route)
-            if in_place is None:
-                in_place = in_place_routes[route] = route_exception(
-                    guest_page_fault_for(_ACCESS[op_code]),
-                    hart.mode, hart.medeleg, hart.hedeleg,
-                ) is handler_mode
-            return in_place
-
-        def run(op, gva0, step, count, size, values, gvas, key, start, out):
-            (ledger, counts, tlb, entries_get, move_to_end, insert, probe,
-             va_limit, walk_cost, tlb_hit, hit_cost, tlb_index, walk_index,
-             compute_index, walk_bit, hit_bits, walk_bits, mtimecmp, vmid,
-             pages, unpack_from, pack_into, confidential, lo, hi) = consts
-            hart = session.hart
-            hart_id = hart.hart_id
-            pmp_check = hart.pmp.check
-            root = session.hgatp_root
-            tlb_gen = tlb.generation
-            op_code = _STORE if op == "S" else _LOAD
-            access = _ACCESS[op_code]
-            required = _REQUIRED[op_code]
-            small = size if size < 8 else 8
-            aligned8 = size == 8
-            # Every access is aligned to its power-of-two size when the base
-            # and stride are, and then none can straddle a page.
-            may_straddle = small > 1 and bool(
-                (gva0 | step) & (small - 1) or small & (small - 1)
-            )
-            if out is None and op == "L":
-                out = []
-            append = out.append if op == "L" else None
-            recording = key is not None and start == 0
-            rec_keys: list = []
-            rec_pas: list = []
-            expected: dict = {}
-
-            i = start
-            while i < count:
-                gva = gvas[i] if gvas is not None else gva0 + i * step
-                if ledger._total >= mtimecmp[hart_id]:
-                    machine.check_timer(session)
-                engine_ok = (lo <= gva < hi) is confidential
-                if may_straddle and (gva & 0xFFF) + small > PAGE_SIZE:
-                    engine_ok = False  # the reference path splits it
-                faults = 0
-                while engine_ok:
-                    tkey = (vmid, gva >> 12)
-                    entry = entries_get(tkey)
-                    if entry is not None:
-                        if not entry[1] & required:
-                            # Hardware re-walks; take the generic path.
-                            engine_ok = False
-                            break
-                        tlb.hits += 1
-                        move_to_end(tkey)
-                        ledger._total += hit_cost
-                        counts[tlb_index] += tlb_hit
-                        counts[compute_index] += 1
-                        ledger._charged_mask |= hit_bits
-                        pa = entry[0] << 12 | gva & 0xFFF
-                        if recording:
-                            rec_keys.append(tkey)
-                            rec_pas.append(pa)
-                            # Within an all-hit run no entry can change: a
-                            # new value needs a removal, then a miss.
-                            expected[tkey] = entry
-                        break
-                    recording = False
-                    if not 0 <= gva < va_limit:
-                        engine_ok = False
-                        break
-                    probed = probe(root, gva)
-                    wpa, wflags, levels, _ = probed
-                    walk = levels * walk_cost
-                    if wpa is not None:
-                        if not wflags & required or not pmp_check(wpa, 1, access, hart.mode):
-                            # The reference path takes the fault.
-                            engine_ok = False
-                            break
-                        tlb.misses += 1
-                        ledger._total += walk + 1
-                        counts[walk_index] += walk
-                        counts[compute_index] += 1
-                        ledger._charged_mask |= walk_bits
-                        insert(vmid, gva >> 12, wpa >> 12, wflags)
-                        pa = wpa
-                        break
-                    # Invalid walk: a stage-2 guest page fault.
-                    if not fault_in_place(hart, op_code):
-                        engine_ok = False
-                        break
-                    tlb.misses += 1
-                    ledger._total += walk
-                    counts[walk_index] += walk
-                    ledger._charged_mask |= walk_bit
-                    if confidential:
-                        # Nothing ran since the probe: the SM takes its walk.
-                        machine._sm_fault(session, gva, probed)
-                    else:
-                        machine._kvm_demand_map(session, gva)
-                    # Retry in place: the charges already landed, and the
-                    # per-access loop performs no timer check between a
-                    # fault fix and its retry.
-                    faults += 1
-                    if faults == 8:
-                        raise ConfigurationError(
-                            f"guest access at {gva:#x} did not make progress after 8 faults"
-                        )
-                if not engine_ok:
-                    recording = False
-                    if op == "S":
-                        value = values[i]
-                        machine._pending_store_value = value & _MASK64
-                        machine._reference_access(session, gva, _STORE, size, value)
-                    elif op == "L":
-                        append(machine._reference_access(session, gva, _LOAD, size, None))
-                    else:
-                        machine._reference_access(session, gva, _LOAD, 1, None)
-                elif op == "T":
-                    pass
-                elif aligned8 and not pa & 7:
-                    # The aligned word, read or written in place.
-                    page = pages.get(pa >> 12)
-                    if op == "L":
-                        append(0 if page is None else unpack_from(page, pa & 0xFFF)[0])
-                    else:
-                        if page is None:
-                            page = pages[pa >> 12] = bytearray(PAGE_SIZE)
-                        pack_into(page, pa & 0xFFF, values[i] & _MASK64)
-                elif op == "L":
-                    append(_move_word(machine.dram, pa, _LOAD, size, None))
-                else:
-                    _move_word(machine.dram, pa, _STORE, size, values[i])
-                i += 1
-
-            if op == "S":
-                # Residual-state parity: the per-access loop leaves the last
-                # store value latched for MMIO emulation.
-                machine._pending_store_value = values[count - 1] & _MASK64
-
-            if recording:
-                machine._trace_cache.put(key, SeqTrace(tlb_gen, rec_keys, rec_pas, expected))
-            return out
-
-        return run
+            for gva in tail:
+                access(gva, _LOAD, 1, None, hits)
+        if hits is not None and len(hits) == count:
+            vmid = session.vmid
+            keys = [(vmid, gva >> 12) for gva in gvas]
+            pas = [entry[0] << 12 | gva & 0xFFF for entry, gva in zip(hits, gvas)]
+            # Within an all-hit run no entry can change: a new value needs
+            # a removal, then a miss.
+            self._trace_cache.put(key, SeqTrace(tlb_gen, keys, pas, dict(zip(keys, hits))))
+        return out
 
     def _replay_seq(self, session: GuestSession, op: str, trace, gva0: int,
                     step: int, count: int, size: int, values, gvas):
@@ -1080,7 +977,7 @@ class Machine:
                     # The tick flushed translations: the rest of the
                     # sequence misses, which this trace cannot speak
                     # for -- hand the tail to the live engine.
-                    return self._engine_seq(
+                    return self._live_seq(
                         session, op, gva0, step, count, size, values,
                         gvas, None, start=i, out=out,
                     )
@@ -1331,8 +1228,8 @@ class GuestContext:
         self.session = session
         self.ledger = machine.ledger
         self.costs = machine.costs
-        #: The session's single-access engine (:meth:`Machine._single_access`).
-        self._access = machine._single_access(session)
+        #: The session's guest-access engine (:meth:`Machine._build_engine`).
+        self._access = session._engine
 
     # -- computation -------------------------------------------------------
 
@@ -1368,12 +1265,7 @@ class GuestContext:
         compute charge), so simulated cycles are bit-for-bit the same.
         """
         step = size if stride is None else stride
-        machine = self.machine
-        session = self.session
-        if machine._trace_cache is not None and session.vsatp_root is None:
-            return machine.run_seq(session, "L", gva, step, count, size, None, None)
-        access = self._access
-        return [access(gva + i * step, _LOAD, size, None) for i in range(count)]
+        return self.machine.run_seq(self.session, "L", gva, step, count, size, None, None)
 
     def store_seq(self, gva: int, values, size: int = 8, stride: int | None = None) -> None:
         """Batched guest stores of ``values`` starting at ``gva``.
@@ -1383,17 +1275,9 @@ class GuestContext:
         hoisted out of the loop, never a change to what is charged.
         """
         step = size if stride is None else stride
-        machine = self.machine
-        session = self.session
-        if machine._trace_cache is not None and session.vsatp_root is None:
-            if not isinstance(values, (list, tuple)):
-                values = list(values)
-            machine.run_seq(session, "S", gva, step, len(values), size, values, None)
-            return
-        access = self._access
-        for i, value in enumerate(values):
-            machine._pending_store_value = value & _MASK64
-            access(gva + i * step, _STORE, size, value)
+        if not isinstance(values, (list, tuple)):
+            values = list(values)
+        self.machine.run_seq(self.session, "S", gva, step, len(values), size, values, None)
 
     def write_bytes(self, gva: int, data: bytes) -> None:
         """Bulk guest write (page-wise translation, per-byte copy charge)."""
@@ -1435,21 +1319,11 @@ class GuestContext:
 
         Architecturally identical to touching each address in a Python
         loop -- same timer checks, translations, and compute charges --
-        but with the loop overhead hoisted and, on the batched engine,
-        the discarded 1-byte data fetch skipped (reading DRAM has no
-        model-visible effect; the cycle cost of a load is charged by the
-        access path, not by the byte copy).  MMIO touches still perform
-        the full device access.
+        with hot tuples replayed from the trace cache.  MMIO touches
+        perform the full device access.
         """
-        machine = self.machine
-        session = self.session
-        if machine._trace_cache is not None and session.vsatp_root is None:
-            gvas = tuple(gvas)
-            machine.run_seq(session, "T", 0, 0, len(gvas), 1, None, gvas)
-            return
-        access = self._access
-        for gva in gvas:
-            access(gva, _LOAD, 1, None)
+        gvas = tuple(gvas)
+        self.machine.run_seq(self.session, "T", 0, 0, len(gvas), 1, None, gvas)
 
     # -- virtio driver construction ---------------------------------------------
 

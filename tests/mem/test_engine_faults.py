@@ -1,15 +1,21 @@
-"""Stage-2 faults taken by the guest-access engines.
+"""Stage-2 faults taken by the guest-access engine.
 
 - A store to a page whose stage-2 leaf is present but lacks ``W`` is a
   permission fault: KVM and the SM refuse it with ``MemoryError_`` before
   allocating anything, KVM's exit is paired with its entry, and the
   engine and reference machines agree on the cycles charged.
-- A VM's first-touch faults are fixed inside the batched engine whether
-  or not a ``fault_observer`` is set, and the observer sees what it sees
-  on the reference path.
+- A fault handler that maps nothing ends the access after eight
+  faults, in the engine as on the reference path.
+- A first touch calls ``Machine.check_timer`` once in the engine, as on
+  the reference path, so the fault injector's timer seam counts the
+  same occurrences.
+- A VM's first-touch faults are fixed inside the engine, from the
+  batched calls and from the scalar and bulk calls alike, whether or not
+  a ``fault_observer`` is set, and the observer sees what it sees on the
+  reference path.
 - Every branch of the SM's one fault handler -- each allocation stage,
   a hypervisor that donates nothing, a missing leaf table, a present
-  leaf -- ends the same from the batched engine and the reference path,
+  leaf -- ends the same from the engine and the reference path,
   and destroying the CVM gives each of its blocks back once.
 """
 
@@ -18,7 +24,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Machine, MachineConfig
-from repro.errors import MemoryError_
+from repro.errors import ConfigurationError, MemoryError_
 from repro.isa.privilege import PrivilegeMode
 from repro.machine import GuestContext
 from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X
@@ -26,7 +32,7 @@ from repro.mem.physmem import PAGE_SIZE
 from repro.sm.alloc import AllocStage, PoolExhausted
 from repro.sm.secmem import OWNER_SM
 from repro.verify import check_invariants
-from tests.properties.test_prop_single_access import READ_ONLY_OFFSET, _leaf_slot, _Side
+from tests.properties.test_prop_seq_access import READ_ONLY_OFFSET, _leaf_slot, _Side
 
 REFUSALS = 3
 
@@ -60,11 +66,78 @@ def test_permission_fault_is_refused_without_allocating(kind, method):
     assert engine == reference
 
 
-def _first_touch_run(kind: str, trace_cache: bool, observe: bool):
-    """A VM of ``kind`` first-touching ten pages through the three batched calls.
+@pytest.mark.parametrize("calls", ["batched", "scalar"])
+@pytest.mark.parametrize("kind", ["cvm", "normal"])
+def test_a_first_touch_checks_the_timer_once(kind, calls):
+    checks = []
+    for trace_cache in (True, False):
+        side = _Side(kind, trace_cache=trace_cache)
+        machine = side.machine
+        seen: list = []
+
+        def counted(session, check_timer=machine.check_timer, seen=seen):
+            seen.append(session)
+            return check_timer(session)
+
+        machine.check_timer = counted
+        base = side.session.layout.dram_base + (40 << 20)
+        gvas = [base + page * PAGE_SIZE for page in range(10)]
+        if calls == "batched":
+            side.ctx.touch_seq(gvas)
+        else:
+            for gva in gvas:
+                side.ctx.touch(gva)
+        checks.append(len(seen))
+    assert checks == [10, 10]
+
+
+@pytest.mark.parametrize("method", ["load", "load_seq"])
+@pytest.mark.parametrize("kind", ["cvm", "normal"])
+def test_a_fix_that_maps_nothing_gives_up_after_eight_faults(kind, method):
+    sides = (_Side(kind, trace_cache=True), _Side(kind, trace_cache=False))
+    for side in sides:
+        machine = side.machine
+        fixes: list = []
+        machine._sm_fault = machine._kvm_demand_map = (
+            lambda session, gpa, walk=None: fixes.append(gpa)
+        )
+        gpa = side.session.layout.dram_base + (44 << 20)
+        with pytest.raises(ConfigurationError, match="after 8 faults"):
+            getattr(side.ctx, method)(gpa, 1)
+        assert fixes == [gpa] * 8
+    engine, reference = sides
+    assert engine.machine.ledger.by_category() == reference.machine.ledger.by_category()
+    assert _tlb_stats(engine.machine) == _tlb_stats(reference.machine)
+
+
+def _batched_first_touches(ctx):
+    base = ctx.session.layout.dram_base + (40 << 20)
+    ctx.store_seq(base, [1, 2, 3, 4], stride=PAGE_SIZE)
+    loaded = ctx.load_seq(base + 4 * PAGE_SIZE, 4, stride=PAGE_SIZE)
+    ctx.touch_seq([base + 8 * PAGE_SIZE, base + 9 * PAGE_SIZE + 5, base])
+    return loaded, ctx.load_seq(base, 4, stride=PAGE_SIZE)
+
+
+def _scalar_first_touches(ctx):
+    base = ctx.session.layout.dram_base + (40 << 20)
+    for page in range(4):
+        ctx.store(base + page * PAGE_SIZE, page + 1)
+    loaded = [ctx.load(base + page * PAGE_SIZE) for page in range(4, 8)]
+    ctx.touch(base + 8 * PAGE_SIZE)
+    ctx.write_bytes(base + 9 * PAGE_SIZE + 5, b"chunk")  # one page chunk
+    return loaded, [ctx.load(base + page * PAGE_SIZE) for page in range(4)]
+
+
+#: Ten first touches each, through the batched calls or the scalar and
+#: bulk ones.
+FIRST_TOUCHES = {"batched": _batched_first_touches, "scalar": _scalar_first_touches}
+
+
+def _first_touch_run(kind: str, trace_cache: bool, observe: bool, calls: str = "batched"):
+    """A VM of ``kind`` first-touching ten pages through ``calls``.
 
     Returns the machine, the observations and the addresses of the
-    accesses that left the batched engine for the reference path.
+    accesses that left the engine for the reference path.
     """
     machine = Machine(MachineConfig(trace_cache=trace_cache))
     if kind == "cvm":
@@ -85,15 +158,7 @@ def _first_touch_run(kind: str, trace_cache: bool, observe: bool):
 
     machine._reference_access = counted
     faults_before = _faults_taken(machine, session)
-
-    def workload(ctx):
-        base = ctx.session.layout.dram_base + (40 << 20)
-        ctx.store_seq(base, [1, 2, 3, 4], stride=PAGE_SIZE)
-        loaded = ctx.load_seq(base + 4 * PAGE_SIZE, 4, stride=PAGE_SIZE)
-        ctx.touch_seq([base + 8 * PAGE_SIZE, base + 9 * PAGE_SIZE + 5, base])
-        return loaded, ctx.load_seq(base, 4, stride=PAGE_SIZE)
-
-    result = machine.run(session, workload)["workload_result"]
+    result = machine.run(session, FIRST_TOUCHES[calls])["workload_result"]
     assert result == ([0, 0, 0, 0], [1, 2, 3, 4])
     assert _faults_taken(machine, session) - faults_before == 10
     return machine, observed, detours
@@ -110,9 +175,9 @@ def _tlb_stats(machine) -> tuple:
     return tlb.hits, tlb.misses, tlb.generation, tlb.flushes, tlb.page_flushes
 
 
-def _check_observer_parity(kind: str) -> None:
-    unobserved, none_seen, plain_detours = _first_touch_run(kind, True, observe=False)
-    observed, seen, observed_detours = _first_touch_run(kind, True, observe=True)
+def _check_observer_parity(kind: str, calls: str = "batched") -> None:
+    unobserved, none_seen, plain_detours = _first_touch_run(kind, True, False, calls)
+    observed, seen, observed_detours = _first_touch_run(kind, True, True, calls)
     assert none_seen == []
     # Every fault was fixed in the engine, observer or not.
     assert plain_detours == observed_detours == []
@@ -120,7 +185,7 @@ def _check_observer_parity(kind: str) -> None:
     assert _tlb_stats(observed) == _tlb_stats(unobserved)
     assert observed.monitor.fault_stage_counts == unobserved.monitor.fault_stage_counts
 
-    reference, reference_seen, _ = _first_touch_run(kind, False, observe=True)
+    reference, reference_seen, _ = _first_touch_run(kind, False, True, calls)
     assert len(seen) == 10
     if kind == "cvm":
         assert all(k == "sm" and isinstance(stage, AllocStage) for k, stage, _ in seen)
@@ -129,6 +194,7 @@ def _check_observer_parity(kind: str) -> None:
     assert seen == reference_seen
     assert observed.ledger.by_category() == reference.ledger.by_category()
     assert _tlb_stats(observed) == _tlb_stats(reference)
+    assert observed.monitor.fault_stage_counts == reference.monitor.fault_stage_counts
 
 
 def test_observer_does_not_change_the_normal_vm_fault_path():
@@ -137,6 +203,13 @@ def test_observer_does_not_change_the_normal_vm_fault_path():
 
 def test_observer_does_not_change_the_cvm_fault_path():
     _check_observer_parity("cvm")
+
+
+@pytest.mark.parametrize("kind", ["cvm", "normal"])
+def test_scalar_first_touches_are_fixed_in_the_engine(kind):
+    """``store``, ``load``, ``touch`` and a ``write_bytes`` chunk take their
+    first-touch faults in the engine, as the batched calls do."""
+    _check_observer_parity(kind, "scalar")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from repro import Machine, MachineConfig
 from repro.machine import GuestContext
 from repro.mem.physmem import PAGE_SIZE
-from tests.properties.test_prop_single_access import _leaf_slot
+from tests.properties.test_prop_seq_access import _leaf_slot
 
 #: Four test pages from this offset of the guest's DRAM; page 1 is repointed.
 OFFSET = 24 << 20

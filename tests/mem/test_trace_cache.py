@@ -185,6 +185,15 @@ class TestSeqEquivalence:
         assert results[0] == sum(i * 3 for i in range(64))
 
 
+def test_one_engine_per_session():
+    """Every guest context of a session calls the engine the session built."""
+    machine = Machine(MachineConfig())
+    session = machine.launch_confidential_vm(image=IMAGE)
+    engines = [machine.run(session, lambda ctx: ctx._access)["workload_result"]
+               for _ in range(2)]
+    assert engines[0] is engines[1] is session._engine
+
+
 class TestInvalidation:
     def test_remap_invalidates_traces(self):
         """A table mutation between replays must invalidate the trace."""
@@ -268,28 +277,32 @@ class TestHitProof:
     def _count_live_runs(machine):
         """Count the sequences ``machine`` executes live instead of replaying."""
         runs = []
-        engine = machine._engine_seq
+        engine = machine._live_seq
 
         def counted(*args, **kwargs):
             runs.append(args[1])
             return engine(*args, **kwargs)
 
-        machine._engine_seq = counted
+        machine._live_seq = counted
         return runs
 
-    def _run(self, between):
-        """The workload on a cached and a reference machine, diffed."""
+    def _diffed(self, workload):
+        """``workload`` on a cached and a reference machine, diffed."""
         outcomes = []
         for trace_cache in (True, False):
             machine = Machine(MachineConfig(trace_cache=trace_cache))
             session = machine.launch_confidential_vm(image=IMAGE)
             runs = self._count_live_runs(machine)
-            result = machine.run(session, self._hot_then(between))["workload_result"]
+            result = machine.run(session, workload)["workload_result"]
             outcomes.append((machine, runs, result))
         (cached, runs, result), (reference, _, reference_result) = outcomes
         assert result == reference_result
-        assert result[0] == result[1] == list(range(1, 9))
         assert _fingerprint(cached) == _fingerprint(reference)
+        return cached, runs, result
+
+    def _run(self, between):
+        cached, runs, result = self._diffed(self._hot_then(between))
+        assert result[0] == result[1] == list(range(1, 9))
         return cached, runs
 
     def test_replays_across_a_map_epoch_bump(self):
@@ -312,3 +325,23 @@ class TestHitProof:
 
         _cached, runs = self._run(flush_one_page)
         assert runs == ["S", "L", "L"]
+
+    def test_a_straddle_and_a_miss_record_nothing(self):
+        """A straddling access's two hits and a missing access's none add up
+        to one hit per access, yet neither access was one engine hit."""
+
+        def workload(ctx):
+            base = ctx.session.layout.dram_base + (44 << 20)
+            ctx.store_seq(base, [1, 2], stride=PAGE_SIZE)  # pages 0 and 1 hot
+            tlb = ctx.machine.translator.tlb
+            hits = tlb.hits
+            # Access 0 straddles pages 0 and 1; access 1 first-touches page 2.
+            shape = (base + PAGE_SIZE - 4, 2, 8, PAGE_SIZE + 4)
+            first = ctx.load_seq(*shape)
+            first_hits = tlb.hits - hits
+            return first, first_hits, ctx.load_seq(*shape)
+
+        cached, runs, result = self._diffed(workload)
+        assert result == ([2 << 32, 0], 2, [2 << 32, 0])
+        assert runs == ["S", "L", "L"]
+        assert len(cached._trace_cache) == 0
