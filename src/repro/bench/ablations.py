@@ -19,8 +19,10 @@ import dataclasses
 import statistics
 
 from repro import Machine, MachineConfig
+from repro.bench.microbench import fault_events
 from repro.cycles import DEFAULT_COSTS
 from repro.sm.alloc import AllocStage
+from repro.trace import Tracer
 from repro.workloads.memstress import sequential_write_stress
 
 
@@ -29,17 +31,16 @@ def run_block_size_ablation(block_sizes=(64 << 10, 256 << 10, 1 << 20), pages: i
     rows = {}
     for block_size in block_sizes:
         machine = Machine(MachineConfig(secure_block_size=block_size))
-        samples = {stage: [] for stage in AllocStage}
-        machine.fault_observer = (
-            lambda kind, stage, cycles, s=samples: s[stage].append(cycles)
-        )
+        tracer = Tracer(machine)
         session = machine.launch_confidential_vm(image=b"abl" * 100)
         machine.run(session, sequential_write_stress(pages))
-        all_faults = [c for stage_samples in samples.values() for c in stage_samples]
+        faults = fault_events(tracer)
+        all_faults = [event.detail["cycles"] for event in faults]
+        stages = [event.detail["stage"] for event in faults]
         rows[block_size] = {
             "avg_fault_cycles": statistics.mean(all_faults),
-            "stage1_share_pct": 100.0 * len(samples[AllocStage.PAGE_CACHE]) / len(all_faults),
-            "stage2_count": len(samples[AllocStage.NEW_BLOCK]),
+            "stage1_share_pct": 100.0 * stages.count(AllocStage.PAGE_CACHE.name) / len(all_faults),
+            "stage2_count": stages.count(AllocStage.NEW_BLOCK.name),
             "pool_bytes_held": sum(
                 block.size
                 for block in machine.monitor._cvm_blocks[session.cvm.cvm_id]
@@ -57,11 +58,10 @@ def run_page_cache_ablation(pages: int = 256) -> dict:
     rows = {}
     for label, use_cache in (("with_cache", True), ("no_cache", False)):
         machine = Machine(MachineConfig(use_page_cache=use_cache))
-        samples = []
-        machine.fault_observer = lambda kind, stage, cycles, s=samples: s.append(cycles)
+        tracer = Tracer(machine)
         session = machine.launch_confidential_vm(image=b"abl" * 100)
         machine.run(session, sequential_write_stress(pages))
-        rows[label] = statistics.mean(samples)
+        rows[label] = statistics.mean(event.detail["cycles"] for event in fault_events(tracer))
     rows["cache_benefit_pct"] = 100.0 * (rows["no_cache"] - rows["with_cache"]) / rows["no_cache"]
     return rows
 

@@ -11,6 +11,7 @@ import statistics
 from repro import Machine, MachineConfig
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.alloc import AllocStage
+from repro.trace import Tracer
 from repro.workloads.memstress import sequential_write_stress
 
 DEFAULT_ITERATIONS = 200
@@ -117,34 +118,47 @@ def run_page_fault_experiment(pages: int = 512, small_pool: bool = True) -> dict
     """
     # Normal VM.
     machine = Machine(MachineConfig())
-    kvm_samples = []
-    machine.fault_observer = lambda kind, stage, cycles: kvm_samples.append(cycles)
+    tracer = Tracer(machine)
     session = machine.launch_normal_vm()
     machine.run(session, sequential_write_stress(pages))
+    kvm_samples = [event.detail["cycles"] for event in fault_events(tracer)]
 
     # Confidential VM.
     pool = (2 << 20) if small_pool else (64 << 20)
     machine = Machine(MachineConfig(initial_pool_bytes=pool))
-    sm_samples: dict = {stage: [] for stage in AllocStage}
-
-    def observe(kind, stage, cycles):
-        sm_samples[stage].append(cycles)
-
-    machine.fault_observer = observe
+    tracer = Tracer(machine)
     session = machine.launch_confidential_vm(image=b"pf" * 100)
     machine.run(session, sequential_write_stress(pages))
+    sm_samples: dict = {stage.name: [] for stage in AllocStage}
+    for event in fault_events(tracer):
+        sm_samples[event.detail["stage"]].append(event.detail["cycles"])
 
     all_cvm = [c for samples in sm_samples.values() for c in samples]
     result = {
         "normal_vm": statistics.mean(kvm_samples),
         "cvm_average": statistics.mean(all_cvm),
         "pages": pages,
-        "stage_counts": {s.name: len(sm_samples[s]) for s in AllocStage},
+        "stage_counts": {name: len(samples) for name, samples in sm_samples.items()},
     }
     for stage, key in (
         (AllocStage.PAGE_CACHE, "cvm_stage1"),
         (AllocStage.NEW_BLOCK, "cvm_stage2"),
         (AllocStage.POOL_EXPANSION, "cvm_stage3"),
     ):
-        result[key] = statistics.mean(sm_samples[stage]) if sm_samples[stage] else None
+        samples = sm_samples[stage.name]
+        result[key] = statistics.mean(samples) if samples else None
     return result
+
+
+def fault_events(tracer: Tracer) -> list:
+    """The traced run's ``fault`` events, all of them.
+
+    Raises ``RuntimeError`` when the tracer's limit dropped events: a
+    truncated log would silently average a prefix of the faults.
+    """
+    if tracer.dropped:
+        raise RuntimeError(
+            f"tracer dropped {tracer.dropped} events (limit={tracer.limit}): "
+            "the fault samples would be incomplete"
+        )
+    return tracer.of_kind("fault")

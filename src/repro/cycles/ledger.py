@@ -15,6 +15,13 @@ spans keep no per-charge bookkeeping, because counters only ever grow, so
 a span's breakdown is the categories whose counter moved between its
 start and end snapshots.  None of this changes what is charged -- the
 cycle model is identical.
+
+The ledger also carries the machine's one event sink,
+:attr:`CycleLedger.events` (``None`` unless a :class:`repro.trace.Tracer`
+is attached).  Every component already holds the ledger, so the charge
+points that matter -- world switches, stage-2 faults, ECALLs -- record
+into it with an inline ``if events is not None``; with no sink attached
+nothing else runs.
 """
 
 from __future__ import annotations
@@ -55,9 +62,11 @@ class CycleLedger:
     mirroring a hardware cycle counter.
     """
 
-    __slots__ = ("_total", "_counts", "_charged_mask")
+    __slots__ = ("_total", "_counts", "_charged_mask", "events")
 
     def __init__(self):
+        #: The attached event sink (``record(kind, **detail)``) or ``None``.
+        self.events = None
         self._total = 0
         self._counts = [0] * len(_CATEGORIES)
         #: Bitmask of category indices ever charged (zero charges

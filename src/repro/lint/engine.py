@@ -14,11 +14,12 @@ untrusted  ``hyp/``, ``guest/``, ``workloads/``,    ZL1 (+ ZL2 on ipc/,
 sm         ``sm/``                                  ZL2, ZL3, ZL4, ZL5
 hyp        ``hyp/``                                 ZL5 (plus ZL1 above)
 mem/isa    ``mem/``, ``isa/``                       ZL3
-simulated  sm/hyp/mem/isa/ipc/guest                 ZL5 determinism
+cycles     ``cycles/``                              ZL5 determinism
+simulated  sm/hyp/mem/isa/ipc/guest/cycles          ZL5 determinism
 =========  =======================================  =====================
 
-Everything else (``cycles/``, ``bench/``, the machine glue, and this
-package itself) is out of scope.  ZL0 (pragma hygiene) runs everywhere
+Everything else (``bench/``, the machine glue, and this package itself)
+is out of scope.  ZL0 (pragma hygiene) runs everywhere
 a pragma appears.
 
 Exit status: 0 when every finding is pragma-suppressed or baselined,
@@ -41,7 +42,9 @@ UNTRUSTED_DIRS = {"hyp", "guest", "workloads", "ipc"}
 SM_DIRS = {"sm"}
 MEM_DIRS = {"mem"}
 ISA_DIRS = {"isa"}
-_KNOWN_DIRS = UNTRUSTED_DIRS | SM_DIRS | MEM_DIRS | ISA_DIRS
+#: The cycle ledger, which also holds the machine's event sink.
+CYCLES_DIRS = {"cycles"}
+_KNOWN_DIRS = UNTRUSTED_DIRS | SM_DIRS | MEM_DIRS | ISA_DIRS | CYCLES_DIRS
 
 #: Domains whose code the ZL2 taint rule checks directly.
 TAINTED_DOMAINS = {"sm", "ipc"}
@@ -50,7 +53,7 @@ CHARGED_DOMAINS = {"sm", "mem", "isa"}
 #: Domains under the ZL5 seam-discipline sub-rule.
 STATE_DOMAINS = {"sm", "hyp"}
 #: Simulated paths under the ZL5 determinism sub-rule.
-SIM_DOMAINS = {"sm", "hyp", "mem", "isa", "ipc", "guest"}
+SIM_DOMAINS = {"sm", "hyp", "mem", "isa", "ipc", "guest", "cycles"}
 
 RULE_ORDER = ("ZL0", "ZL1", "ZL2", "ZL3", "ZL4", "ZL5")
 

@@ -1082,15 +1082,15 @@ class Machine:
 
         The VM exit, :meth:`Hypervisor.handle_normal_stage2_fault` and
         the VM entry; the entry is charged even when the handler refuses
-        the fault, so the hart always returns to the guest.  With a
-        ``fault_observer`` set, the round trip's cycles are reported as
-        ``("kvm", None, cycles)``.
+        the fault, so the hart always returns to the guest.  With an
+        event sink attached, the round trip is recorded as a ``fault``
+        with path ``"kvm"``, no stage and its cycles.
         """
         hypervisor = self.hypervisor
         hart = session.hart
-        observer = self.fault_observer
-        # Spans are charge-free snapshots: open one only for an observer.
-        span = None if observer is None else self.ledger.span()
+        events = self.ledger.events
+        # Spans are charge-free snapshots: open one only for a sink.
+        span = None if events is None else self.ledger.span()
         hypervisor.normal_vm_exit(hart)
         try:
             hypervisor.handle_normal_stage2_fault(hart, session.normal_vm, gpa)
@@ -1098,26 +1098,26 @@ class Machine:
             hypervisor.normal_vm_enter(hart)
         if span is not None:
             span.close()
-            observer("kvm", None, span.cycles)
+            events.record("fault", path="kvm", stage=None, cycles=span.cycles)
 
     def _sm_fault(self, session: GuestSession, gpa: int, walk=None) -> None:
         """The SM's fix of a CVM's private stage-2 fault, in M mode.
 
         The CVM counterpart of :meth:`_kvm_demand_map`:
         :meth:`SecureMonitor.handle_guest_page_fault`, given the caller's
-        uncharged walk of ``gpa`` when it has one.  With a
-        ``fault_observer`` set, the fix's cycles are reported as
-        ``("sm", stage, cycles)``.
+        uncharged walk of ``gpa`` when it has one.  With an event sink
+        attached, the fix is recorded as a ``fault`` with path ``"sm"``,
+        the allocation stage's name and its cycles.
         """
-        observer = self.fault_observer
-        # Spans are charge-free snapshots: open one only for an observer.
-        span = None if observer is None else self.ledger.span()
+        events = self.ledger.events
+        # Spans are charge-free snapshots: open one only for a sink.
+        span = None if events is None else self.ledger.span()
         stage = self.monitor.handle_guest_page_fault(
             session.hart, session.cvm, session.vcpu_id, gpa, walk
         )
         if span is not None:
             span.close()
-            observer("sm", stage, span.cycles)
+            events.record("fault", path="sm", stage=stage.name, cycles=span.cycles)
 
     def _emulate_mmio_normal(self, session: GuestSession, gpa: int, access: AccessType):
         self.hypervisor.mmio_exits += 1
@@ -1210,10 +1210,6 @@ class Machine:
     #: reach the device model through the exit path, as htinst implies).
     _pending_store_value: int = 0
     _normal_irq_flag: bool = False
-    #: Optional instrumentation: ``callable(kind, stage, cycles)`` invoked
-    #: after every stage-2 fault is handled ("kvm" or "sm" paths).  Used
-    #: by the E3 experiment harness.
-    fault_observer = None
 
 
 class GuestContext:

@@ -138,7 +138,7 @@ class SecureMonitor:
         Divides the region into blocks (charged per block), covers it with
         PMP + IOPMP, and scrubs it.  Returns the number of blocks created.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_register_pool_memory")
         count = self.pool.register_region(base, size)
         self.ledger.charge(Category.ALLOC, count * self.costs.block_register)
         self.pmp.add_pool_region(base, size)
@@ -167,7 +167,7 @@ class SecureMonitor:
 
     def ecall_create_cvm(self, layout: GpaLayout | None = None, vcpu_count: int = 1) -> int:
         """Create a CVM: allocate and zero its 16 KB stage-2 root."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_create_cvm")
         if vcpu_count < 1:
             raise EcallError("a CVM needs at least one vCPU")
         layout = layout or GpaLayout()
@@ -189,7 +189,7 @@ class SecureMonitor:
 
     def ecall_assign_shared_vcpu(self, cvm_id: int, vcpu_id: int, base_pa: int) -> None:
         """The hypervisor donates a normal page as the shared vCPU area."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_assign_shared_vcpu")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         # Check-after-Load: vcpu_id arrives in a hypervisor register; an
@@ -203,7 +203,7 @@ class SecureMonitor:
 
     def ecall_load_image(self, cvm_id: int, gpa: int, data: bytes) -> None:
         """Copy guest image bytes into newly allocated private pages."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_load_image")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         if gpa % PAGE_SIZE:
@@ -220,7 +220,7 @@ class SecureMonitor:
 
     def ecall_set_entry_point(self, cvm_id: int, vcpu_id: int, pc: int) -> None:
         """Set a vCPU's boot PC (measured into the launch digest)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_set_entry_point")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         vcpu = cvm.vcpu(vcpu_id)
@@ -230,7 +230,7 @@ class SecureMonitor:
 
     def ecall_finalize(self, cvm_id: int) -> bytes:
         """Seal the launch measurement; the CVM becomes runnable."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_finalize")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         for vcpu in cvm.vcpus:
@@ -248,7 +248,7 @@ class SecureMonitor:
 
     def ecall_link_shared_subtree(self, cvm_id: int, root_index: int, table_pa: int) -> None:
         """Link a hypervisor-managed shared-region subtree (section IV-E)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_link_shared_subtree")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED, CvmState.FINALIZED, CvmState.RUNNING)
         # A first link installs into an empty shared root slot (the SM
@@ -264,14 +264,14 @@ class SecureMonitor:
 
     def ecall_suspend(self, cvm_id: int) -> None:
         """Park a runnable CVM (required before migration export)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_suspend")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.FINALIZED, CvmState.RUNNING)
         cvm.state = CvmState.SUSPENDED
 
     def ecall_resume(self, cvm_id: int) -> None:
         """Return a suspended CVM to the runnable state."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_resume")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.SUSPENDED)
         cvm.state = CvmState.FINALIZED
@@ -284,7 +284,7 @@ class SecureMonitor:
         for a CVM it did not create (migration adopt path).  Exposes
         nothing the host could not already observe at creation time.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_describe_cvm")
         cvm = self._cvm(cvm_id)
         return CvmDescriptor(
             cvm_id=cvm.cvm_id,
@@ -295,7 +295,7 @@ class SecureMonitor:
 
     def ecall_destroy(self, cvm_id: int) -> None:
         """Destroy a CVM: scrub every owned frame, recycle its blocks."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_destroy")
         cvm = self._cvm(cvm_id)
         cvm.require_state(
             CvmState.CREATED, CvmState.FINALIZED, CvmState.RUNNING, CvmState.SUSPENDED
@@ -321,7 +321,7 @@ class SecureMonitor:
 
     def ecall_attestation_report(self, cvm_id: int, report_data: bytes = b"") -> AttestationReport:
         """Sign a report over the launch measurement, RTMRs and user data."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_attestation_report")
         cvm = self._cvm(cvm_id)
         if cvm.measurement is None:
             raise EcallError("CVM is not finalized; no measurement exists")
@@ -342,7 +342,7 @@ class SecureMonitor:
         """
         import hashlib
 
-        self._charge_ecall()
+        self._charge_ecall("ecall_extend_rtmr")
         cvm = self._cvm(cvm_id)
         if not 0 <= index < len(cvm.rtmrs):
             raise EcallError(f"no such RTMR: {index}")
@@ -355,7 +355,7 @@ class SecureMonitor:
 
     def ecall_get_random(self, cvm_id: int, count: int) -> bytes:
         """Platform random bytes from the SM's DRBG (1..512)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_get_random")
         if not 0 < count <= 512:
             raise EcallError("random request must be 1..512 bytes")
         self._cvm(cvm_id)
@@ -371,7 +371,7 @@ class SecureMonitor:
         hypervisor extends the premapped shared window.  Returns the GPA
         of the newly shared range.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_guest_share_request")
         cvm = self._cvm(cvm_id)
         if size <= 0 or size % PAGE_SIZE:
             raise EcallError("share request must be a positive page multiple")
@@ -397,7 +397,7 @@ class SecureMonitor:
         pushes it back onto the vCPU's page cache so subsequent faults
         reuse it at stage-1 cost.  Returns the number of pages reclaimed.
         """
-        self._charge_ecall()
+        self._charge_ecall("ecall_reclaim_pages")
         cvm = self._cvm(cvm_id)
         if gpa % PAGE_SIZE:
             raise EcallError("reclaim GPA must be page-aligned")
@@ -445,7 +445,7 @@ class SecureMonitor:
         self, cvm_id: int, window_gpa: int, size: int, expected_peer_measurement: bytes
     ) -> int:
         """Create a channel endpoint; returns the new channel ID."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_create")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.FINALIZED, CvmState.RUNNING)
         return self.channels.create(cvm, window_gpa, size, expected_peer_measurement)
@@ -455,7 +455,7 @@ class SecureMonitor:
         expected_creator_measurement: bytes,
     ) -> int:
         """Join an existing channel; returns the window size in bytes."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_connect")
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.FINALIZED, CvmState.RUNNING)
         return self.channels.connect(
@@ -464,13 +464,13 @@ class SecureMonitor:
 
     def ecall_channel_notify(self, cvm_id: int, channel_id: int) -> int:
         """Ring the peer's doorbell; returns its pending doorbell count."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_notify")
         cvm = self._cvm(cvm_id)
         return self.channels.notify(cvm, channel_id)
 
     def ecall_channel_close(self, cvm_id: int, channel_id: int) -> None:
         """Close a channel from either endpoint (unmap, scrub, recycle)."""
-        self._charge_ecall()
+        self._charge_ecall("ecall_channel_close")
         cvm = self._cvm(cvm_id)
         self.channels.close(cvm, channel_id)
 
@@ -600,7 +600,12 @@ class SecureMonitor:
             raise EcallError(f"no such CVM: {cvm_id}")
         return cvm
 
-    def _charge_ecall(self) -> None:
+    def _charge_ecall(self, name: str) -> None:
+        """Charge one ECALL's trap, dispatch and return; ``name`` is the
+        ``ecall_*`` method taking it, recorded when a sink is attached."""
+        events = self.ledger.events
+        if events is not None:
+            events.record("ecall", function=name)
         self.ledger.charge(Category.TRAP, self.costs.trap_to_m)
         self.ledger.charge(Category.SM_LOGIC, self.costs.ecall_dispatch)
         self.ledger.charge(Category.TRAP, self.costs.xret)

@@ -197,6 +197,12 @@ class WorldSwitch:
         hart.mode = status.mret_target(mstatus)
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
         vcpu.state = vcpu.state.__class__.WAITING_HYP
+        events = self.ledger.events
+        if events is not None:
+            events.record(
+                "cvm_exit", cvm=cvm.cvm_id, vcpu=vcpu.vcpu_id,
+                reason=exit_info.get("kind"), hart=hart.hart_id,
+            )
 
     def _publish_exit_fields(self, shared: SharedVcpu, exit_info: dict) -> None:
         """Shared-vCPU publish: only the cause-specific registers cross.
@@ -290,6 +296,9 @@ class WorldSwitch:
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
         vcpu.state = vcpu.state.__class__.RUNNING
         cvm.entry_count += 1
+        events = self.ledger.events
+        if events is not None:
+            events.record("cvm_enter", cvm=cvm.cvm_id, vcpu=vcpu.vcpu_id, hart=hart.hart_id)
         return reply
 
     def _validate_full_state(self, vcpu: SecureVcpu, shared: SharedVcpu) -> dict:

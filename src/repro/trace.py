@@ -1,22 +1,25 @@
 """Event tracing: a cycle-timestamped log of architectural events.
 
-Attach a :class:`Tracer` to a machine and every significant event --
-world switches, stage-2 faults, ECALLs, device interrupts, pool
-operations -- is recorded with the ledger timestamp at which it happened.
-Useful for debugging workload behaviour ("why did this exit happen at
-cycle 2,401,733?"), for tests that assert event *ordering* rather than
-just counts, and for producing the per-exit breakdowns the analysis
-module reports.
+A :class:`Tracer` is the machine's event sink.  Constructing one attaches
+it to ``machine.ledger.events``; from then on the charge points record
+into it -- world switches (``cvm_exit``/``cvm_enter``, at the end of the
+switch), stage-2 faults (``fault``: path, allocation stage and cycles)
+and ECALLs (``ecall``: the ``ecall_*`` method, before its charge) -- each
+with the ledger timestamp at which it happened.  Useful for debugging
+workload behaviour ("why did this exit happen at cycle 2,401,733?"), for
+tests that assert event *ordering* rather than just counts, and for the
+per-fault samples of the E3 and ablation benches.
 
-The tracer hooks the existing objects non-invasively (method wrapping),
-so tracing can be enabled per-experiment without a machine rebuild and
-costs nothing when absent.
+Recording never charges and runs no other code path: an attached tracer
+changes nothing the machine computes, and with none attached each charge
+point pays one ``is not None`` test.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import sys
+
+from repro.errors import ConfigurationError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -24,7 +27,7 @@ class TraceEvent:
     """One recorded event."""
 
     cycle: int
-    kind: str  # "cvm_exit", "cvm_enter", "fault", "ecall", "irq", ...
+    kind: str  # "cvm_exit", "cvm_enter", "fault" or "ecall"
     detail: dict
 
     def __repr__(self):
@@ -33,17 +36,23 @@ class TraceEvent:
 
 
 class Tracer:
-    """Records machine events until detached or the limit is reached."""
+    """Records machine events until detached or the limit is reached.
+
+    A machine has one sink: attaching a second tracer while one is
+    attached raises :class:`ConfigurationError`.
+    """
 
     def __init__(self, machine, limit: int = 100_000):
+        ledger = machine.ledger
+        if ledger.events is not None:
+            raise ConfigurationError("this machine already has an event sink attached")
         self.machine = machine
         self.limit = limit
         self.events: list[TraceEvent] = []
         #: Events discarded after the limit was reached -- a non-zero
         #: value means the timeline is a prefix, not the whole run.
         self.dropped = 0
-        self._unhook = []
-        self._attach()
+        ledger.events = self
 
     # -- recording ----------------------------------------------------------
 
@@ -56,75 +65,11 @@ class Tracer:
             TraceEvent(cycle=self.machine.ledger.total, kind=kind, detail=detail)
         )
 
-    # -- hooks --------------------------------------------------------------
-
-    def _attach(self) -> None:
-        machine = self.machine
-        ws = machine.monitor.world_switch
-
-        original_exit = ws.exit_to_normal
-
-        def traced_exit(hart, cvm, vcpu, exit_info):
-            result = original_exit(hart, cvm, vcpu, exit_info)
-            self.record(
-                "cvm_exit",
-                cvm=cvm.cvm_id,
-                vcpu=vcpu.vcpu_id,
-                reason=exit_info.get("kind"),
-                hart=hart.hart_id,
-            )
-            return result
-
-        ws.exit_to_normal = traced_exit
-        self._unhook.append(lambda: setattr(ws, "exit_to_normal", original_exit))
-
-        original_enter = ws.enter_cvm
-
-        def traced_enter(hart, cvm, vcpu):
-            result = original_enter(hart, cvm, vcpu)
-            self.record("cvm_enter", cvm=cvm.cvm_id, vcpu=vcpu.vcpu_id, hart=hart.hart_id)
-            return result
-
-        ws.enter_cvm = traced_enter
-        self._unhook.append(lambda: setattr(ws, "enter_cvm", original_enter))
-
-        previous_observer = machine.fault_observer
-
-        def traced_fault(kind, stage, cycles):
-            self.record(
-                "fault",
-                path=kind,
-                stage=stage.name if stage is not None else None,
-                cycles=cycles,
-            )
-            if previous_observer is not None:
-                previous_observer(kind, stage, cycles)
-
-        machine.fault_observer = traced_fault
-        self._unhook.append(
-            lambda: setattr(machine, "fault_observer", previous_observer)
-        )
-
-        monitor = machine.monitor
-        original_charge = monitor._charge_ecall
-        # ECALL tracing piggybacks on the monitor's common charge point.
-        # sys._getframe is ~1000x cheaper than inspect.stack() (which
-        # resolves source lines for the whole call stack); tracing every
-        # ECALL must not distort the very runs it is observing.
-
-        def traced_charge():
-            caller = sys._getframe(1).f_code.co_name
-            self.record("ecall", function=caller)
-            original_charge()
-
-        monitor._charge_ecall = traced_charge
-        self._unhook.append(lambda: setattr(monitor, "_charge_ecall", original_charge))
-
     def detach(self) -> None:
-        """Remove every hook (events stay available)."""
-        for undo in self._unhook:
-            undo()
-        self._unhook.clear()
+        """Stop recording (events stay available)."""
+        ledger = self.machine.ledger
+        if ledger.events is self:
+            ledger.events = None
 
     def __enter__(self):
         return self
@@ -149,13 +94,15 @@ class Tracer:
         return "\n".join(lines)
 
     def exit_latencies(self) -> list:
-        """Cycle gaps between each cvm_exit and the following cvm_enter."""
+        """Cycle gaps between each cvm_exit and the next cvm_enter of the
+        same ``(cvm, vcpu)``, in the order of the entries."""
         gaps = []
-        pending = None
+        pending = {}
         for event in self.events:
             if event.kind == "cvm_exit":
-                pending = event.cycle
-            elif event.kind == "cvm_enter" and pending is not None:
-                gaps.append(event.cycle - pending)
-                pending = None
+                pending[event.detail["cvm"], event.detail["vcpu"]] = event.cycle
+            elif event.kind == "cvm_enter":
+                exited = pending.pop((event.detail["cvm"], event.detail["vcpu"]), None)
+                if exited is not None:
+                    gaps.append(event.cycle - exited)
         return gaps

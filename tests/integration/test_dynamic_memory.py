@@ -5,6 +5,7 @@ import pytest
 from repro.errors import EcallError, SecurityViolation
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.alloc import AllocStage
+from repro.trace import Tracer
 
 
 class TestShareRequest:
@@ -92,19 +93,20 @@ class TestReclaim:
         """Freed pages come back at stage-1 cost."""
         session = machine.launch_confidential_vm(image=b"x")
         base = session.layout.dram_base + (8 << 20)
-        stages = []
-        machine.fault_observer = lambda kind, stage, cycles: stages.append(stage)
+        tracer = Tracer(machine)
 
         def workload(ctx):
             for i in range(4):
                 ctx.store(base + i * PAGE_SIZE, i)
             ctx.reclaim_pages(base, 4)
-            stages.clear()
+            refaults = len(tracer.of_kind("fault"))
             for i in range(4):
                 ctx.store(base + i * PAGE_SIZE, i)
+            return refaults
 
-        machine.run(session, workload)
-        assert stages == [AllocStage.PAGE_CACHE] * 4
+        refaults = machine.run(session, workload)["workload_result"]
+        stages = [event.detail["stage"] for event in tracer.of_kind("fault")[refaults:]]
+        assert stages == [AllocStage.PAGE_CACHE.name] * 4
 
     def test_reclaim_outside_private_region_refused(self, machine):
         session = machine.launch_confidential_vm(image=b"x")

@@ -370,6 +370,23 @@ class TestZL5Concurrency:
         assert any("import time" in f.message for f in hits)
         assert any("time.monotonic" in f.message for f in hits)
 
+    def test_cycle_ledger_is_a_simulated_path(self, tmp_path):
+        """``cycles/`` holds the ledger and its event sink slot."""
+        _write(
+            tmp_path,
+            "cycles/stamped.py",
+            """
+            import time
+
+            def record(events, kind):
+                events.record(kind, wall=time.time())
+            """,
+        )
+        report = run_lint([tmp_path])
+        hits = [f for f in report.new if f.rule == "ZL5"]
+        assert len(hits) == 2
+        assert any("time.time" in f.message for f in hits)
+
     def test_live_tree_is_zl5_clean(self):
         report = run_lint(None)
         assert [f for f in report.all_findings if f.rule == "ZL5"] == []

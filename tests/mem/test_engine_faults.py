@@ -11,7 +11,7 @@
   same occurrences.
 - A VM's first-touch faults are fixed inside the engine, from the
   batched calls and from the scalar and bulk calls alike, whether or not
-  a ``fault_observer`` is set, and the observer sees what it sees on the
+  a ``Tracer`` is attached, and the tracer records what it records on the
   reference path.
 - Every branch of the SM's one fault handler -- each allocation stage,
   a hypervisor that donates nothing, a missing leaf table, a present
@@ -31,6 +31,7 @@ from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.alloc import AllocStage, PoolExhausted
 from repro.sm.secmem import OWNER_SM
+from repro.trace import Tracer
 from repro.verify import check_invariants
 from tests.properties.test_prop_seq_access import READ_ONLY_OFFSET, _leaf_slot, _Side
 
@@ -144,11 +145,7 @@ def _first_touch_run(kind: str, trace_cache: bool, observe: bool, calls: str = "
         session = machine.launch_confidential_vm(image=b"first-touch" * 32)
     else:
         session = machine.launch_normal_vm("observed" if observe else "unobserved")
-    observed: list = []
-    if observe:
-        machine.fault_observer = lambda kind, stage, cycles: observed.append(
-            (kind, stage, cycles)
-        )
+    tracer = Tracer(machine) if observe else None
     detours = []
     reference = machine._reference_access
 
@@ -161,6 +158,10 @@ def _first_touch_run(kind: str, trace_cache: bool, observe: bool, calls: str = "
     result = machine.run(session, FIRST_TOUCHES[calls])["workload_result"]
     assert result == ([0, 0, 0, 0], [1, 2, 3, 4])
     assert _faults_taken(machine, session) - faults_before == 10
+    observed = [] if tracer is None else [
+        (event.detail["path"], event.detail["stage"], event.detail["cycles"])
+        for event in tracer.of_kind("fault")
+    ]
     return machine, observed, detours
 
 
@@ -188,7 +189,7 @@ def _check_observer_parity(kind: str, calls: str = "batched") -> None:
     reference, reference_seen, _ = _first_touch_run(kind, False, True, calls)
     assert len(seen) == 10
     if kind == "cvm":
-        assert all(k == "sm" and isinstance(stage, AllocStage) for k, stage, _ in seen)
+        assert all(k == "sm" and stage in AllocStage.__members__ for k, stage, _ in seen)
     else:
         assert all(k == "kvm" and stage is None for k, stage, _ in seen)
     assert seen == reference_seen

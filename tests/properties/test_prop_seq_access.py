@@ -27,7 +27,9 @@ expansions.
 After every step the two machines must agree on the values returned, the
 error types raised, ``ledger.by_category()``, the TLB statistics and
 generation, the TLB's LRU key order, the fault handlers' counters and
-allocations, and the hart's mode.
+allocations, and the hart's mode.  The engine machine runs with a
+:class:`~repro.trace.Tracer` attached, so the diff also shows that
+recording events changes none of these.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from repro.machine import GuestContext
 from repro.mem.pagetable import PTE_W
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import GpaLayout
+from repro.trace import Tracer
 
 #: Both kinds of VM boot with the default GPA layout.
 LAYOUT = GpaLayout()
@@ -195,6 +198,9 @@ class SingleAccessDiff(RuleBasedStateMachine):
         )
         assert self.sides[0].machine._trace_cache is not None
         assert self.sides[1].machine._trace_cache is None
+        # The engine side runs traced: recording must change nothing the
+        # fingerprints compare.
+        self.tracer = Tracer(self.sides[0].machine)
         cvm = kind == "cvm"
         self.strided = STRIDED + (CVM_STRIDED if cvm else [])
         self.touches = TOUCHES + (CVM_TOUCHES if cvm else [])

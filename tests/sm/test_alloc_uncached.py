@@ -72,15 +72,15 @@ def test_exhaustion_still_raises(env):
 
 
 def test_machine_level_plumbing():
-    from repro import Machine, MachineConfig
+    from repro import Machine, MachineConfig, Tracer
     from repro.workloads.memstress import sequential_write_stress
 
     machine = Machine(MachineConfig(use_page_cache=False))
     session = machine.launch_confidential_vm(image=b"x")
-    stages = []
-    machine.fault_observer = lambda kind, stage, cycles: stages.append(stage)
+    tracer = Tracer(machine)
     machine.run(session, sequential_write_stress(16))
-    assert stages == [AllocStage.NEW_BLOCK] * 16
+    stages = [event.detail["stage"] for event in tracer.of_kind("fault")]
+    assert stages == [AllocStage.NEW_BLOCK.name] * 16
 
 
 def test_release_all_returns_the_global_block(env):

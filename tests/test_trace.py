@@ -1,8 +1,19 @@
-"""Event tracer: hooking, ordering, queries, detach."""
+"""Event tracer: recording at the charge points, ordering, queries, detach."""
+
+import ast
+import collections
+import inspect
+import textwrap
 
 import pytest
 
+from repro import Machine, MachineConfig
+from repro.errors import ConfigurationError
+from repro.sm.alloc import AllocStage
+from repro.sm.monitor import SecureMonitor
 from repro.trace import Tracer
+from repro.workloads.memstress import sequential_write_stress
+from repro.workloads.pingpong import pingpong_client, pingpong_server
 
 
 @pytest.fixture
@@ -12,17 +23,52 @@ def traced(machine):
     return machine, session, tracer
 
 
+def _pingpong(machine, rounds: int):
+    """Two CVMs ping-ponging ``rounds`` messages over a channel."""
+    server = machine.launch_confidential_vm(image=b"ping" * 100)
+    client = machine.launch_confidential_vm(image=b"ping" * 100)
+    box: dict = {}
+    measurement = server.cvm.measurement
+    machine.run_concurrent([
+        (server, pingpong_server(rounds=rounds, expected_peer_measurement=measurement,
+                                 channel_box=box)),
+        (client, pingpong_client(box, rounds=rounds,
+                                 expected_creator_measurement=measurement)),
+    ])
+    return server, client
+
+
+def _switches_by_vcpu(tracer) -> dict:
+    """Each ``(cvm, vcpu)``'s world-switch events, in order."""
+    switches = collections.defaultdict(list)
+    for event in tracer.events:
+        if event.kind in ("cvm_enter", "cvm_exit"):
+            switches[event.detail["cvm"], event.detail["vcpu"]].append(event)
+    return switches
+
+
+def _assert_alternation(tracer, vcpus: int) -> None:
+    """Every traced vCPU enters first, then strictly alternates."""
+    switches = _switches_by_vcpu(tracer)
+    assert len(switches) == vcpus
+    for events in switches.values():
+        kinds = [event.kind for event in events]
+        assert kinds[::2] == ["cvm_enter"] * len(kinds[::2])
+        assert kinds[1::2] == ["cvm_exit"] * len(kinds[1::2])
+        # Each run ends with the vCPU's halt.
+        assert kinds[-1] == "cvm_exit"
+
+
 def test_records_world_switches_in_order(traced):
     machine, session, tracer = traced
     machine.run(session, lambda ctx: ctx.compute(2_500_000))
-    kinds = [event.kind for event in tracer.events]
-    assert kinds[0] == "cvm_enter"
-    # Strict alternation: every exit is followed by an enter (timer ticks)
-    # except the final halt.
-    exits = tracer.of_kind("cvm_exit")
-    enters = tracer.of_kind("cvm_enter")
-    assert len(enters) == len(exits)  # final halt has no re-enter... but
-    # the initial enter has no preceding exit -- they balance.
+    assert len(tracer.of_kind("cvm_exit")) > 2  # timer ticks and the halt
+    _assert_alternation(tracer, vcpus=1)
+
+    machine = Machine(MachineConfig())
+    tracer = Tracer(machine)
+    _pingpong(machine, rounds=8)
+    _assert_alternation(tracer, vcpus=2)
 
 
 def test_exit_detail_carries_reason(traced):
@@ -51,6 +97,27 @@ def test_ecall_events_name_the_function(machine):
     assert "ecall_create_cvm" in functions
 
 
+def test_every_ecall_passes_its_own_name():
+    """Each ``ecall_*`` method charges exactly once, under its own name."""
+    ecalls = {
+        name: method for name, method in inspect.getmembers(SecureMonitor, inspect.isfunction)
+        if name.startswith("ecall_")
+    }
+    assert len(ecalls) == 20
+    for name, method in ecalls.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(method)))
+        charges = [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_charge_ecall"
+        ]
+        assert len(charges) == 1, name
+        (charge,) = charges
+        assert not charge.keywords, name
+        assert [ast.literal_eval(arg) for arg in charge.args] == [name]
+
+
 def test_timestamps_monotonic(traced):
     machine, session, tracer = traced
     machine.run(session, lambda ctx: ctx.compute(2_000_000))
@@ -67,11 +134,29 @@ def test_exit_latencies_measurable(traced):
     assert all(2_000 < latency < 60_000 for latency in latencies)
 
 
+def test_exit_latencies_pair_each_vcpu_with_its_own_entry(machine):
+    """With two CVMs taking turns, an exit pairs with the same vCPU's
+    next entry, not with whichever CVM enters next."""
+    tracer = Tracer(machine)
+    _pingpong(machine, rounds=8)
+    expected = []
+    for events in _switches_by_vcpu(tracer).values():
+        # Alternating enter/exit: each exit but the last has a re-entry.
+        expected += [
+            enter.cycle - exit_.cycle for exit_, enter in zip(events[1::2], events[2::2])
+        ]
+    latencies = tracer.exit_latencies()
+    # Nine entries per CVM: eight re-entries each.
+    assert len(latencies) == len(expected) == 16
+    assert sorted(latencies) == sorted(expected)
+
+
 def test_detach_stops_recording(traced):
     machine, session, tracer = traced
     machine.run(session, lambda ctx: ctx.compute(100))
     count = len(tracer.events)
     tracer.detach()
+    assert machine.ledger.events is None
     machine.run(session, lambda ctx: ctx.compute(100))
     assert len(tracer.events) == count
 
@@ -100,22 +185,21 @@ def test_timeline_renders(traced):
     assert "cvm_enter" in text
 
 
-def test_fault_observer_chaining(machine):
-    """The tracer must not clobber a pre-installed fault observer."""
-    seen = []
-    machine.fault_observer = lambda kind, stage, cycles: seen.append(kind)
+def test_second_sink_is_refused(machine):
+    """A machine has one event sink; a detached one frees the slot."""
     tracer = Tracer(machine)
-    session = machine.launch_confidential_vm(image=b"x")
-    base = session.layout.dram_base + (8 << 20)
-    machine.run(session, lambda ctx: ctx.store(base, 1))
-    assert seen == ["sm"]
-    assert tracer.of_kind("fault")
+    with pytest.raises(ConfigurationError):
+        Tracer(machine)
+    assert machine.ledger.events is tracer
+    tracer.detach()
+    successor = Tracer(machine)
+    tracer.detach()  # a stale detach leaves the successor attached
+    assert machine.ledger.events is successor
 
 
 def test_ecall_hook_names_nested_callers(machine):
-    """The frame-based caller lookup must name the direct caller of
-    _charge_ecall even when the ECALL is reached through a deep guest
-    call chain (sbi dispatch -> monitor method)."""
+    """An ECALL reached through a deep guest call chain (sbi dispatch ->
+    monitor method) is named after the ``ecall_*`` method that took it."""
     tracer = Tracer(machine)
     session = machine.launch_confidential_vm(image=b"deep" * 100)
     machine.run(session, lambda ctx: ctx.sbi_ecall(0x5A4E_0002, 2, 8))
@@ -138,3 +222,79 @@ def test_nothing_dropped_reports_clean_timeline(traced):
     machine.run(session, lambda ctx: ctx.compute(100))
     assert tracer.dropped == 0
     assert "dropped" not in tracer.timeline()
+
+
+# ---------------------------------------------------------------------------
+# Tracing changes nothing the machine computes
+# ---------------------------------------------------------------------------
+
+
+def _mixed_run(traced: bool):
+    """Virtio I/O and first touches through all three allocation stages in
+    one CVM, a channel ping-pong between two more, and a normal VM's KVM
+    faults, on a machine whose small pool has to grow."""
+    machine = Machine(MachineConfig(initial_pool_bytes=2 << 20))
+    tracer = Tracer(machine) if traced else None
+    cvm = machine.launch_confidential_vm(image=b"mixed" * 100)
+    machine.attach_virtio_block(cvm)
+    stress = sequential_write_stress(512)
+
+    def io_and_first_touches(ctx):
+        driver = ctx.blk_driver()
+        driver.write(0, b"mixed" * 200)
+        data = driver.read(0, 1000)
+        stress(ctx)
+        return data
+
+    data = machine.run(cvm, io_and_first_touches)["workload_result"]
+    assert data == b"mixed" * 200
+    sessions = [cvm, *_pingpong(machine, rounds=4)]
+    normal = machine.launch_normal_vm("mixed")
+    machine.run(normal, sequential_write_stress(32))
+    return machine, sessions, normal, tracer
+
+
+def _state(machine, sessions, normal) -> dict:
+    tlb = machine.translator.tlb
+    return {
+        "total": machine.ledger.total,
+        "by_category": machine.ledger.by_category(),
+        "tlb": (tlb.hits, tlb.misses, tlb.generation, tlb.flushes, tlb.page_flushes),
+        "fault_stages": dict(machine.monitor.fault_stage_counts),
+        "exit_reasons": [dict(session.cvm.exit_reasons) for session in sessions],
+        "kvm_faults": normal.normal_vm.fault_count,
+    }
+
+
+def test_tracing_changes_nothing_the_machine_computes():
+    plain = _state(*_mixed_run(traced=False)[:3])
+    machine, sessions, normal, tracer = _mixed_run(traced=True)
+    assert _state(machine, sessions, normal) == plain
+    assert tracer.dropped == 0
+
+    # Every switch, fault and ECALL the machine counted was recorded.
+    cvms = [session.cvm for session in sessions]
+    exits = tracer.of_kind("cvm_exit")
+    assert len(exits) == sum(cvm.exit_count for cvm in cvms)
+    assert len(tracer.of_kind("cvm_enter")) == sum(cvm.entry_count for cvm in cvms)
+    for cvm in cvms:
+        reasons = collections.Counter(
+            event.detail["reason"] for event in exits if event.detail["cvm"] == cvm.cvm_id
+        )
+        assert reasons == cvm.exit_reasons
+    assert "mmio_store" in cvms[0].exit_reasons
+
+    faults = tracer.of_kind("fault")
+    sm_stages = collections.Counter(
+        event.detail["stage"] for event in faults if event.detail["path"] == "sm"
+    )
+    assert sm_stages == {stage.name: count for stage, count in plain["fault_stages"].items()}
+    assert set(sm_stages) == {stage.name for stage in AllocStage}
+    kvm = [event for event in faults if event.detail["path"] == "kvm"]
+    assert len(kvm) == plain["kvm_faults"] == 32
+    assert all(event.detail["stage"] is None for event in kvm)
+
+    functions = {event.detail["function"] for event in tracer.of_kind("ecall")}
+    assert {"ecall_channel_create", "ecall_channel_connect", "ecall_channel_notify",
+            "ecall_channel_close", "ecall_create_cvm", "ecall_finalize"} <= functions
+    assert {event.kind for event in tracer.events} == {"cvm_enter", "cvm_exit", "fault", "ecall"}

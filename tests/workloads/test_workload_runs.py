@@ -4,6 +4,7 @@ import pytest
 
 from repro import Machine, MachineConfig
 from repro.hyp.devices import ConsoleDevice
+from repro.trace import Tracer
 from repro.workloads.coremark import coremark_workload, score_from
 from repro.workloads.cpu import CONSOLE_GPA, cpu_bound_workload
 from repro.workloads.iozone import IozoneResult, iozone_run
@@ -132,7 +133,7 @@ class TestIozoneWorkload:
 class TestMemstress:
     def test_one_fault_per_page(self, machine):
         session = _cvm(machine)
-        faults = []
-        machine.fault_observer = lambda kind, stage, cycles: faults.append(kind)
+        tracer = Tracer(machine)
         machine.run(session, sequential_write_stress(pages=32))
+        faults = [event.detail["path"] for event in tracer.of_kind("fault")]
         assert faults.count("sm") == 32
