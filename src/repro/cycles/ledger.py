@@ -100,25 +100,33 @@ class CycleLedger:
         self._counts[index] += cycles
         self._charged_mask |= 1 << index
 
-    def charger(self, category: Category, cycles):
+    def charger(self, category: Category, cycles, *more):
         """Precompile a zero-argument charge of fixed ``(category, cycles)``.
 
-        Hot paths that charge the same cost on every call (the page
-        walker's per-PTE cost, the TLB-hit cost, the per-access compute
-        cycle) validate and resolve the charge once and get back a
-        closure that only performs the counter updates.  Calling the
-        closure is exactly ``charge(category, cycles)``.
+        Hot paths that charge the same cost on every call validate and
+        resolve it once and get back a closure that only performs the
+        counter updates: calling it is exactly ``charge(category,
+        cycles)``, then ``charge`` of each further ``category, cycles``
+        pair in ``more`` -- fused into one update of the total, the
+        counters and the charged mask.
         """
-        cycles = int(cycles)
-        if cycles < 0:
-            raise ValueError(f"cannot charge negative cycles: {cycles}")
-        index = category.index
-        bit = 1 << index
+        pairs = (category, cycles) + more
+        if len(pairs) % 2:
+            raise ValueError("charger takes (category, cycles) pairs")
+        adds: dict = {}
+        for category, cycles in zip(pairs[::2], pairs[1::2]):
+            cycles = int(cycles)
+            if cycles < 0:
+                raise ValueError(f"cannot charge negative cycles: {cycles}")
+            adds[category.index] = adds.get(category.index, 0) + cycles
+        mask = sum(1 << index for index in adds)
 
-        def fire(self=self, cycles=cycles, index=index, bit=bit):
-            self._total += cycles
-            self._counts[index] += cycles
-            self._charged_mask |= bit
+        def fire(self=self, total=sum(adds.values()), adds=tuple(adds.items()), mask=mask):
+            self._total += total
+            counts = self._counts
+            for index, cycles in adds:
+                counts[index] += cycles
+            self._charged_mask |= mask
 
         return fire
 

@@ -22,7 +22,7 @@ from repro.hyp.devices import MmioRegistry
 from repro.hyp.vm import CvmHostHandle, NormalVm
 from repro.isa.privilege import PrivilegeMode
 from repro.mem.frames import FrameAllocator
-from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, Sv39x4
+from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_V, PTE_W, PTE_X, Sv39x4, pte_pack
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.abi import SHARED_SUBTREE_SPAN
 from repro.sm.cvm import GpaLayout
@@ -34,6 +34,8 @@ DEFAULT_EXPAND_CHUNK = 8 << 20
 DEFAULT_SHARED_WINDOW = 4 << 20
 #: Leaf permissions of every shared-window page.
 _SHARED_FLAGS = PTE_R | PTE_W | PTE_U | PTE_D
+#: Leaf permissions of a normal VM's demand-mapped page.
+_NORMAL_VM_FLAGS = PTE_R | PTE_W | PTE_X | PTE_U | PTE_D
 
 
 def _shared_window(layout: GpaLayout, window: int | None) -> int:
@@ -155,7 +157,7 @@ class Hypervisor:
         if self.scheduler_wake is not None:
             self.scheduler_wake(cvm_id)
 
-    def handle_normal_stage2_fault(self, hart, vm: NormalVm, gpa: int) -> int:
+    def handle_normal_stage2_fault(self, hart, vm: NormalVm, gpa: int, walk=None) -> int:
         """KVM's stage-2 fault path: allocate a frame, map it, return PA.
 
         The dominant cost is the measurement-calibrated ``kvm_fault_fixed``
@@ -163,9 +165,16 @@ class Hypervisor:
         platform); the PTE installation is charged on top.  A permission
         fault on a present leaf is refused with :class:`MemoryError_`
         before any frame is allocated: demand mapping cannot fix it.
+
+        ``walk`` is as for :meth:`SecureMonitor.handle_guest_page_fault`:
+        the caller's uncharged ``probe_gpa`` of ``gpa``, or ``None`` to
+        walk here.  The leaf goes into the walk's full-depth slot with one
+        PMP-checked store; a missing table (slot 0) takes ``Sv39x4.map``.
         """
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_fault_fixed)
-        if self.translator.probe_gpa(vm.hgatp_root, gpa)[0] is not None:
+        if walk is None:
+            walk = self.translator.probe_gpa(vm.hgatp_root, gpa)
+        if walk[0] is not None:
             raise MemoryError_(
                 f"stage-2 fault at GPA {gpa:#x} of VM {vm.name!r} hit a "
                 "present leaf: a permission fault, not a missing page"
@@ -173,11 +182,14 @@ class Hypervisor:
         page_gpa = gpa & ~(PAGE_SIZE - 1)
         pa = self._alloc_zeroed_page(hart)
         self.ledger.charge(Category.HYP_LOGIC, self.costs.zero_bytes(PAGE_SIZE))
-        self._sv39x4.map(
-            _HypAccessor(self.bus, hart), vm.hgatp_root, page_gpa, pa,
-            PTE_R | PTE_W | PTE_X | PTE_U | PTE_D,
-            alloc_table=lambda: self._alloc_zeroed_page(hart),
-        )
+        leaf_slot = walk[3]
+        if leaf_slot:
+            self.bus.cpu_write_u64(hart, leaf_slot, pte_pack(pa, _NORMAL_VM_FLAGS | PTE_V))
+        else:
+            self._sv39x4.map(
+                _HypAccessor(self.bus, hart), vm.hgatp_root, page_gpa, pa,
+                _NORMAL_VM_FLAGS, alloc_table=lambda: self._alloc_zeroed_page(hart),
+            )
         self.map_generation += 1
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_pte_install)
         self.translator.sfence_page(vm.vmid, page_gpa)

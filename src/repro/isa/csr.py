@@ -178,14 +178,10 @@ class CsrFile:
         except KeyError as missing:
             raise KeyError(f"unknown CSR {missing.args[0]!r}") from None
 
-    def load_snapshot(self, values: dict) -> None:
-        """Raw-restore a set of CSRs (for vCPU state restore).
+    def install(self, values: dict) -> None:
+        """Raw-restore CSRs (vCPU state restore, delegation swaps).
 
-        Every value is masked to 64 bits, as :meth:`write_raw` does; names
-        are checked before anything is written.
+        One dict update, with no name check and no mask: ``values`` must
+        hold known CSR names and 64-bit words, as a :meth:`snapshot` does.
         """
-        current = self._values
-        if not values.keys() <= current.keys():
-            unknown = sorted(values.keys() - current.keys())[0]
-            raise KeyError(f"unknown CSR {unknown!r}")
-        current.update({name: value & _MASK64 for name, value in values.items()})
+        self._values.update(values)

@@ -22,10 +22,6 @@ GPR_NAMES = (
     "t3 t4 t5 t6"
 ).split()
 
-#: Names a GPR write accepts: the 31 writable GPRs plus the two names of
-#: the hard-wired zero register, whose writes are ignored.
-_WRITABLE_NAMES = frozenset(GPR_NAMES) | {"zero", "x0"}
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -100,21 +96,6 @@ class Hart:
     def gpr_snapshot(self) -> dict:
         """A copy of the full GPR file (vCPU state save)."""
         return dict(self.gprs)
-
-    def load_gprs(self, values: dict) -> None:
-        """Bulk-restore GPRs from a snapshot (every value masked to 64 bits).
-
-        The same writes as one :meth:`write_gpr` per entry, as a single
-        dict update: the world switch restores the whole file on every
-        CVM entry.  Names are checked before anything is written.
-        """
-        if not values.keys() <= _WRITABLE_NAMES:
-            unknown = sorted(values.keys() - _WRITABLE_NAMES)[0]
-            raise KeyError(f"unknown GPR {unknown!r}")
-        masked = {name: value & _MASK64 for name, value in values.items()}
-        masked.pop("zero", None)
-        masked.pop("x0", None)
-        self.gprs.update(masked)
 
     # -- delegation views -----------------------------------------------------
 

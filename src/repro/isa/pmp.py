@@ -49,6 +49,10 @@ class PmpEntry:
     writable: bool = False
     executable: bool = False
     locked: bool = False
+    #: ``(base, end, locked, readable, writable, executable)``, the tuple
+    #: :meth:`PmpUnit.check` scans, or ``None`` for an entry that can
+    #: never match (OFF or empty).  Built once, at construction.
+    match: tuple | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode is PmpAddressMode.NA4 and self.size != 4:
@@ -58,6 +62,10 @@ class PmpEntry:
                 raise ValueError("NAPOT size must be a power of two >= 8")
             if self.base % self.size:
                 raise ValueError("NAPOT region must be naturally aligned")
+        matchable = self.mode is not PmpAddressMode.OFF and self.size != 0
+        object.__setattr__(self, "match", (
+            self.base, self.end, self.locked, self.readable, self.writable, self.executable,
+        ) if matchable else None)
 
     @property
     def end(self) -> int:
@@ -92,17 +100,11 @@ class PmpUnit:
         self._rebuild()
 
     def _rebuild(self) -> None:
-        # Flat tuples of the matchable entries in priority order: check()
-        # runs once per guest access, and iterating 16 PmpEntry objects
-        # (enum compare + method calls each) dominated it.  OFF/zero-size
-        # entries can never match, so they drop out of the scan entirely;
-        # the checking semantics are unchanged.
-        self._active = [
-            (e.base, e.base + e.size, e.locked, e.readable, e.writable, e.executable)
-            for e in self._entries
-            if e.mode is not PmpAddressMode.OFF and e.size != 0
-        ]
-        self._any_implemented = any(
+        # The matchable entries' tuples in priority order: check() runs
+        # once per guest access, and iterating 16 PmpEntry objects (enum
+        # compare + method calls each) dominated it.
+        self._active = [e.match for e in self._entries if e.match is not None]
+        self._any_implemented = bool(self._active) or any(
             e.mode is not PmpAddressMode.OFF for e in self._entries
         )
 

@@ -12,7 +12,9 @@ class PrivilegeMode(enum.Enum):
     (hypervisor-extended supervisor) and two virtual modes are added: VS
     (virtual supervisor, the guest kernel) and VU (virtual user, guest
     applications).  ``value`` encodes ``(privilege_level, virtualized)``
-    where level follows the spec encoding (U=0, S=1, M=3).
+    where level follows the spec encoding (U=0, S=1, M=3); each member
+    also carries the two halves as the attributes ``level`` and
+    ``virtualized`` (``is_guest`` is an alias of the latter).
     """
 
     U = (0, False)
@@ -21,20 +23,13 @@ class PrivilegeMode(enum.Enum):
     VU = (0, True)
     VS = (1, True)
 
-    @property
-    def level(self) -> int:
-        """Numeric privilege level (U/VU=0, HS/VS=1, M=3)."""
-        return self.value[0]
-
-    @property
-    def virtualized(self) -> bool:
-        """True for the guest-side modes added by the hypervisor extension."""
-        return self.value[1]
-
-    @property
-    def is_guest(self) -> bool:
-        """Alias for :attr:`virtualized`: the mode executes inside a VM."""
-        return self.virtualized
-
     def __repr__(self):
         return f"PrivilegeMode.{self.name}"
+
+
+# Plain attributes rather than properties over ``value``: trap routing
+# and every CSR access read them.
+for _mode in PrivilegeMode:
+    _mode.level, _mode.virtualized = _mode.value
+    _mode.is_guest = _mode.virtualized
+del _mode

@@ -67,7 +67,9 @@ PRIVATE_ATTRS: dict[str, str] = {
     # The raw sm_* accessors bypass the PMP-checked bus; untrusted code
     # must use hyp_read/hyp_write, which fault on secure memory.
     "sm_read": "untrusted code must use the PMP-checked hyp_read, not the M-mode accessor",
+    "sm_read_reply": "untrusted code must use the PMP-checked hyp_read, not the M-mode accessor",
     "sm_write": "untrusted code must use the PMP-checked hyp_write, not the M-mode accessor",
+    "sm_publish_exit": "untrusted code must use the PMP-checked hyp_write, not the M-mode accessor",
     # ``bus.dram`` is the raw memory device behind the bus.  Going through
     # it skips the PMP check entirely -- an M-mode capability no code
     # below M mode may hold (the host's scrub/walk paths use cpu_zero_range

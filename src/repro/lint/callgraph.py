@@ -242,10 +242,11 @@ class Project:
         """Type tag for a constructed class name, disambiguated by module.
 
         A globally-unique class name is its own tag.  When the same name
-        is defined in several modules (two ``_RawAccessor`` walkers), the
-        same-module candidate wins and the tag carries its module key as
-        ``"<module>::<Class>"``; with no same-module candidate the name
-        stays ambiguous and resolves to nothing.
+        is defined in several modules (say, two modules' private
+        ``_Accessor`` helpers), the same-module candidate wins and the tag
+        carries its module key as ``"<module>::<Class>"``; with no
+        same-module candidate the name stays ambiguous and resolves to
+        nothing.
         """
         if not name:
             return None

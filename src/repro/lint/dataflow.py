@@ -29,8 +29,10 @@ interprocedural resolutions, applied in order to each structurally
 uncovered touch:
 
 1. *charged accessor*: a page-table walk whose accessor argument is a
-   class whose ``read_u64`` both touches DRAM and charges (the
-   translator's ``_RawAccessor`` charges per PTE inside the walker);
+   class whose ``read_u64`` both touches DRAM and charges (a walker
+   charged per PTE read; the translator no longer has one -- its G-stage
+   walks are ``probe_gpa`` charged in bulk, its VS-stage reads are
+   charged inline);
 2. *bulk-charged accessor*: raw-memory methods of a class that is only
    ever handed to walk ops inside functions that charge (the share
    manager's accessor, migration's local ``Raw`` -- the caller charges

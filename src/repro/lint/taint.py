@@ -13,7 +13,7 @@ This module is an **intraprocedural** approximation of that rule:
 - *sources* -- parameters of ``ecall_*`` / ``_host_call`` /
   ``_guest_call`` functions (hypervisor- or guest-supplied registers;
   kind ``arg``), and results of shared-memory load calls
-  (:data:`SOURCE_CALLS`: ``sm_read``/``hyp_read`` on the shared vCPU
+  (:data:`SOURCE_CALLS`: ``sm_read_reply``/``hyp_read`` on the shared vCPU
   page, ring reads; kind ``shared``);
 - *propagation* -- assignments, arithmetic, boolean ops, tuple unpacks,
   and ``int.from_bytes`` keep taint.  A modulo (``x % cap``) clamps and
@@ -62,7 +62,7 @@ UNTAINTED_PARAMS = {"self", "cls", "hart", "monitor", "machine"}
 #: Calls whose *result* is a load from hypervisor-writable memory.
 #: ``load`` is the shared-context accessor the IPC rings read their
 #: counters and event words through (``ctx.load``).
-SOURCE_CALLS = {"sm_read", "hyp_read", "try_recv", "_read_wrapped", "load"}
+SOURCE_CALLS = {"sm_read", "sm_read_reply", "hyp_read", "try_recv", "_read_wrapped", "load"}
 
 #: Pure converters that preserve taint across a call boundary.
 PROPAGATING_CALLS = {"from_bytes"}

@@ -823,12 +823,12 @@ class Machine:
                 ledger._total += walk
                 counts[walk_index] += walk
                 ledger._charged_mask |= walk_bit
+                # Only the timer check ran since the probe: the fault
+                # handler takes its walk.
                 if inside:
-                    # Only the timer check ran since the probe: the SM
-                    # takes its walk.
                     machine._sm_fault(session, gva, probed)
                 else:
-                    machine._kvm_demand_map(session, gva)
+                    machine._kvm_demand_map(session, gva, probed)
                 # Retry: the reference path performs no timer check
                 # between a fault fix and its retry.
                 faults += 1
@@ -1077,14 +1077,16 @@ class Machine:
             return None
         raise SecurityViolation(f"unhandled normal-VM trap {trap.cause!r}")
 
-    def _kvm_demand_map(self, session: GuestSession, gpa: int) -> None:
+    def _kvm_demand_map(self, session: GuestSession, gpa: int, walk=None) -> None:
         """KVM's demand-map round trip for a normal VM's stage-2 fault.
 
-        The VM exit, :meth:`Hypervisor.handle_normal_stage2_fault` and
-        the VM entry; the entry is charged even when the handler refuses
-        the fault, so the hart always returns to the guest.  With an
-        event sink attached, the round trip is recorded as a ``fault``
-        with path ``"kvm"``, no stage and its cycles.
+        The VM exit, :meth:`Hypervisor.handle_normal_stage2_fault` --
+        given the caller's uncharged walk of ``gpa`` when it has one, as
+        :meth:`_sm_fault` gives the SM -- and the VM entry; the entry is
+        charged even when the handler refuses the fault, so the hart
+        always returns to the guest.  With an event sink attached, the
+        round trip is recorded as a ``fault`` with path ``"kvm"``, no
+        stage and its cycles.
         """
         hypervisor = self.hypervisor
         hart = session.hart
@@ -1093,7 +1095,7 @@ class Machine:
         span = None if events is None else self.ledger.span()
         hypervisor.normal_vm_exit(hart)
         try:
-            hypervisor.handle_normal_stage2_fault(hart, session.normal_vm, gpa)
+            hypervisor.handle_normal_stage2_fault(hart, session.normal_vm, gpa, walk)
         finally:
             hypervisor.normal_vm_enter(hart)
         if span is not None:

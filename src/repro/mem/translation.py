@@ -15,7 +15,7 @@ from __future__ import annotations
 import struct
 
 from repro.cycles import Category, CycleCosts, CycleLedger
-from repro.errors import TrapRaised
+from repro.errors import MemoryError_, TrapRaised
 from repro.isa.traps import AccessType, guest_page_fault_for, page_fault_for
 from repro.mem.pagetable import _PPN_MASK, _PPN_SHIFT, Sv39, Sv39x4
 from repro.mem.physmem import PAGE_SIZE
@@ -57,31 +57,6 @@ class TranslationResult:
         )
 
 
-class _RawAccessor:
-    """Page-walker view of DRAM: raw, charged per PTE read.
-
-    Hardware page-table-walker accesses are implicit loads; we model them
-    as raw DRAM reads (the walker runs with the translation machinery's
-    own access path) and charge one walk-level cost each.  Stateless, so
-    the translator builds one and reuses it for every walk.
-    """
-
-    __slots__ = ("_read_u64", "_charge_walk")
-
-    def __init__(self, dram, ledger: CycleLedger, costs: CycleCosts):
-        self._read_u64 = dram.read_u64
-        self._charge_walk = ledger.charger(Category.PAGE_WALK, costs.page_walk_level)
-
-    def read_u64(self, addr: int) -> int:
-        self._charge_walk()
-        return self._read_u64(addr)
-
-    def write_u64(self, addr: int, value: int) -> None:
-        # The walker writes A/D bits in principle; ZION pre-sets them, so
-        # any write through this accessor is a simulator bug.
-        raise AssertionError("hardware walker performed a PTE write")
-
-
 class AddressTranslator:
     """The per-machine translation unit (walker + TLB)."""
 
@@ -92,31 +67,38 @@ class AddressTranslator:
         self.tlb = tlb if tlb is not None else Tlb()
         self.sv39 = Sv39()
         self.sv39x4 = Sv39x4()
-        self._accessor = _RawAccessor(bus.dram, ledger, costs)
+        self._walk_cost = int(costs.page_walk_level)
+        self._charge_walk = ledger.charger(Category.PAGE_WALK, costs.page_walk_level)
         sv = self.sv39x4
         #: :meth:`probe_gpa`'s per-level geometry and DRAM page lookup.
         self._probe_geometry = (sv._shifts, sv._masks, sv._spans, bus.dram._pages.get)
         self._charge_tlb_hit = ledger.charger(Category.TLB, costs.tlb_hit)
         self._charge_flush_page = ledger.charger(Category.TLB, costs.tlb_flush_page)
 
-    def _walker(self):
-        return self._accessor
-
     def gpa_to_pa(self, hgatp_root: int, gpa: int, access: AccessType) -> tuple:
         """G-stage only: translate a GPA, returning ``(pa, flags)``.
 
-        Raises the guest-page fault for ``access`` when unmapped or when
-        the leaf lacks the needed permission.
+        The walk is :meth:`probe_gpa`'s, charged ``page_walk_level`` per
+        PTE read it performed -- a read that lands outside DRAM and
+        raises :class:`~repro.errors.MemoryError_` included.  Raises the
+        guest-page fault for ``access`` when unmapped or when the leaf
+        lacks the needed permission.
         """
-        result = self.sv39x4.walk(self._accessor, hgatp_root, gpa)
-        if result is None or not result.flags & access.required_pte_bit:
+        self.sv39x4._check_va(gpa)
+        try:
+            pa, flags, levels, _slot = self.probe_gpa(hgatp_root, gpa)
+        except MemoryError_ as error:
+            self.ledger.charge(Category.PAGE_WALK, error.walk_levels * self._walk_cost)
+            raise
+        self.ledger.charge(Category.PAGE_WALK, levels * self._walk_cost)
+        if pa is None or not flags & access.required_pte_bit:
             raise TrapRaised(
                 guest_page_fault_for(access),
                 tval=gpa,
                 gpa=gpa,
                 message=f"G-stage miss for {access.value} at GPA {gpa:#x}",
             )
-        return result.pa, result.flags
+        return pa, flags
 
     def probe_gpa(self, hgatp_root: int, gpa: int) -> tuple:
         """Uncharged, non-mutating G-stage walk for the guest-access engines.
@@ -173,8 +155,12 @@ class AddressTranslator:
                     return None, 0, 3, 0
         # The slot's DRAM page was never written, so its PTE reads as
         # zero (invalid) -- or the slot lies outside DRAM, and the read
-        # raises MemoryError_.
-        self.bus.dram.read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; each caller charges levels*page_walk_level in bulk once it commits (the batched engines do; the SM fault handler's refusal probe is uncharged, the trap already charged the walk)
+        # raises MemoryError_, carrying the reads a charged walk made.
+        try:
+            self.bus.dram.read_u64(slot)  # zionlint: disable=ZL3 probe only: no committed outcome yet; each caller charges levels*page_walk_level in bulk once it commits (gpa_to_pa and the engine do; the fault handlers' refusal probes are uncharged, the trap already charged the walk)
+        except MemoryError_ as error:
+            error.walk_levels = depth + 1
+            raise
         return None, 0, depth + 1, slot if depth == 2 else 0
 
     def translate(
@@ -219,13 +205,18 @@ class AddressTranslator:
         return TranslationResult(pa, gpa, flags, False)
 
     def _vs_stage(self, gva: int, access: AccessType, hgatp_root: int, vsatp_root: int) -> tuple:
-        """VS-stage walk; each table pointer is itself G-stage translated."""
-        walker = self._walker()
+        """VS-stage walk; each table pointer is itself G-stage translated.
+
+        Each VS-stage PTE read is a hardware-walker load of raw DRAM,
+        charged one ``page_walk_level`` before it is made.
+        """
+        read_u64 = self.bus.dram.read_u64
         table_gpa = vsatp_root
         for depth in range(self.sv39.levels):
             table_pa, _ = self.gpa_to_pa(hgatp_root, table_gpa, AccessType.LOAD)
             slot = table_pa + 8 * self.sv39._index(gva, depth)
-            pte = walker.read_u64(slot)
+            self._charge_walk()
+            pte = read_u64(slot)
             if not pte & 1:  # PTE_V
                 raise TrapRaised(
                     page_fault_for(access),

@@ -41,8 +41,9 @@ class DelegationProfile:
         object.__setattr__(self, "_words", words)
 
     def apply(self, hart) -> None:
-        """Write the four delegation CSRs onto the hart."""
-        hart.csrs.load_snapshot(self._words)
+        """Write the four delegation CSRs onto the hart (words encoded once,
+        from cause numbers below 64, so they need no check or mask)."""
+        hart.csrs.install(self._words)
 
 
 #: Exceptions a confidential VM's kernel can resolve internally.

@@ -156,9 +156,13 @@ def _is_hex(value) -> bool:
     return True
 
 
+def _is_word(value) -> bool:
+    return _is_int(value) and 0 <= value < 1 << 64
+
+
 def _is_register_file(value, names: frozenset) -> bool:
     return isinstance(value, dict) and all(
-        name in names and _is_int(word) for name, word in value.items()
+        name in names and _is_word(word) for name, word in value.items()
     )
 
 
@@ -181,12 +185,14 @@ def _check_vcpu(state) -> None:
         raise SecurityViolation(
             f"migration blob vCPU must have exactly the fields {sorted(_VCPU_FIELDS)}"
         )
+    # The secure vCPU holds only known names and 64-bit words: entry
+    # installs its register files as they are.
     if not (_is_register_file(state["gprs"], _GPR_NAMES)
             and _is_register_file(state["csrs"], _CSR_NAMES)
-            and _is_int(state["pc"])):
+            and _is_word(state["pc"])):
         raise SecurityViolation(
             "migration blob vCPU state malformed: gprs/csrs must map known "
-            "register names to integers and pc must be an integer"
+            "register names to 64-bit words and pc must be a 64-bit word"
         )
 
 

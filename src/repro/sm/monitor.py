@@ -199,6 +199,10 @@ class SecureMonitor:
             raise EcallError(f"CVM {cvm_id} has no vCPU {vcpu_id}")
         if self.pool.contains(base_pa, SHARED_VCPU_SIZE):
             raise SecurityViolation("shared vCPU area must be normal memory")
+        # The exchange is written and read a run of slots at a time, so
+        # the area is a whole DRAM page, as the host donates it.
+        if base_pa % PAGE_SIZE or not self.dram.contains(base_pa, PAGE_SIZE):
+            raise EcallError(f"shared vCPU area {base_pa:#x} is not a DRAM page")
         cvm.shared_vcpus[vcpu_id] = SharedVcpu(base_pa, self.bus)
 
     def ecall_load_image(self, cvm_id: int, gpa: int, data: bytes) -> None:
@@ -224,6 +228,9 @@ class SecureMonitor:
         cvm = self._cvm(cvm_id)
         cvm.require_state(CvmState.CREATED)
         vcpu = cvm.vcpu(vcpu_id)
+        # The secure vCPU holds only 64-bit words: entry installs it as is.
+        if not (isinstance(pc, int) and 0 <= pc < 1 << 64):
+            raise EcallError(f"entry point {pc!r} is not a 64-bit address")
         vcpu.pc = pc
         vcpu.csrs["sepc"] = pc
         cvm.measurement_log.extend(f"entry@{vcpu_id}", pc.to_bytes(8, "little"))

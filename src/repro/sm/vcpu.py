@@ -17,6 +17,7 @@ rejects mismatches.
 from __future__ import annotations
 
 import enum
+import struct
 
 from repro.cycles import Category, CycleCosts, CycleLedger
 from repro.errors import SecurityViolation
@@ -57,6 +58,15 @@ SHARED_VCPU_FIELDS = {
 
 SHARED_VCPU_SIZE = len(SHARED_VCPU_FIELDS) * 8
 
+#: Slots every exit writes (slots 0-5 in one packed write, plus the
+#: cleared ``pending_irq``); the exit plan charges a ``field_copy`` each.
+SHARED_VCPU_SLOTS_PUBLISHED = 7
+
+#: Six consecutive slots: 0-5 on exit, 3-8 for the reply on entry.
+_SIX_SLOTS = struct.Struct("<6Q")
+
+_MASK64 = (1 << 64) - 1
+
 
 class VcpuState(enum.Enum):
     """Secure vCPU run-state machine."""
@@ -86,9 +96,10 @@ class SecureVcpu:
         self.csrs = hart.csrs.snapshot(GUEST_CSRS)
 
     def restore_to(self, hart) -> None:
-        """Load this vCPU's state onto the hart (charged by the caller)."""
-        hart.load_gprs(self.gprs)
-        hart.csrs.load_snapshot(self.csrs)
+        """Load this vCPU's state onto the hart (charged by the caller), as
+        is: every writer of the files checks names and 64-bit values."""
+        hart.gprs.update(self.gprs)
+        hart.csrs.install(self.csrs)
 
 
 class SharedVcpu:
@@ -108,10 +119,8 @@ class SharedVcpu:
             field: base_pa + 8 * index for field, index in SHARED_VCPU_FIELDS.items()
         }
         self._dram_write = bus.dram.write_u64
-        self._dram_read = bus.dram.read_u64
-
-    def _slot(self, field: str) -> int:
-        return self._slots[field]
+        self._dram_write_bytes = bus.dram.write
+        self._dram_read_bytes = bus.dram.read
 
     # -- SM side (M mode, unchecked) --------------------------------------
 
@@ -119,19 +128,30 @@ class SharedVcpu:
         """SM-side (M-mode, unchecked) field write."""
         self._dram_write(self._slots[field], value)  # zionlint: disable=ZL3 exit-plan writes: the world switch's precompiled plans carry a fused field_copy charge in their fire() closures, which caller-side analysis cannot name-match
 
-    def sm_read(self, field: str) -> int:
-        """SM-side (M-mode, unchecked) field read."""
-        return self._dram_read(self._slots[field])
+    def sm_publish_exit(self, cause: int, htval: int, htinst: int,
+                        gpr_index: int, gpr_value: int) -> None:
+        """SM-side exit publish: the bytes of one :meth:`sm_write` per slot
+        0-5 (``sepc_advance`` zero) and a cleared ``pending_irq``."""
+        self._dram_write_bytes(self.base_pa, _SIX_SLOTS.pack(  # zionlint: disable=ZL3 exit-plan writes: the world switch's precompiled plans carry a fused field_copy charge in their fire() closures, which caller-side analysis cannot name-match
+            cause & _MASK64, htval & _MASK64, htinst & _MASK64,
+            gpr_index & _MASK64, gpr_value & _MASK64, 0,
+        ))
+        self._dram_write(self._slots["pending_irq"], 0)  # zionlint: disable=ZL3 exit-plan writes: the world switch's precompiled plans carry a fused field_copy charge in their fire() closures, which caller-side analysis cannot name-match
+
+    def sm_read_reply(self) -> tuple:
+        """SM-side read of slots 3-8 in one load: ``(gpr_index, gpr_value,
+        sepc_advance, a0, a1, pending_irq)``."""
+        return _SIX_SLOTS.unpack(self._dram_read_bytes(self._slots["gpr_index"], 48))
 
     # -- hypervisor side (PMP-checked) -------------------------------------
 
     def hyp_write(self, hart, field: str, value: int) -> None:
         """Hypervisor-side field write through the PMP-checked bus."""
-        self._bus.cpu_write_u64(hart, self._slot(field), value)
+        self._bus.cpu_write_u64(hart, self._slots[field], value)
 
     def hyp_read(self, hart, field: str) -> int:
         """Hypervisor-side field read through the PMP-checked bus."""
-        return self._bus.cpu_read_u64(hart, self._slot(field))
+        return self._bus.cpu_read_u64(hart, self._slots[field])
 
 
 class CheckAfterLoad:
@@ -143,8 +163,6 @@ class CheckAfterLoad:
     """
 
     def __init__(self, ledger: CycleLedger, costs: CycleCosts):
-        self._ledger = ledger
-        self._costs = costs
         # The reply validation always loads + checks the same four fields;
         # all four charges land before the first refusal check, in one
         # timer checkpoint window, so they fuse into a single precompiled
@@ -152,9 +170,6 @@ class CheckAfterLoad:
         self._charge_reply_fields = ledger.charger(
             Category.VALIDATE, 4 * costs.validate_field
         )
-
-    def _charge(self) -> None:
-        self._ledger.charge(Category.VALIDATE, self._costs.validate_field)
 
     def validate_reply(self, secure: SecureVcpu, shared: SharedVcpu) -> dict:
         """Load + validate the hypervisor's reply fields.
@@ -166,10 +181,7 @@ class CheckAfterLoad:
         context = secure.exit_context or {}
         reply = {}
 
-        gpr_index = shared.sm_read("gpr_index")
-        gpr_value = shared.sm_read("gpr_value")
-        sepc_advance = shared.sm_read("sepc_advance")
-        pending_irq = shared.sm_read("pending_irq")
+        gpr_index, gpr_value, sepc_advance, _a0, _a1, pending_irq = shared.sm_read_reply()
         self._charge_reply_fields()
 
         if context.get("kind") == "mmio_load":

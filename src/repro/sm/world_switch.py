@@ -12,25 +12,17 @@ save/restore, and the secure hypervisor's own bookkeeping.
 Every cost in these paths is charged from primitives as the corresponding
 code would execute; the totals the benchmarks report are emergent.
 
-Wall-clock optimisation (INTERNALS section 16): the *charges* of a switch
-are memoized into per-shape plans.  A switch's fixed costs depend only on
-(exit kind class, long_path, use_shared_vcpu, PMP pool-region count), all
-known ahead of time, so the per-category sums are precomputed once and
-fired through bound chargers instead of ~17 individual ``ledger.charge``
-calls.  Fusing only ever merges charges of the *same* category that land
-inside the *same* timer checkpoint window (a world switch performs no
-timer checks), and conditional charges -- Check-after-Load, reply
-application, full-state validation -- stay at their original call sites,
-so totals and per-category breakdowns are bit-identical to the unfused
-sequence, including on reply-refusal paths (entry charges are split into
-a pre-validation and a post-validation plan around the only exception
-seam).  The goldens in ``tests/goldens/cycle_exact.json`` pin this.
-
-The register programme a switch replays is precomputed as well: each
-delegation profile carries its four encoded CSR words, the PMP
-controller keeps the open and closed pool-entry programmes (written in
-one locked-entry-checked ``PmpUnit.set_entries`` call), and the vCPU
-save/restore moves the GPR file and guest CSRs as whole dicts.
+Wall-clock optimisation (INTERNALS sections 3 and 16): each direction
+does each piece of work once.  A switch's fixed costs depend only on
+(exit kind class, long_path, use_shared_vcpu, PMP pool-region count), so
+each shape's per-category sums fire as one fused charge -- on entry, one
+on each side of the Check-after-Load seam, so a refused reply leaves the
+ledger where the unfused sequence would.  Conditional charges (reply
+validation and application) stay at their call sites; the goldens in
+``tests/goldens/cycle_exact.json`` pin the totals and breakdowns.  The
+exit publishes the shared vCPU in one packed write, the register
+programme is precomputed (delegation words, PMP pool programmes), and
+the vCPU's register files move as whole dicts.
 """
 
 from __future__ import annotations
@@ -40,13 +32,15 @@ from repro.isa import status
 from repro.isa.privilege import PrivilegeMode
 from repro.sm import delegation
 from repro.sm.cvm import ConfidentialVm
-from repro.sm.vcpu import GUEST_CSRS, CheckAfterLoad, SecureVcpu, SharedVcpu
+from repro.sm.vcpu import (
+    GUEST_CSRS,
+    SHARED_VCPU_SLOTS_PUBLISHED,
+    CheckAfterLoad,
+    SecureVcpu,
+    SharedVcpu,
+)
 
-#: Shared-vCPU fields written on an MMIO-style exit.
-_MMIO_EXIT_FIELDS = ("exit_cause", "htval", "htinst", "gpr_index", "gpr_value")
-
-#: Every publishable shared-vCPU slot except ``exit_cause`` (always written).
-_CLEARABLE_FIELDS = ("htval", "htinst", "gpr_index", "gpr_value", "sepc_advance", "pending_irq")
+_MASK64 = (1 << 64) - 1
 
 
 class WorldSwitch:
@@ -82,12 +76,13 @@ class WorldSwitch:
     # -- charge plans ----------------------------------------------------------
 
     def _rebuild_plans(self) -> None:
-        """Precompute the fused fixed-cost chargers for every switch shape.
+        """Precompute the fused fixed-cost charger of every switch shape.
 
         The arithmetic below is the category-by-category sum of exactly
-        the ``ledger.charge`` calls the unfused path performed, in
-        checkpoint-safe groups; see the module docstring for the fusing
-        rules and docs/INTERNALS.md section 16 for the derivation.
+        the ``ledger.charge`` calls the unfused path performed; each
+        shape fires once (one ``CycleLedger.charger`` over several
+        categories).  See the module docstring for the fusing rules and
+        docs/INTERNALS.md section 16 for the derivation.
         """
         costs = self.costs
         charger = self.ledger.charger
@@ -99,57 +94,55 @@ class WorldSwitch:
         hyp_save = costs.hyp_csr_context * costs.csr_read + costs.gpr_file_save
         hyp_swap = costs.hyp_csr_context * costs.csr_swap + costs.gpr_file_save
         delegation_swap = 4 * costs.csr_write
-        publish = len(SharedVcpuFieldsPublished) * costs.field_copy
+        publish = SHARED_VCPU_SLOTS_PUBLISHED * costs.field_copy
 
-        # -- exit: no exception seam, one fused fire per category --------
+        # -- exit: no exception seam, one fire per shape -------------------
         exit_trap = costs.trap_to_m + costs.xret
         exit_sm = costs.sm_exit_logic
         exit_reg = guest_save + publish + delegation_swap + hyp_swap
-        exit_fires = []
+        exit_extra = ()
         if self.long_path:
             exit_reg += hyp_swap + hyp_save
             exit_trap += costs.xret + costs.trap_to_m
             exit_sm += costs.ecall_dispatch
-            exit_fires.append(charger(Category.HYP_LOGIC, costs.sec_hyp_exit_logic))
+            exit_extra += (Category.HYP_LOGIC, costs.sec_hyp_exit_logic)
         if not self.use_shared_vcpu:
             field_count = len(GUEST_CSRS) + 31  # full GPR file + guest CSRs
-            exit_fires.append(
-                charger(Category.VALIDATE, field_count * costs.sanitize_field)
-            )
-        exit_fires += [
-            charger(Category.TRAP, exit_trap),
-            charger(Category.REG_SAVE, exit_reg),
-            charger(Category.PMP, pmp_toggle),
-            charger(Category.TLB, costs.tlb_flush_gvma),
-        ]
-        self._exit_fires = tuple(
-            exit_fires + [charger(Category.SM_LOGIC, exit_sm)]
+            exit_extra += (Category.VALIDATE, field_count * costs.sanitize_field)
+        exit_common = exit_extra + (
+            Category.TRAP, exit_trap,
+            Category.REG_SAVE, exit_reg,
+            Category.PMP, pmp_toggle,
+            Category.TLB, costs.tlb_flush_gvma,
         )
-        self._exit_fires_mmio = tuple(
-            exit_fires + [charger(Category.SM_LOGIC, exit_sm + costs.sm_mmio_decode)]
+        self._exit_fire = charger(*exit_common, Category.SM_LOGIC, exit_sm)
+        self._exit_fire_mmio = charger(
+            *exit_common, Category.SM_LOGIC, exit_sm + costs.sm_mmio_decode
         )
 
-        # -- entry: split around the Check-after-Load exception seam ------
-        self._entry_pre_fires = (
-            charger(Category.TRAP, costs.trap_to_m),
-            charger(Category.SM_LOGIC, costs.ecall_dispatch + costs.sm_entry_logic),
-            charger(Category.REG_SAVE, hyp_save),
+        # -- entry: one fire on each side of the Check-after-Load seam ------
+        self._entry_pre_fire = charger(
+            Category.TRAP, costs.trap_to_m,
+            Category.SM_LOGIC, costs.ecall_dispatch + costs.sm_entry_logic,
+            Category.REG_SAVE, hyp_save,
         )
         entry_trap = costs.xret
         entry_reg = guest_restore + delegation_swap
-        entry_post = []
+        entry_extra = ()
         if self.long_path:
             entry_reg += hyp_swap + hyp_save
             entry_trap += costs.xret + costs.trap_to_m
-            entry_post.append(charger(Category.HYP_LOGIC, costs.sec_hyp_entry_logic))
-            entry_post.append(charger(Category.SM_LOGIC, costs.ecall_dispatch))
-        entry_post += [
-            charger(Category.TRAP, entry_trap),
-            charger(Category.REG_SAVE, entry_reg),
-            charger(Category.PMP, pmp_toggle),
-            charger(Category.TLB, costs.tlb_flush_gvma),
-        ]
-        self._entry_post_fires = tuple(entry_post)
+            entry_extra = (
+                Category.HYP_LOGIC, costs.sec_hyp_entry_logic,
+                Category.SM_LOGIC, costs.ecall_dispatch,
+            )
+        self._entry_post_fire = charger(
+            *entry_extra,
+            Category.TRAP, entry_trap,
+            Category.REG_SAVE, entry_reg,
+            Category.PMP, pmp_toggle,
+            Category.TLB, costs.tlb_flush_gvma,
+        )
 
     # -- CVM exit ------------------------------------------------------------
 
@@ -163,16 +156,21 @@ class WorldSwitch:
         if self._plan_region_count != self.pmp.pool_region_count:
             self._rebuild_plans()
         kind = exit_info.get("kind", "unknown")
-        fires = self._exit_fires_mmio if kind.startswith("mmio") else self._exit_fires
-        for fire in fires:
-            fire()
+        get = exit_info.get
+        # The shared-vCPU payload: only the cause-specific registers cross.
+        if kind.startswith("mmio"):
+            self._exit_fire_mmio()
+            payload = (get("htval", 0), get("htinst", 0), get("gpr_index", 0), get("gpr_value", 0))
+        else:
+            self._exit_fire()
+            payload = (get("htval", 0), 0, 0, 0) if kind == "shared_fault" else (0, 0, 0, 0)
 
         # Hardware trap into M mode (the SM's trap vector): mstatus
         # records the interrupted guest mode, mepc/mcause the context.
         mstatus = status.encode_trap_entry(hart.csrs.read_raw("mstatus"), hart.mode)
         hart.csrs.write_raw("mstatus", mstatus)
         hart.csrs.write_raw("mepc", vcpu.pc)
-        hart.csrs.write_raw("mcause", exit_info.get("cause", 0))
+        hart.csrs.write_raw("mcause", get("cause", 0))
         hart.mode = PrivilegeMode.M
 
         vcpu.save_from(hart)
@@ -180,8 +178,12 @@ class WorldSwitch:
         cvm.exit_count += 1
         cvm.exit_reasons[kind] = cvm.exit_reasons.get(kind, 0) + 1
 
-        shared = cvm.shared_vcpus[vcpu.vcpu_id]
-        self._publish_exit_fields(shared, exit_info)
+        # Every slot the exit does not own is cleared, so stale hypervisor
+        # data (or a previous exit's payload) cannot echo back through
+        # Check-after-Load.  In the no-shared-vCPU baseline the entire
+        # sanitised state additionally crosses (the plan's VALIDATE
+        # charge); the exchange page is a superset carrier in both designs.
+        cvm.shared_vcpus[vcpu.vcpu_id].sm_publish_exit(get("cause", 0), *payload)
 
         # Close the secure pool and drop translations that reach it (the
         # plan fired the PMP toggle + hfence.gvma charges above).
@@ -193,7 +195,6 @@ class WorldSwitch:
         # mret to the hypervisor: MPP=S, MPV=0.
         mstatus = status.with_mpp(hart.csrs.read_raw("mstatus"), PrivilegeMode.HS.level)
         mstatus &= ~status.MSTATUS_MPV
-        hart.csrs.write_raw("mstatus", mstatus)
         hart.mode = status.mret_target(mstatus)
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
         vcpu.state = vcpu.state.__class__.WAITING_HYP
@@ -203,37 +204,6 @@ class WorldSwitch:
                 "cvm_exit", cvm=cvm.cvm_id, vcpu=vcpu.vcpu_id,
                 reason=exit_info.get("kind"), hart=hart.hart_id,
             )
-
-    def _publish_exit_fields(self, shared: SharedVcpu, exit_info: dict) -> None:
-        """Shared-vCPU publish: only the cause-specific registers cross.
-
-        Every exit writes exactly ``len(SharedVcpuFieldsPublished)`` slots
-        (cause-specific fields plus zero-clears of the rest), which is how
-        the exit plan can carry the ``field_copy`` charges.  In the
-        no-shared-vCPU baseline the *entire* sanitised state additionally
-        crosses; the plan carries that as a VALIDATE fire (the
-        sanitising pass), and the slot traffic below still happens -- the
-        exchange page is a strict superset carrier in both designs.
-        """
-        kind = exit_info.get("kind", "")
-        if kind.startswith("mmio"):
-            written = _MMIO_EXIT_FIELDS
-            shared.sm_write("htval", exit_info.get("htval", 0))
-            shared.sm_write("htinst", exit_info.get("htinst", 0))
-            shared.sm_write("gpr_index", exit_info.get("gpr_index", 0))
-            shared.sm_write("gpr_value", exit_info.get("gpr_value", 0))
-        elif kind == "shared_fault":
-            written = ("exit_cause", "htval")
-            shared.sm_write("htval", exit_info.get("htval", 0))
-        else:
-            written = ("exit_cause",)
-        shared.sm_write("exit_cause", exit_info.get("cause", 0))
-        # Clear every slot not owned by this exit so stale hypervisor data
-        # (or a previous exit's payload) cannot echo back through
-        # Check-after-Load.
-        for name in _CLEARABLE_FIELDS:
-            if name not in written:
-                shared.sm_write(name, 0)
 
     # -- CVM entry ------------------------------------------------------------
 
@@ -248,8 +218,7 @@ class WorldSwitch:
         # The hypervisor's ECALL traps into M mode.  Only the charges up
         # to the Check-after-Load seam fire here: a refused reply must
         # leave the ledger exactly where the unfused path would.
-        for fire in self._entry_pre_fires:
-            fire()
+        self._entry_pre_fire()
         mstatus = status.encode_trap_entry(hart.csrs.read_raw("mstatus"), hart.mode)
         hart.csrs.write_raw("mstatus", mstatus)
         hart.mode = PrivilegeMode.M
@@ -278,8 +247,7 @@ class WorldSwitch:
             self._apply_reply(vcpu, reply)
             vcpu.exit_context = None
 
-        for fire in self._entry_post_fires:
-            fire()
+        self._entry_post_fire()
         vcpu.restore_to(hart)
         delegation.CVM_MODE.apply(hart)
 
@@ -291,7 +259,6 @@ class WorldSwitch:
         # mret into the guest: MPP=S with MPV=1 selects VS mode.
         mstatus = status.with_mpp(hart.csrs.read_raw("mstatus"), PrivilegeMode.VS.level)
         mstatus |= status.MSTATUS_MPV
-        hart.csrs.write_raw("mstatus", mstatus)
         hart.mode = status.mret_target(mstatus)
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
         vcpu.state = vcpu.state.__class__.RUNNING
@@ -320,17 +287,10 @@ class WorldSwitch:
             self.ledger.charge(Category.SM_LOGIC, self.costs.sm_mmio_decode)
             self.ledger.charge(Category.REG_SAVE, self.costs.field_copy)
         if reply.get("sepc_advance"):
-            vcpu.pc += reply["sepc_advance"]
+            # Masked here, so the secure vCPU only ever holds 64-bit words.
+            vcpu.pc = (vcpu.pc + reply["sepc_advance"]) & _MASK64
             vcpu.csrs["sepc"] = vcpu.pc
             self.ledger.charge(Category.REG_SAVE, self.costs.field_copy)
         if reply.get("pending_irq"):
             vcpu.csrs["hvip"] |= reply["pending_irq"]
             self.ledger.charge(Category.REG_SAVE, self.costs.field_copy)
-
-
-#: Slots every exit publishes (cause-specific writes + zero-clears): the
-#: union is always ``exit_cause`` plus the six clearable fields' worth of
-#: traffic, i.e. 7 ``field_copy`` charges, which lets the exit plan fuse
-#: them.  Kept as a tuple (not a bare constant) so the invariant is
-#: auditable against ``SHARED_VCPU_FIELDS``.
-SharedVcpuFieldsPublished = ("exit_cause",) + _CLEARABLE_FIELDS

@@ -126,3 +126,28 @@ def test_span_close_is_idempotent():
     span.close()  # second close must not re-pop or change results
     assert span.cycles == 9
     assert span.breakdown == {Category.TRAP: 9}
+
+
+def test_multi_pair_charger_is_every_pair_charged_in_turn():
+    """One fused fire equals the per-pair charges: total, counters, mask."""
+    pairs = (Category.TRAP, 7, Category.REG_SAVE, 5.9, Category.TRAP, 3,
+             Category.IDLE, 0)
+    fused, reference = CycleLedger(), CycleLedger()
+    fire = fused.charger(*pairs)
+    for _ in range(3):
+        fire()
+        for category, cycles in zip(pairs[::2], pairs[1::2]):
+            reference.charge(category, cycles)
+    assert fused.total == reference.total == 3 * (7 + 5 + 3)
+    assert fused.by_category() == reference.by_category()
+    assert Category.IDLE in fused.by_category()
+
+
+def test_multi_pair_charger_validates_every_pair_up_front():
+    ledger = CycleLedger()
+    with pytest.raises(ValueError):
+        ledger.charger(Category.TRAP, 1, Category.COPY, -1)
+    with pytest.raises(ValueError):
+        ledger.charger(Category.TRAP, 1, Category.COPY)
+    assert ledger.total == 0
+    assert ledger.by_category() == {}

@@ -42,3 +42,15 @@ def test_cli_single_seed_replay(capsys):
     out = capsys.readouterr().out
     assert "campaign: 1 seeds" in out
     assert "plan: seed=1:" in out
+
+
+def test_eight_seed_campaign_injects_its_pinned_fault_counts():
+    """The CI smoke campaign, pinned: which faults land where depends on
+    which access path serves each access (the injector's timer seam
+    counts ``check_timer`` calls), so moving work between paths shows
+    here as a changed count, not only as a changed total."""
+    results = run_campaign(range(8))
+    assert [r.injected for r in results] == [4, 3, 3, 2, 2, 2, 1, 3]
+    assert sum(r.injected for r in results) == 20
+    for result in results:
+        assert (result.contained, result.crashes, result.violations) == ([], [], [])

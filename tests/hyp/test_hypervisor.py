@@ -6,7 +6,7 @@ import pytest
 
 from repro import Machine, MachineConfig
 from repro.cycles import DEFAULT_COSTS, Category
-from repro.errors import EcallError, TrapRaised
+from repro.errors import EcallError, MemoryError_, TrapRaised
 from repro.isa.pmp import PmpAddressMode, PmpEntry
 from repro.isa.traps import ExceptionCause
 from repro.mem.pagetable import PTE_D, PTE_R, PTE_U, PTE_W, Sv39x4
@@ -46,6 +46,67 @@ class TestNormalVmPath:
                 machine.hart, vm, vm.layout.dram_base
             )
         assert span.cycles > machine.costs.kvm_fault_fixed
+
+    def test_fault_given_a_walk_writes_its_leaf_slot_without_rewalking(self, monkeypatch):
+        """With the engine's walk, the handler calls ``probe_gpa`` zero
+        times and reads no table through ``_HypAccessor`` unless an
+        intermediate table is missing; tables, charges and the returned
+        frame match the handler that walks for itself."""
+        from repro.hyp import hypervisor as hyp_module
+
+        probes, table_reads = [0], [0]
+        original_read = hyp_module._HypAccessor.read_u64
+
+        def counted_read(accessor, addr):
+            table_reads[0] += 1
+            return original_read(accessor, addr)
+
+        monkeypatch.setattr(hyp_module._HypAccessor, "read_u64", counted_read)
+
+        def fault_twice(pass_walk):
+            machine = Machine(MachineConfig())
+            vm = machine.hypervisor.create_normal_vm("vm0", machine.hart)
+            translator = machine.translator
+            original_probe = translator.probe_gpa
+            base = vm.layout.dram_base
+            seen = []
+            for gpa in (base + 0x5000, base + 0x6008):
+                walk = original_probe(vm.hgatp_root, gpa) if pass_walk else None
+                probes[0] = table_reads[0] = 0
+
+                def counted_probe(*args):
+                    probes[0] += 1
+                    return original_probe(*args)
+
+                translator.probe_gpa = counted_probe
+                pa = machine.hypervisor.handle_normal_stage2_fault(
+                    machine.hart, vm, gpa, walk
+                )
+                del translator.probe_gpa
+                seen.append((walk and walk[3], probes[0], table_reads[0], pa))
+            tables = machine.dram.read(vm.hgatp_root, 16 * 1024)
+            return seen, tables, machine.ledger.by_category()
+
+        walked, walked_tables, walked_cycles = fault_twice(pass_walk=True)
+        (first_slot, first_probes, first_reads, _), (slot, probes_, reads, _) = walked
+        # First fault: the intermediate tables are missing, so map walks.
+        assert first_slot == 0 and first_probes == 0 and first_reads > 0
+        # Second fault: same leaf table, so the leaf slot is written directly.
+        assert slot != 0 and probes_ == 0 and reads == 0
+        unwalked, unwalked_tables, unwalked_cycles = fault_twice(pass_walk=False)
+        assert [pa for *_, pa in walked] == [pa for *_, pa in unwalked]
+        assert all(probed == 1 for _, probed, _, _ in unwalked)
+        assert walked_tables == unwalked_tables
+        assert walked_cycles == unwalked_cycles
+
+    def test_fault_given_a_present_leaf_walk_is_refused(self, machine):
+        vm = machine.hypervisor.create_normal_vm("vm0", machine.hart)
+        gpa = vm.layout.dram_base
+        machine.hypervisor.handle_normal_stage2_fault(machine.hart, vm, gpa)
+        walk = machine.translator.probe_gpa(vm.hgatp_root, gpa)
+        with pytest.raises(MemoryError_):
+            machine.hypervisor.handle_normal_stage2_fault(machine.hart, vm, gpa, walk)
+        assert vm.fault_count == 1
 
     def test_exit_enter_mode_transitions(self, machine):
         from repro.isa.privilege import PrivilegeMode

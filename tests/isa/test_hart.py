@@ -43,7 +43,7 @@ def test_gpr_snapshot_is_a_copy(hart):
     snap = hart.gpr_snapshot()
     hart.write_gpr("s0", 0)
     assert snap["s0"] == 42
-    hart.load_gprs(snap)
+    hart.gprs.update(snap)
     assert hart.read_gpr("s0") == 42
 
 
@@ -73,16 +73,3 @@ def test_charge_goes_to_ledger(hart):
     hart.charge(Category.COMPUTE, 100)
     assert hart.ledger.total == 100
     assert hart.ledger.by_category()[Category.COMPUTE] == 100
-
-
-def test_load_gprs_masks_and_ignores_the_zero_register(hart):
-    hart.load_gprs({"a0": (1 << 64) + 7, "zero": 5, "x0": 6})
-    assert hart.read_gpr("a0") == 7
-    assert "zero" not in hart.gprs and "x0" not in hart.gprs
-
-
-def test_load_gprs_checks_every_name_before_writing(hart):
-    hart.write_gpr("a0", 1)
-    with pytest.raises(KeyError):
-        hart.load_gprs({"a0": 2, "a99": 3})
-    assert hart.read_gpr("a0") == 1

@@ -1,5 +1,7 @@
 """PMP matching, permission, and priority semantics."""
 
+import dataclasses
+
 import pytest
 
 from repro.isa.pmp import PmpAddressMode, PmpEntry, PmpUnit
@@ -137,3 +139,20 @@ class TestChecking:
 
     def test_entry_count(self):
         assert len(PmpUnit().entries()) == 16
+
+    def test_entry_match_tuple_is_built_at_construction(self):
+        entry = tor(0x8000_0000, 0x1000, r=True, locked=True)
+        assert entry.match == (0x8000_0000, 0x8000_1000, True, True, False, False)
+        assert PmpEntry().match is None
+        assert PmpEntry(mode=PmpAddressMode.TOR, base=0x1000, size=0).match is None
+        # Not part of equality: two equal entries compare equal either way.
+        assert dataclasses.replace(entry) == entry
+
+    def test_unit_scans_exactly_the_matchable_entries_in_priority_order(self):
+        unit = PmpUnit()
+        first = tor(0x9000_0000, 0x1000, w=True)
+        second = tor(0x8000_0000, 0x1000, r=True)
+        unit.set_entries([(3, first), (1, second),
+                          (2, PmpEntry(mode=PmpAddressMode.TOR, base=0x1000, size=0))])
+        assert unit._active == [second.match, first.match]
+        assert unit.any_implemented()

@@ -180,6 +180,23 @@ class TestZL2Taint:
         )
         assert run_lint([tmp_path]).new == []
 
+    def test_bulk_reply_load_is_a_source(self, tmp_path):
+        """Every word the one-read reply load returns is tainted."""
+        _write(
+            tmp_path,
+            "sm/reply.py",
+            """
+            class Validator:
+                def validate(self, secure, shared):
+                    index, value, advance, irq = shared.sm_read_reply()
+                    secure.gprs[index] = value
+            """,
+        )
+        report = run_lint([tmp_path])
+        assert any(
+            f.rule == "ZL2" and "subscript" in f.message for f in report.new
+        )
+
     def test_tainted_address_to_raw_memory_flagged(self, tmp_path):
         _write(
             tmp_path,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cycles import Category, CycleLedger, DEFAULT_COSTS
-from repro.errors import TrapRaised
+from repro.errors import MemoryError_, TrapRaised
 from repro.isa.hart import Hart
 from repro.isa.pmp import PmpAddressMode, PmpEntry
 from repro.isa.privilege import PrivilegeMode
@@ -206,3 +206,87 @@ def test_gpa_to_pa_direct(env):
     pa, flags = tr.gpa_to_pa(root, 0x8000_0040, AccessType.LOAD)
     assert pa == BASE + 0x100040
     assert flags & PTE_R
+
+
+class PerReadWalker:
+    """A walker that charges one ``page_walk_level`` before each PTE read:
+    the cost model ``gpa_to_pa`` charges in bulk from ``probe_gpa``."""
+
+    def __init__(self, dram, ledger):
+        self.dram = dram
+        self.ledger = ledger
+
+    def read_u64(self, addr):
+        self.ledger.charge(Category.PAGE_WALK, DEFAULT_COSTS.page_walk_level)
+        return self.dram.read_u64(addr)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except TrapRaised as trap:
+        return ("trap", trap.cause, trap.gpa)
+    except MemoryError_ as error:
+        return ("memory", str(error))
+
+
+def test_gpa_to_pa_charges_the_per_read_walk(env):
+    """Every outcome -- a leaf, an invalid root or leaf PTE, a permission
+    miss, a table pointer out of DRAM -- charges what a walk charging each
+    PTE read would, the read that left DRAM included."""
+    dram, _, ledger, tr, _, acc, table_alloc, root = env
+    pt = Sv39x4()
+    pt.map(acc, root, 0x8000_0000, BASE + 0x100000, PTE_R, table_alloc)
+    pt.map(acc, root, 0x4000_0000, BASE + 0x200000, PTE_R | PTE_W, table_alloc, level=1)
+    # A level-1 pointer to a table outside DRAM, under GPA 0xC000_0000.
+    dram.write_u64(root + 8 * (0xC000_0000 >> 30), (0x1000 >> 12) << 10 | 1)
+    cases = [
+        (0x8000_0040, AccessType.LOAD),   # 4 KB leaf: three reads
+        (0x8000_0040, AccessType.STORE),  # present but not writable
+        (0x8000_1000, AccessType.LOAD),   # invalid full-depth leaf
+        (0x4000_0008, AccessType.STORE),  # 2 MB superpage: two reads
+        (0x2_0000_0000, AccessType.LOAD),  # invalid root slot: one read
+        (0xC000_0000, AccessType.LOAD),   # second read lands outside DRAM
+        (1 << 41, AccessType.LOAD),       # outside the 41-bit space
+    ]
+    for gpa, access in cases:
+        before = ledger.total
+        got = _outcome(lambda: tr.gpa_to_pa(root, gpa, access))
+        charged = ledger.total - before
+        reference_ledger = CycleLedger()
+        walker = PerReadWalker(dram, reference_ledger)
+
+        def reference():
+            result = pt.walk(walker, root, gpa)
+            if result is None or not result.flags & access.required_pte_bit:
+                raise TrapRaised(
+                    ExceptionCause.LOAD_GUEST_PAGE_FAULT if access is AccessType.LOAD
+                    else ExceptionCause.STORE_GUEST_PAGE_FAULT,
+                    tval=gpa, gpa=gpa,
+                )
+            return result.pa, result.flags
+
+        assert got == _outcome(reference), hex(gpa)
+        assert charged == reference_ledger.total, hex(gpa)
+    assert _outcome(lambda: tr.gpa_to_pa(root, 0xC000_0000, AccessType.LOAD))[0] == "memory"
+
+
+def test_vs_stage_charges_each_pte_read_once(env):
+    """A VS-stage walk charges its own three PTE reads plus one G-stage
+    walk per table pointer and one for the final GPA."""
+    dram, _, ledger, tr, hart, acc, table_alloc, root = env
+    pt_g = Sv39x4()
+    for i in range(4):
+        pt_g.map(acc, root, 0x8000_0000 + i * PAGE_SIZE,
+                 BASE + 0x100000 + i * PAGE_SIZE, PTE_R | PTE_W, table_alloc)
+    host = lambda gpa: BASE + 0x100000 + (gpa - 0x8000_0000)
+    gva = 0x0040_0000
+    dram.write_u64(host(0x8000_0000) + 8 * (gva >> 30 & 0x1FF), (0x8000_1000 >> 12) << 10 | 1)
+    dram.write_u64(host(0x8000_1000) + 8 * (gva >> 21 & 0x1FF), (0x8000_2000 >> 12) << 10 | 1)
+    dram.write_u64(host(0x8000_2000) + 8 * (gva >> 12 & 0x1FF),
+                   (0x8000_3000 >> 12) << 10 | PTE_R | 1)
+    before = ledger.by_category().get(Category.PAGE_WALK, 0)
+    result = tr.translate(hart, 1, gva, AccessType.LOAD, root, vsatp_root=0x8000_0000)
+    assert result.pa == host(0x8000_3000)
+    walked = ledger.by_category()[Category.PAGE_WALK] - before
+    assert walked == (3 + 3 * 3 + 3) * DEFAULT_COSTS.page_walk_level

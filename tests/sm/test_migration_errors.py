@@ -262,6 +262,30 @@ class TestFraming:
         self._expect_rejected(_frame(header), "not a JSON object")
 
 
+    @pytest.mark.parametrize("path", [
+        ("vcpus", 0, "gprs", "a0"), ("vcpus", 0, "csrs", "vsepc"), ("vcpus", 0, "pc"),
+    ], ids=["gpr", "csr", "pc"])
+    @pytest.mark.parametrize("word", [1 << 64, -1], ids=["2**64", "-1"])
+    def test_register_word_outside_64_bits_is_refused(self, path, word):
+        """The secure vCPU holds only 64-bit words, so import refuses any
+        other integer before a CVM exists (entry installs the files as is)."""
+        header = _good_header()
+        _set(path, word)(header)
+        self._expect_rejected(_frame(header), "vCPU state malformed")
+
+    def test_register_words_at_the_64_bit_bounds_are_imported(self):
+        header = _good_header()
+        top = (1 << 64) - 1
+        header["vcpus"][0] = {"gprs": {"a0": top, "s1": 0},
+                              "csrs": {"vsepc": top, "hvip": 0}, "pc": top}
+        destination = Machine(MachineConfig())
+        cvm_id = import_cvm(destination.monitor, _seal(_frame(header)), KEY)
+        vcpu = destination.monitor.cvms[cvm_id].vcpu(0)
+        assert (vcpu.gprs, vcpu.csrs, vcpu.pc) == (
+            {"a0": top, "s1": 0}, {"vsepc": top, "hvip": 0}, top,
+        )
+
+
 class TestPartialImportCleanup:
     """A mid-copy failure scrubs and recycles everything it mapped."""
 

@@ -87,6 +87,33 @@ class TestLifecycleEcalls:
         with pytest.raises(EcallError):
             monitor.ecall_load_image(cvm_id, GpaLayout().dram_base + 100, b"x")
 
+    @pytest.mark.parametrize("pc", [-4, -1, 1 << 64, (1 << 64) + 4])
+    def test_entry_point_outside_64_bits_refused_before_the_vcpu_changes(self, monitor, pc):
+        cvm_id = monitor.ecall_create_cvm()
+        vcpu = monitor.cvms[cvm_id].vcpu(0)
+        before = (vcpu.pc, dict(vcpu.csrs), dict(vcpu.gprs))
+        log = monitor.cvms[cvm_id].measurement_log
+        measured = log._hash.copy().digest()
+        with pytest.raises(EcallError, match="64-bit"):
+            monitor.ecall_set_entry_point(cvm_id, 0, pc)
+        assert (vcpu.pc, vcpu.csrs, vcpu.gprs) == before
+        assert log._hash.copy().digest() == measured
+
+    @pytest.mark.parametrize("pc", [0, (1 << 64) - 1])
+    def test_entry_point_at_the_64_bit_bounds_accepted(self, monitor, pc):
+        cvm_id = monitor.ecall_create_cvm()
+        monitor.ecall_set_entry_point(cvm_id, 0, pc)
+        vcpu = monitor.cvms[cvm_id].vcpu(0)
+        assert vcpu.pc == vcpu.csrs["sepc"] == pc
+
+    def test_shared_vcpu_area_must_be_a_dram_page(self, machine, monitor):
+        cvm_id = monitor.ecall_create_cvm()
+        page = machine.host_allocator.alloc()
+        for base in (page + 8, machine.dram.end, -PAGE_SIZE):
+            with pytest.raises(EcallError, match="not a DRAM page"):
+                monitor.ecall_assign_shared_vcpu(cvm_id, 0, base)
+        monitor.ecall_assign_shared_vcpu(cvm_id, 0, page)
+
     def test_unknown_cvm_rejected(self, monitor):
         with pytest.raises(EcallError):
             monitor.ecall_finalize(999)

@@ -60,10 +60,11 @@ class TestSharedVcpu:
         assert shared.hyp_read(hart, "htval") == 0xDEAD
 
     def test_field_layout_is_disjoint(self, shared):
+        hart = Hart(0)  # M mode: passes the empty PMP
         for i, field in enumerate(SHARED_VCPU_FIELDS):
             shared.sm_write(field, i + 1)
         for i, field in enumerate(SHARED_VCPU_FIELDS):
-            assert shared.sm_read(field) == i + 1
+            assert shared.hyp_read(hart, field) == i + 1
 
     def test_backed_by_real_memory(self, shared, bus):
         shared.sm_write("exit_cause", 21)

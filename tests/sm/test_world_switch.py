@@ -144,6 +144,23 @@ class TestReplyApplication:
         assert vcpu.gprs["a0"] == 0xCAFE
         assert vcpu.pc == old_pc + 4
 
+    def test_sepc_advance_wraps_the_pc_at_64_bits(self, env):
+        """The advanced pc is masked where it is written: the secure vCPU
+        holds only 64-bit words, and entry installs them as they are."""
+        machine, session, cvm, vcpu = env
+        ws = machine.monitor.world_switch
+        ws.enter_cvm(machine.hart, cvm, vcpu)
+        ws.exit_to_normal(
+            machine.hart, cvm, vcpu,
+            {"kind": "mmio_store", "cause": 23, "htval": 0x1000_0000,
+             "htinst": 0x503, "gpr_index": 0, "gpr_value": 7},
+        )
+        vcpu.pc = (1 << 64) - 2
+        cvm.shared_vcpus[0].hyp_write(machine.hart, "sepc_advance", 4)
+        ws.enter_cvm(machine.hart, cvm, vcpu)
+        assert vcpu.pc == vcpu.csrs["sepc"] == 2
+        assert machine.hart.csrs.read_raw("sepc") == 2
+
     def test_irq_injection_lands_in_hvip(self, env):
         machine, session, cvm, vcpu = env
         ws = machine.monitor.world_switch
