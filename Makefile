@@ -69,11 +69,17 @@ zbench:
 	$(PYTHON) zbench/run.py --seconds 0
 
 # Perf evidence, step 1: 10 alternating parent/change pairs on seeds 1-10
-# of one workload, with the GAIN/REGRESSION verdict per metric.
-# Usage: make zbench-compare PARENT=<checkout of the parent> W=<workload>
+# of every workload, one after another, with the GAIN/REGRESSION verdict
+# per metric; each lands in zbench/out/cmp/<workload>.  A change can
+# regress a workload it did not target, so all four run unless W= picks one.
+# Usage: make zbench-compare PARENT=<checkout of the parent> [W=<workload>]
+ZBENCH_WORKLOADS = $(shell $(PYTHON) -c "import json; print(*(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
 zbench-compare:
-	@test -n "$(PARENT)" -a -n "$(W)" || { echo "usage: make zbench-compare PARENT=<dir> W=<workload>"; exit 2; }
-	$(PYTHON) zbench/compare.py --collect $(PARENT) . --workload $(W) --out-dir zbench/out/cmp
+	@test -n "$(PARENT)" || { echo "usage: make zbench-compare PARENT=<dir> [W=<workload>]"; exit 2; }
+	@set -e; for w in $(or $(W),$(ZBENCH_WORKLOADS)); do \
+		echo "== $$w"; \
+		$(PYTHON) zbench/compare.py --collect $(PARENT) . --workload $$w --out-dir zbench/out/cmp/$$w; \
+	done
 
 # Perf evidence, step 2: one workload's per-layer traced run (canonical
 # rounds only); fails unless the simulated metrics match the untraced run.

@@ -18,6 +18,8 @@ never as a silent success or a leaked mapping.
 
 from __future__ import annotations
 
+import weakref
+
 from repro.cycles import Category
 from repro.errors import VirtioError, VirtioIoError
 from repro.hyp.virtio import STATUS_OK, Descriptor, Virtqueue, payload_len
@@ -25,7 +27,9 @@ from repro.hyp.virtio import STATUS_OK, Descriptor, Virtqueue, payload_len
 
 class _DriverBase:
     def __init__(self, ctx, device, swiotlb):
-        self.ctx = ctx
+        #: A proxy: the guest context caches its driver, and a strong
+        #: reference back would be a cycle that outlives a dropped machine.
+        self.ctx = weakref.proxy(ctx)
         self.device = device
         self.swiotlb = swiotlb
 

@@ -218,10 +218,6 @@ class VirtioDevice(MmioDevice):
             self.irqs_raised += 1
             self.irq_sink(self)
 
-    def _complete(self, queue: Virtqueue, descriptor: Descriptor) -> None:
-        """Single-descriptor completion (a batch of one)."""
-        self._complete_batch(queue, (descriptor,))
-
     def process_queue(self, index: int) -> None:
         """Service the available ring of queue ``index``; device-specific."""
         raise NotImplementedError

@@ -42,9 +42,9 @@ RULE = "ZL5"
 #: the seam functions allowed to mutate it on a foreign receiver:
 #: attr -> set of (module-path suffix, function qualname).
 GUARDED_ATTRS: dict[str, set[tuple[str, str]]] = {
-    # stage-2 map epoch (split-table manager, hypervisor, trace cache)
+    # stage-2 map epoch (split-table manager, hypervisor)
     "map_generation": set(),
-    # TLB/trace-cache generation counters
+    # TLB generation counter
     "generation": set(),
     # per-CVM donated-subtree registry: installed by the SM's link seam,
     # mirrored by the hypervisor's provisioning seam

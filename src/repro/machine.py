@@ -19,10 +19,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import struct
+import weakref
 
 from repro.cycles import Category, CycleCosts, CycleLedger, DEFAULT_COSTS
 from repro.errors import (
     ConfigurationError,
+    MemoryError_,
     ReproError,
     SecurityViolation,
     TrapRaised,
@@ -41,7 +43,6 @@ from repro.isa.traps import (
 from repro.mem.frames import FrameAllocator
 from repro.mem.physmem import PAGE_SIZE, MemoryBus, PhysicalMemory
 from repro.mem.tlb import Tlb
-from repro.mem.tracecache import SeqTrace, TraceCache
 from repro.mem.translation import AddressTranslator
 from repro.sm.cvm import CvmState, GpaLayout
 from repro.sm.monitor import SecureMonitor
@@ -53,10 +54,6 @@ _MMIO_GPR_INDEX = 10
 #: Yielded by a concurrent workload to park its session until an
 #: inter-CVM channel doorbell targets its CVM (see :meth:`Machine.run_concurrent`).
 WAIT_DOORBELL = object()
-
-#: Returned by :meth:`Machine._replay_seq` when a recorded trace failed its
-#: structural validity check and the sequence must re-execute live.
-_REPLAY_REJECT = object()
 
 #: Operations of the guest-access engine (:meth:`Machine._build_engine`).
 #: Bit 0 selects a store; bit 1 a bulk-copy page chunk (data in bytes, no
@@ -127,17 +124,15 @@ class MachineConfig:
     secure_block_size: int | None = None
     #: Ablation switch: stage-1 per-vCPU page caches (paper IV-D).
     use_page_cache: bool = True
-    #: Wall-clock switch: ``False`` puts every guest access on the
-    #: reference path (``Machine._reference_access``) -- no engine, no
-    #: record/replay of hot sequences (:mod:`repro.mem.tracecache`).
-    #: Cycle-exact either way; exposed so the equivalence tests can diff
-    #: the engine against the reference path.
-    trace_cache: bool = True
     costs: CycleCosts = DEFAULT_COSTS
 
 
 class GuestSession:
     """One VM being executed (normal or confidential)."""
+
+    #: The engine sits outside ``__dict__``, which the engine itself reads:
+    #: neither it nor the session it serves keeps the other alive.
+    __slots__ = ("_engine", "__dict__", "__weakref__")
 
     def __init__(self, machine, kind: VmKind, *, cvm=None, handle=None, normal_vm=None):
         self.machine = machine
@@ -174,7 +169,14 @@ class GuestSession:
 
 
 class Machine:
-    """The simulated platform."""
+    """The simulated platform.
+
+    No hook the machine hands its parts -- the CLINT's time source, the
+    ECALL interface's CVM lookup, a device's IRQ sink and DMA
+    translation, a session's engine -- refers strongly back to the
+    machine or to the part that holds it.  Such a reference cycle would
+    keep a dropped machine's DRAM alive until the cycle collector runs.
+    """
 
     def __init__(self, config: MachineConfig | None = None):
         self.config = config or MachineConfig()
@@ -233,7 +235,8 @@ class Machine:
 
         #: Core-local interruptor: mtime tracks the cycle ledger; the SM
         #: arms each hart's scheduler tick here.
-        self.clint = Clint(cfg.hart_count, lambda: self.ledger.total)
+        ledger = self.ledger
+        self.clint = Clint(cfg.hart_count, lambda: ledger.total)
         for hart_id in range(cfg.hart_count):
             self.clint.arm_after(hart_id, cfg.timer_tick_cycles)
         #: Platform interrupt controller (device IRQs -> host claims).
@@ -246,20 +249,19 @@ class Machine:
         self._active_session: GuestSession | None = None
         from repro.sm.abi import EcallInterface
 
+        running_cvm_of = weakref.WeakMethod(self._running_cvm_of)
         self.ecall_interface = EcallInterface(
-            self.monitor, running_cvm_of=self._running_cvm_of
+            self.monitor, running_cvm_of=lambda hart: running_cvm_of()(hart)
         )
-        # Guest-access engine state.  The engine and the trace-cache replay
-        # charge the ledger's counters in place and fuse same-category
-        # charges (n TLB hits as one charge of n*tlb_hit), which is only
-        # bit-identical to per-access charging when the per-access costs are
-        # integral (charge() floors); non-integral cost ablations put every
-        # access on the reference path.
-        costs_integral = (
+        # The guest-access engine charges the ledger's counters in place
+        # and fuses same-category charges (a TLB hit with its compute
+        # cycle), which is only bit-identical to per-access charging when
+        # the per-access costs are integral (charge() floors); non-integral
+        # cost ablations put every access on the reference path.
+        self._reference_only = not (
             self.costs.tlb_hit == int(self.costs.tlb_hit)
             and self.costs.page_walk_level == int(self.costs.page_walk_level)
         )
-        self._trace_cache = TraceCache() if cfg.trace_cache and costs_integral else None
         self._charge_seq_compute = self.ledger.charger(Category.COMPUTE, 1)
 
     def _running_cvm_of(self, hart):
@@ -371,15 +373,19 @@ class Machine:
         self.plic.set_priority(source, 1)
         self.plic.enable(0, source)
         self.hypervisor.plic_bindings[source] = device
-        device.irq_sink = lambda _dev: self.plic.raise_irq(source)
+        plic = self.plic
+        device.irq_sink = lambda _dev: plic.raise_irq(source)
         if session.kind is VmKind.CONFIDENTIAL:
             handle = session.handle
-            device.dma_translate = lambda gpa: self.hypervisor.shared_gpa_to_hpa(handle, gpa)
+            # Weak: the hypervisor's device registry holds the device.
+            to_hpa = weakref.WeakMethod(self.hypervisor.shared_gpa_to_hpa)
+            device.dma_translate = lambda gpa: to_hpa()(handle, gpa)
         else:
             vm = session.normal_vm
+            gpa_to_pa = self.translator.gpa_to_pa
 
-            def translate(gpa, _vm=vm):
-                pa, _flags = self.translator.gpa_to_pa(_vm.hgatp_root, gpa, AccessType.LOAD)
+            def translate(gpa):
+                pa, _flags = gpa_to_pa(vm.hgatp_root, gpa, AccessType.LOAD)
                 return pa
 
             device.dma_translate = translate
@@ -621,86 +627,81 @@ class Machine:
             )
 
     # ------------------------------------------------------------------
-    # The guest-access engine and the trace-cache replay
+    # The guest-access engine
     # ------------------------------------------------------------------
 
     def run_seq(self, session: GuestSession, op: str, gva0: int, step: int,
                 count: int, size: int, values, gvas):
-        """Execute one access sequence: replay its trace, or run + record.
+        """Execute one access sequence, one engine call per access.
 
         ``op`` is ``"L"``/``"S"``/``"T"`` (load_seq / store_seq /
         touch_seq).  Strided sequences address ``gva0 + i*step``; touch
-        sequences carry their literal ``gvas`` tuple.  Cycle-exact against
-        the per-access loops by construction (see
-        :mod:`repro.mem.tracecache` for the validity argument).  With no
-        trace cache, or VS-stage paging on, every sequence runs live.
+        sequences carry their literal ``gvas`` tuple.  Each access is the
+        scalar call it stands for; a store latches its value for MMIO
+        emulation first, as :meth:`GuestContext.store` does.
         """
-        if count <= 0:
-            return [] if op == "L" else None
-        cache = self._trace_cache
-        if cache is None or session.vsatp_root is not None:
-            return self._live_seq(session, op, gva0, step, count, size,
-                                  values, gvas, None)
-        key = (
-            op,
-            session.vmid,
-            session.hgatp_root,
-            gvas if gvas is not None else (gva0, step, count),
-            size,
-        )
-        trace = cache.get(key)
-        if trace is not None:
-            result = self._replay_seq(session, op, trace, gva0, step, count,
-                                      size, values, gvas)
-            if result is not _REPLAY_REJECT:
-                return result
-        return self._live_seq(session, op, gva0, step, count, size,
-                              values, gvas, key)
+        access = session._engine
+        if gvas is None:
+            gvas = range(gva0, gva0 + count * step, step) if step else (gva0,) * count
+        if op == "L":
+            return [access(gva, _LOAD, size, None) for gva in gvas]
+        if op == "S":
+            for gva, value in zip(gvas, values):
+                self._pending_store_value = value & _MASK64
+                access(gva, _STORE, size, value)
+        else:
+            for gva in gvas:
+                access(gva, _LOAD, 1, None)
+        return None
 
     def _build_engine(self, session: GuestSession):
         """Build ``session``'s guest-access engine: one call per guest access.
 
-        Returns ``access(gva, op, size, value, hits=None)`` for the
-        operations :data:`_LOAD`/:data:`_STORE` (a scalar word: returns the
-        loaded value) and :data:`_READ`/:data:`_WRITE` (one page chunk of a
-        bulk copy: returns the bytes read).  It is the only live engine:
+        Returns ``access(gva, op, size, value)`` for the operations
+        :data:`_LOAD`/:data:`_STORE` (a scalar word: returns the loaded
+        value) and :data:`_READ`/:data:`_WRITE` (one page chunk of a bulk
+        copy: returns the bytes read).  It is the only engine:
         :class:`GuestContext`'s scalar and bulk calls make one call per
-        access, and :meth:`_live_seq` loops over it for
+        access, and :meth:`run_seq` loops over it for
         ``load_seq``/``store_seq``/``touch_seq``.  Each
         :class:`GuestSession` builds it once.  The session's fixed
         constants -- its VMID, its engine address window, the TLB dict, the
         ``mtimecmp`` list -- are bound here; ``hart``, ``hgatp_root`` and
         ``vsatp_root`` are read on every access, and the machine's
-        handlers each time one runs.
+        handlers each time one runs.  The engine reads the session's
+        ``__dict__`` and holds the session itself only weakly, and the
+        session keeps the engine in a slot: no reference cycle keeps
+        either alive.
 
         Per access the engine performs, in the order
         :meth:`_reference_access` does, the timer compare, the range check
         and the translation.  A TLB hit updates the statistics and LRU
         order and charges the hit (fused with the compute cycle of a
-        scalar access -- no timer check can fall between them) and appends
-        the entry to ``hits`` when one is given: that is how
-        :meth:`_live_seq` proves a run all-hit.  A miss
+        scalar access -- no timer check can fall between them).  A miss
         with a valid, PMP-permitted walk charges and fills exactly as the
-        translator would.  An invalid walk whose stage-2 fault routes to the VM's own
-        handler (the SM in M mode for a CVM, KVM in HS for a normal VM) is
-        taken in place: the walk is charged, the helper the reference path
-        calls (:meth:`_sm_fault`, given the engine's walk, or
-        :meth:`_kvm_demand_map`) runs, and the access retries -- at most
-        eight times, as the reference path does.  Anything else -- MMIO or
-        out-of-window addresses, insufficient permissions, permission
-        faults on a present leaf, PMP denials, any other fault route,
-        VS-stage paging -- takes :meth:`_reference_access` *before*
-        charging or mutating anything, so the detour is invisible.  A
-        page-straddling scalar is the two accesses it splits into
-        (:func:`_split_scalar`).  Machines without the trace cache
-        (``trace_cache=False``, non-integral costs) take the reference
-        path for every access.
+        translator would.  An invalid walk whose stage-2 fault routes to
+        the VM's own handler (the SM in M mode for a CVM, KVM in HS for a
+        normal VM) is taken in place: the walk is charged, the helper the
+        reference path calls (:meth:`_sm_fault`, given the engine's walk,
+        or :meth:`_kvm_demand_map`) runs, and the access retries -- at
+        most eight times, as the reference path does.  Anything else --
+        MMIO or out-of-window addresses, insufficient permissions,
+        permission faults on a present leaf, PMP denials, a table read
+        outside DRAM, any other fault route, VS-stage paging -- takes
+        :meth:`_reference_access` *before* charging or mutating anything,
+        so the detour is invisible.  A page-straddling scalar is the two
+        accesses it splits into (:func:`_split_scalar`).  Machines with
+        non-integral TLB or walk costs take the reference path for every
+        access.
         """
         machine = self
-        if self._trace_cache is None:
-            def reference(gva, op, size, value, hits=None):
-                return machine._reference_access(session, gva, op, size, value)
+        state = session.__dict__
+        session_ref = weakref.ref(session)
 
+        def reference(gva, op, size, value):
+            return machine._reference_access(session_ref(), gva, op, size, value)
+
+        if self._reference_only:
             return reference
         ledger = self.ledger
         counts = ledger._counts
@@ -754,17 +755,17 @@ class Machine:
                 ) is handler_mode
             return in_place
 
-        def access(gva, op, size, value, hits=None):
+        def access(gva, op, size, value):
             if op < 2 and (gva & 0xFFF) + size > PAGE_SIZE:
                 small = size if size < 8 else 8
                 first = PAGE_SIZE - (gva & 0xFFF)
                 if first < small:
-                    return _split_scalar(access, gva, op, small, first, value)
-            hart = session.hart
+                    return _split_scalar(session_ref()._engine, gva, op, small, first, value)
+            hart = state["hart"]
             if ledger._total >= mtimecmp[hart.hart_id]:
-                machine.check_timer(session)
-            if (lo <= gva < hi) is not inside or session.vsatp_root is not None:
-                return machine._reference_access(session, gva, op, size, value)
+                machine.check_timer(session_ref())
+            if (lo <= gva < hi) is not inside or state["vsatp_root"] is not None:
+                return reference(gva, op, size, value)
             key = (vmid, gva >> 12)
             faults = 0
             while True:
@@ -772,7 +773,7 @@ class Machine:
                 if entry is not None:
                     if not entry[1] & _REQUIRED[op]:
                         # Hardware re-walks; the reference path does.
-                        return machine._reference_access(session, gva, op, size, value)
+                        return reference(gva, op, size, value)
                     tlb.hits += 1
                     move_to_end(key)
                     pa = entry[0] << 12 | gva & 0xFFF
@@ -785,19 +786,22 @@ class Machine:
                         counts[tlb_index] += tlb_hit
                         counts[compute_index] += 1
                         ledger._charged_mask |= scalar_bits
-                    if hits is not None:
-                        hits.append(entry)
                     break
                 if not 0 <= gva < va_limit:
-                    return machine._reference_access(session, gva, op, size, value)
-                probed = probe(vm.hgatp_root, gva)
+                    return reference(gva, op, size, value)
+                try:
+                    probed = probe(vm.hgatp_root, gva)
+                except MemoryError_:
+                    # A table read outside DRAM: the reference walk
+                    # charges the reads it made, then raises.
+                    return reference(gva, op, size, value)
                 pa, flags, levels, _slot = probed
                 walk = levels * walk_cost
                 if pa is not None:
                     if not flags & _REQUIRED[op] or not hart.pmp.check(pa, 1, _ACCESS[op], hart.mode):
                         # A permission fault or a PMP denial: the
                         # reference path traps.
-                        return machine._reference_access(session, gva, op, size, value)
+                        return reference(gva, op, size, value)
                     tlb.misses += 1
                     counts[walk_index] += walk
                     if op > 1:
@@ -811,7 +815,8 @@ class Machine:
                     break
                 # Invalid walk: a stage-2 guest page fault.
                 if not fault_in_place(hart, op & 1):
-                    return machine._reference_access(session, gva, op, size, value)
+                    return reference(gva, op, size, value)
+                session = session_ref()
                 if not faults:
                     # The reference path calls check_timer once per access,
                     # before its first walk; a faulting access does too, so
@@ -885,144 +890,6 @@ class Machine:
         if kind == "mmio":
             return None if op else result
         return _move_word(self.dram, result, op, size, value)
-
-    def _live_seq(self, session: GuestSession, op: str, gva0: int, step: int,
-                  count: int, size: int, values, gvas, key,
-                  start: int = 0, out=None):
-        """Run accesses ``start..count`` of one sequence live, one engine call each.
-
-        Each access is the scalar call it stands for; a store latches its
-        value for MMIO emulation first, as :meth:`GuestContext.store`
-        does.  A run from ``start == 0`` is recorded under ``key`` for
-        replay when each of its accesses was exactly one engine TLB hit.
-        The engine appends to ``hits`` once for such a hit and never
-        otherwise -- a miss, a fault, a detour or either half of a
-        page-straddling access appends nothing -- so each access adds at
-        most one entry, and a list as long as the run is the proof.
-        """
-        access = session._engine
-        tlb_gen = self.translator.tlb.generation
-        hits = [] if key is not None and start == 0 else None
-        if gvas is None:
-            gvas = range(gva0, gva0 + count * step, step) if step else (gva0,) * count
-        tail = gvas[start:] if start else gvas
-        if op == "L":
-            loaded = [access(gva, _LOAD, size, None, hits) for gva in tail]
-            if out is None:
-                out = loaded
-            else:
-                out.extend(loaded)
-        elif op == "S":
-            for gva, value in zip(tail, values[start:] if start else values):
-                self._pending_store_value = value & _MASK64
-                access(gva, _STORE, size, value, hits)
-        else:
-            for gva in tail:
-                access(gva, _LOAD, 1, None, hits)
-        if hits is not None and len(hits) == count:
-            vmid = session.vmid
-            keys = [(vmid, gva >> 12) for gva in gvas]
-            pas = [entry[0] << 12 | gva & 0xFFF for entry, gva in zip(hits, gvas)]
-            # Within an all-hit run no entry can change: a new value needs
-            # a removal, then a miss.
-            self._trace_cache.put(key, SeqTrace(tlb_gen, keys, pas, dict(zip(keys, hits))))
-        return out
-
-    def _replay_seq(self, session: GuestSession, op: str, trace, gva0: int,
-                    step: int, count: int, size: int, values, gvas):
-        """Replay a validated trace; ``_REPLAY_REJECT`` if validation fails.
-
-        The proof is the TLB's alone (:mod:`repro.mem.tracecache`): its
-        generation is unchanged, or every recorded entry is still present
-        with its recorded value.  The replay then performs the identical
-        state updates and charges the live engine would, fusing each
-        timer-window's worth of accesses into one pair of charges; the
-        chunk boundary is computed so the timer fires at exactly the
-        access where the per-access loop would have fired it.
-        """
-        tlb = self.translator.tlb
-        entries = tlb._entries
-        if tlb.generation != trace.tlb_gen:
-            entries_get = entries.get
-            for k, e in trace.expected.items():
-                if entries_get(k) != e:
-                    return _REPLAY_REJECT
-            trace.tlb_gen = tlb.generation
-
-        ledger = self.ledger
-        hart_id = session.hart.hart_id
-        mtimecmp = self.clint._mtimecmp
-        check_timer = self.check_timer
-        dram = self.dram
-        pages = dram._pages
-        unpack_from = _U64.unpack_from
-        pack_into = _U64.pack_into
-        aligned8 = size == 8
-        keys = trace.keys
-        pas = trace.pas
-        out = [] if op == "L" else None
-        move_to_end = entries.move_to_end
-        tlb_hit = int(self.costs.tlb_hit)
-        per_access = tlb_hit + 1  # TLB hit + the compute charge
-        charge = ledger.charge
-        append = out.append if op == "L" else None
-        i = 0
-        while i < count:
-            total = ledger._total
-            cmp_ = mtimecmp[hart_id]
-            if total >= cmp_:
-                generation = tlb.generation
-                check_timer(session)
-                if tlb.generation != generation:
-                    # The tick flushed translations: the rest of the
-                    # sequence misses, which this trace cannot speak
-                    # for -- hand the tail to the live engine.
-                    return self._live_seq(
-                        session, op, gva0, step, count, size, values,
-                        gvas, None, start=i, out=out,
-                    )
-                total = ledger._total
-                cmp_ = mtimecmp[hart_id]
-            # Largest chunk whose accesses all run before the next
-            # tick: access j fires the timer iff the total *before* it
-            # reached mtimecmp, so n accesses are safe when
-            # total + (n-1)*per_access < cmp.
-            n = (cmp_ - total - 1) // per_access + 1
-            remaining = count - i
-            if n > remaining:
-                n = remaining
-            end = i + n
-            if op == "L":
-                for j in range(i, end):
-                    move_to_end(keys[j])
-                    pa = pas[j]
-                    if aligned8 and not pa & 7:
-                        page = pages.get(pa >> 12)
-                        append(0 if page is None else unpack_from(page, pa & 0xFFF)[0])
-                    else:
-                        append(_move_word(dram, pa, _LOAD, size, None))
-            elif op == "S":
-                for j in range(i, end):
-                    move_to_end(keys[j])
-                    pa = pas[j]
-                    if aligned8 and not pa & 7:
-                        page = pages.get(pa >> 12)
-                        if page is None:
-                            page = pages[pa >> 12] = bytearray(PAGE_SIZE)
-                        pack_into(page, pa & 0xFFF, values[j] & _MASK64)
-                    else:
-                        _move_word(dram, pa, _STORE, size, values[j])
-            else:
-                for j in range(i, end):
-                    move_to_end(keys[j])
-            tlb.hits += n
-            charge(Category.TLB, n * tlb_hit)
-            charge(Category.COMPUTE, n)
-            i = end
-
-        if op == "S":
-            self._pending_store_value = values[count - 1] & _MASK64
-        return out
 
     # ------------------------------------------------------------------
     # Trap dispatch
@@ -1316,9 +1183,8 @@ class GuestContext:
         """Touch every address in ``gvas`` (batched :meth:`touch`).
 
         Architecturally identical to touching each address in a Python
-        loop -- same timer checks, translations, and compute charges --
-        with hot tuples replayed from the trace cache.  MMIO touches
-        perform the full device access.
+        loop -- same timer checks, translations, and compute charges.
+        MMIO touches perform the full device access.
         """
         gvas = tuple(gvas)
         self.machine.run_seq(self.session, "T", 0, 0, len(gvas), 1, None, gvas)

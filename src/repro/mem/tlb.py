@@ -30,10 +30,8 @@ class Tlb:
         #: Single-page invalidations, counted separately from ``flushes``.
         self.page_flushes = 0
         #: Monotonic invalidation epoch: bumped whenever entries may have
-        #: *disappeared* (any flush, or a capacity eviction).  The access
-        #: trace cache uses an unchanged generation as proof that every
-        #: entry it recorded as present is still present; insertions only
-        #: bump it when they evict.
+        #: *disappeared* (any flush, or a capacity eviction); insertions
+        #: only bump it when they evict.
         self.generation = 0
 
     def lookup(self, vmid: int, vpage: int):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import weakref
 
 from repro.cycles import Category
 from repro.errors import EcallError, SecurityViolation, TrapRaised
@@ -98,7 +99,9 @@ class ChannelManager:
     """Creates, connects, rings and tears down inter-CVM channels."""
 
     def __init__(self, monitor):
-        self.monitor = monitor
+        #: A proxy: the monitor owns this manager, and a strong reference
+        #: back would be a cycle that outlives a dropped machine.
+        self.monitor = weakref.proxy(monitor)
         self.channels: dict[int, Channel] = {}
         #: Fan-out index: cvm_id -> ids of channels it is an endpoint of.
         #: A router CVM legitimately holds one channel per shard plus one

@@ -161,9 +161,8 @@ def _is_word(value) -> bool:
 
 
 def _is_register_file(value, names: frozenset) -> bool:
-    return isinstance(value, dict) and all(
-        name in names and _is_word(word) for name, word in value.items()
-    )
+    return (isinstance(value, dict) and value.keys() == names
+            and all(_is_word(word) for word in value.values()))
 
 
 def _parse_layout(fields) -> GpaLayout:
@@ -185,14 +184,15 @@ def _check_vcpu(state) -> None:
         raise SecurityViolation(
             f"migration blob vCPU must have exactly the fields {sorted(_VCPU_FIELDS)}"
         )
-    # The secure vCPU holds only known names and 64-bit words: entry
-    # installs its register files as they are.
+    # Entry installs the register files as they are, over whatever the
+    # hart held: each must name every register, with a 64-bit word, so no
+    # host value survives into VS mode.
     if not (_is_register_file(state["gprs"], _GPR_NAMES)
             and _is_register_file(state["csrs"], _CSR_NAMES)
             and _is_word(state["pc"])):
         raise SecurityViolation(
-            "migration blob vCPU state malformed: gprs/csrs must map known "
-            "register names to 64-bit words and pc must be a 64-bit word"
+            "migration blob vCPU state malformed: gprs/csrs must map every "
+            "register name to a 64-bit word and pc must be a 64-bit word"
         )
 
 

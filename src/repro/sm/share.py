@@ -59,18 +59,13 @@ class SplitTableManager:
             Category.PAGE_WALK, costs.page_walk_level * self._sv39x4.levels
         )
         #: Monotonic epoch bumped on every SM-side stage-2 table mutation
-        #: (map/unmap/subtree link).  The access trace cache does not read
-        #: it: a recorded trace replays TLB hits only, which never read a
-        #: table, so the TLB alone proves it (``repro.mem.tracecache``).
+        #: (map/unmap/subtree link).  The guest-access engine does not read
+        #: it: a TLB hit reads no table, and a miss walks the live one.
         self.map_generation = 0
 
     def shared_root_index_base(self, cvm: ConfidentialVm) -> int:
         """First stage-2 root index belonging to the shared region."""
         return cvm.layout.shared_base >> 30  # each root entry spans 1 GiB
-
-    def root_index_of(self, gpa: int) -> int:
-        """The stage-2 root slot covering this GPA (1 GiB per slot)."""
-        return gpa >> 30
 
     # -- linking hypervisor-provided subtrees ------------------------------
 

@@ -17,6 +17,19 @@ settings.register_profile("ci", max_examples=400, deadline=None)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
+def make_machine(reference: bool = False, **config) -> Machine:
+    """A machine built from ``MachineConfig(**config)``.
+
+    With ``reference``, every guest access of its sessions takes the
+    reference path (``Machine._reference_access``) instead of the
+    engine: the other side of every engine-vs-reference diff.
+    """
+    machine = Machine(MachineConfig(**config))
+    if reference:
+        machine._reference_only = True
+    return machine
+
+
 @pytest.fixture
 def ledger():
     return CycleLedger()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import Machine, MachineConfig
 from repro.errors import ConfigurationError, MemoryError_
 from repro.isa.privilege import PrivilegeMode
 from repro.machine import GuestContext
@@ -33,6 +32,7 @@ from repro.sm.alloc import AllocStage, PoolExhausted
 from repro.sm.secmem import OWNER_SM
 from repro.trace import Tracer
 from repro.verify import check_invariants
+from tests.conftest import make_machine
 from tests.properties.test_prop_seq_access import READ_ONLY_OFFSET, _leaf_slot, _Side
 
 REFUSALS = 3
@@ -48,7 +48,7 @@ def _secure_pages_of(side) -> int | None:
 @pytest.mark.parametrize("method", ["store", "store_seq"])
 @pytest.mark.parametrize("kind", ["cvm", "normal"])
 def test_permission_fault_is_refused_without_allocating(kind, method):
-    sides = (_Side(kind, trace_cache=True), _Side(kind, trace_cache=False))
+    sides = (_Side(kind, reference=False), _Side(kind, reference=True))
     for side in sides:
         machine = side.machine
         gpa = side.session.layout.dram_base + READ_ONLY_OFFSET
@@ -71,8 +71,8 @@ def test_permission_fault_is_refused_without_allocating(kind, method):
 @pytest.mark.parametrize("kind", ["cvm", "normal"])
 def test_a_first_touch_checks_the_timer_once(kind, calls):
     checks = []
-    for trace_cache in (True, False):
-        side = _Side(kind, trace_cache=trace_cache)
+    for reference in (False, True):
+        side = _Side(kind, reference=reference)
         machine = side.machine
         seen: list = []
 
@@ -95,7 +95,7 @@ def test_a_first_touch_checks_the_timer_once(kind, calls):
 @pytest.mark.parametrize("method", ["load", "load_seq"])
 @pytest.mark.parametrize("kind", ["cvm", "normal"])
 def test_a_fix_that_maps_nothing_gives_up_after_eight_faults(kind, method):
-    sides = (_Side(kind, trace_cache=True), _Side(kind, trace_cache=False))
+    sides = (_Side(kind, reference=False), _Side(kind, reference=True))
     for side in sides:
         machine = side.machine
         fixes: list = []
@@ -134,13 +134,13 @@ def _scalar_first_touches(ctx):
 FIRST_TOUCHES = {"batched": _batched_first_touches, "scalar": _scalar_first_touches}
 
 
-def _first_touch_run(kind: str, trace_cache: bool, observe: bool, calls: str = "batched"):
+def _first_touch_run(kind: str, reference: bool, observe: bool, calls: str = "batched"):
     """A VM of ``kind`` first-touching ten pages through ``calls``.
 
     Returns the machine, the observations and the addresses of the
     accesses that left the engine for the reference path.
     """
-    machine = Machine(MachineConfig(trace_cache=trace_cache))
+    machine = make_machine(reference)
     if kind == "cvm":
         session = machine.launch_confidential_vm(image=b"first-touch" * 32)
     else:
@@ -177,8 +177,8 @@ def _tlb_stats(machine) -> tuple:
 
 
 def _check_observer_parity(kind: str, calls: str = "batched") -> None:
-    unobserved, none_seen, plain_detours = _first_touch_run(kind, True, False, calls)
-    observed, seen, observed_detours = _first_touch_run(kind, True, True, calls)
+    unobserved, none_seen, plain_detours = _first_touch_run(kind, False, False, calls)
+    observed, seen, observed_detours = _first_touch_run(kind, False, True, calls)
     assert none_seen == []
     # Every fault was fixed in the engine, observer or not.
     assert plain_detours == observed_detours == []
@@ -186,7 +186,7 @@ def _check_observer_parity(kind: str, calls: str = "batched") -> None:
     assert _tlb_stats(observed) == _tlb_stats(unobserved)
     assert observed.monitor.fault_stage_counts == unobserved.monitor.fault_stage_counts
 
-    reference, reference_seen, _ = _first_touch_run(kind, False, True, calls)
+    reference, reference_seen, _ = _first_touch_run(kind, True, True, calls)
     assert len(seen) == 10
     if kind == "cvm":
         assert all(k == "sm" and stage in AllocStage.__members__ for k, stage, _ in seen)
@@ -227,11 +227,10 @@ REGION = 40 << 20
 class _SmallPoolCvm:
     """A CVM on a small pool, entered, with its batched-call context."""
 
-    def __init__(self, trace_cache: bool):
-        machine = Machine(MachineConfig(
-            trace_cache=trace_cache, secure_block_size=BLOCK,
-            initial_pool_bytes=32 * BLOCK,
-        ))
+    def __init__(self, reference: bool):
+        machine = make_machine(
+            reference, secure_block_size=BLOCK, initial_pool_bytes=32 * BLOCK,
+        )
         machine.hypervisor.expand_chunk = 8 * BLOCK
         self.machine = machine
         self.monitor = machine.monitor
@@ -370,7 +369,7 @@ def _take_sm_fault(cvm, case: str) -> dict:
 @pytest.mark.parametrize("case", sorted(SM_FAULT_CASES))
 def test_one_sm_fault_handler_for_both_callers(case):
     """Each branch of the SM handler, from the engine and the reference path."""
-    engine_cvm, reference_cvm = _SmallPoolCvm(True), _SmallPoolCvm(False)
+    engine_cvm, reference_cvm = _SmallPoolCvm(False), _SmallPoolCvm(True)
     engine, reference = (_take_sm_fault(cvm, case) for cvm in (engine_cvm, reference_cvm))
     # The engine fixes every missing page in place; only the permission
     # fault on a present leaf takes the reference path.

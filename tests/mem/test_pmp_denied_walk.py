@@ -1,21 +1,26 @@
-"""A valid stage-2 walk onto PMP-protected memory, on the engine and the
+"""Hostile stage-2 tables of a normal VM, on the engine and the
 reference path.
 
 A normal VM's hypervisor controls its stage-2 table, so it can point a
 leaf into the secure pool.  The walk is valid; the PMP check of the
-access denies it.  The guest-access engines must then take exactly the
+access denies it.  The guest-access engine must then take exactly the
 reference path's route (the access fault is dispatched, and the
 hypervisor refuses it with a ``SecurityViolation``) with the same
 charges, rather than raise the bare trap from inside the engine.
+
+It can also point a table entry outside DRAM.  The walk's read there
+raises ``MemoryError_``, and both paths charge the reads the walk made
+before it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Machine, MachineConfig
 from repro.machine import GuestContext
+from repro.mem.pagetable import PTE_V
 from repro.mem.physmem import PAGE_SIZE
+from tests.conftest import make_machine
 from tests.properties.test_prop_seq_access import _leaf_slot
 
 #: Four test pages from this offset of the guest's DRAM; page 1 is repointed.
@@ -23,9 +28,9 @@ OFFSET = 24 << 20
 PAGES = 4
 
 
-def _side(trace_cache: bool):
+def _side(reference: bool):
     """A normal VM whose page 1 maps onto the secure pool, TLB flushed."""
-    machine = Machine(MachineConfig(trace_cache=trace_cache))
+    machine = make_machine(reference)
     session = machine.launch_normal_vm("pmp-denied")
     machine._enter_guest(session)
     ctx = GuestContext(machine, session)
@@ -40,8 +45,8 @@ def _side(trace_cache: bool):
     return machine, ctx, base
 
 
-def _outcome(trace_cache: bool, call):
-    machine, ctx, base = _side(trace_cache)
+def _outcome(reference: bool, call):
+    machine, ctx, base = _side(reference)
     try:
         result = ("ok", call(ctx, base))
     except Exception as error:  # the type is what must agree
@@ -53,18 +58,32 @@ def _outcome(trace_cache: bool, call):
     }
 
 
+def _load_through_a_root_entry_outside_dram(ctx, base):
+    """Point the root entry over ``dram_base + 32 MB`` at 0x1000, then load there."""
+    gpa = ctx.session.layout.dram_base + (32 << 20)
+    sv = ctx.machine.translator.sv39x4
+    slot = ctx.session.hgatp_root + 8 * (gpa >> sv._shifts[0] & sv._masks[0])
+    ctx.machine.dram.write_u64(slot, 0x1000 >> 12 << 10 | PTE_V)
+    return ctx.load(gpa)
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call,error",
     [
-        pytest.param(lambda ctx, base: ctx.load(base + PAGE_SIZE), id="load"),
-        pytest.param(lambda ctx, base: ctx.store(base + PAGE_SIZE, 0xBAD), id="store"),
+        pytest.param(lambda ctx, base: ctx.load(base + PAGE_SIZE), "SecurityViolation",
+                     id="load"),
+        pytest.param(lambda ctx, base: ctx.store(base + PAGE_SIZE, 0xBAD), "SecurityViolation",
+                     id="store"),
         pytest.param(
-            lambda ctx, base: ctx.load_seq(base, PAGES, stride=PAGE_SIZE), id="load_seq"
+            lambda ctx, base: ctx.load_seq(base, PAGES, stride=PAGE_SIZE), "SecurityViolation",
+            id="load_seq",
         ),
+        pytest.param(_load_through_a_root_entry_outside_dram, "MemoryError_",
+                     id="root_entry_outside_dram"),
     ],
 )
-def test_pmp_denied_walk_matches_reference(call):
-    engine = _outcome(True, call)
-    reference = _outcome(False, call)
-    assert reference[0] == ("raised", "SecurityViolation")
+def test_pmp_denied_walk_matches_reference(call, error):
+    engine = _outcome(False, call)
+    reference = _outcome(True, call)
+    assert reference[0] == ("raised", error)
     assert engine == reference

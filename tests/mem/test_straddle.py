@@ -7,32 +7,32 @@ come from) the guest's *next page*, never the physically adjacent frame.
 Each part is charged as the access it splits into: a timer check, a TLB
 lookup or walk, and a compute cycle.
 
-Every test runs on the default machine (single-access engine and batched
-engine) and on ``trace_cache=False`` (the reference path), for a CVM and
-a normal VM.
+Every test runs on the default machine (the engine, from the scalar and
+the batched calls) and on a reference machine (``make_machine(reference=
+True)``: the reference path), for a CVM and a normal VM.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro import Machine, MachineConfig
 from repro.cycles import Category
 from repro.mem.physmem import PAGE_SIZE
+from tests.conftest import make_machine
 
 VALUE = 0x1122_3344_5566_7788
 #: Offset of the straddling word inside the first page (4 bytes each side).
 OFFSET = PAGE_SIZE - 4
 
 PARAMS = [
-    pytest.param(trace_cache, kind, id=f"{kind}-{'engine' if trace_cache else 'reference'}")
-    for trace_cache in (True, False)
+    pytest.param(reference, kind, id=f"{kind}-{'reference' if reference else 'engine'}")
+    for reference in (False, True)
     for kind in ("cvm", "normal")
 ]
 
 
-def _launch(trace_cache: bool, kind: str):
-    machine = Machine(MachineConfig(trace_cache=trace_cache))
+def _launch(reference: bool, kind: str):
+    machine = make_machine(reference)
     if kind == "cvm":
         session = machine.launch_confidential_vm(image=b"straddle" * 16)
     else:
@@ -63,9 +63,9 @@ def _map_two_pages(ctx):
     return base, pa1, pa2
 
 
-@pytest.mark.parametrize("trace_cache,kind", PARAMS)
-def test_store_lands_in_the_next_guest_page(trace_cache, kind):
-    machine, session = _launch(trace_cache, kind)
+@pytest.mark.parametrize("reference,kind", PARAMS)
+def test_store_lands_in_the_next_guest_page(reference, kind):
+    machine, session = _launch(reference, kind)
 
     def workload(ctx):
         base, pa1, pa2 = _map_two_pages(ctx)
@@ -80,9 +80,9 @@ def test_store_lands_in_the_next_guest_page(trace_cache, kind):
     assert loaded == VALUE
 
 
-@pytest.mark.parametrize("trace_cache,kind", PARAMS)
-def test_load_reads_the_next_guest_page(trace_cache, kind):
-    machine, session = _launch(trace_cache, kind)
+@pytest.mark.parametrize("reference,kind", PARAMS)
+def test_load_reads_the_next_guest_page(reference, kind):
+    machine, session = _launch(reference, kind)
 
     def workload(ctx):
         base, pa1, pa2 = _map_two_pages(ctx)
@@ -95,9 +95,9 @@ def test_load_reads_the_next_guest_page(trace_cache, kind):
     assert half == VALUE >> 16 & 0xFFFF_FFFF
 
 
-@pytest.mark.parametrize("trace_cache,kind", PARAMS)
-def test_load_seq_reads_the_next_guest_page(trace_cache, kind):
-    machine, session = _launch(trace_cache, kind)
+@pytest.mark.parametrize("reference,kind", PARAMS)
+def test_load_seq_reads_the_next_guest_page(reference, kind):
+    machine, session = _launch(reference, kind)
 
     def workload(ctx):
         base, pa1, pa2 = _map_two_pages(ctx)
@@ -111,9 +111,9 @@ def test_load_seq_reads_the_next_guest_page(trace_cache, kind):
     assert first == second == [VALUE, 0xABCD]
 
 
-@pytest.mark.parametrize("trace_cache,kind", PARAMS)
-def test_store_seq_lands_in_the_next_guest_page(trace_cache, kind):
-    machine, session = _launch(trace_cache, kind)
+@pytest.mark.parametrize("reference,kind", PARAMS)
+def test_store_seq_lands_in_the_next_guest_page(reference, kind):
+    machine, session = _launch(reference, kind)
 
     def workload(ctx):
         base, pa1, pa2 = _map_two_pages(ctx)
@@ -130,9 +130,9 @@ def test_store_seq_lands_in_the_next_guest_page(trace_cache, kind):
     assert machine.dram.read(pa1 + PAGE_SIZE, 12) == adjacent
 
 
-@pytest.mark.parametrize("trace_cache,kind", PARAMS)
-def test_each_part_is_charged_as_an_access(trace_cache, kind):
-    machine, session = _launch(trace_cache, kind)
+@pytest.mark.parametrize("reference,kind", PARAMS)
+def test_each_part_is_charged_as_an_access(reference, kind):
+    machine, session = _launch(reference, kind)
     tlb = machine.translator.tlb
 
     def workload(ctx):
@@ -153,8 +153,8 @@ def test_each_part_is_charged_as_an_access(trace_cache, kind):
 
 def test_engine_and_reference_agree_on_a_straddling_sequence():
     outcomes = []
-    for trace_cache in (True, False):
-        machine, session = _launch(trace_cache, "cvm")
+    for reference in (False, True):
+        machine, session = _launch(reference, "cvm")
 
         def workload(ctx):
             base, _pa1, _pa2 = _map_two_pages(ctx)

@@ -1,13 +1,18 @@
-"""Trace-cache equivalence: cached runs must be bit-identical to uncached.
+"""Sequence equivalence: engine runs must be bit-identical to reference runs.
 
-The guest-access trace cache (``repro.mem.tracecache``) is a wall-clock
-optimisation with a hard contract: with ``trace_cache`` on, every ledger
-total, per-category count, TLB statistic, and byte of guest memory must
-match a machine running the per-access loops.  These tests run the same
-workload on a cached and an uncached machine and diff the full
-architectural fingerprint, across strides, sizes, page-crossing shapes,
-first-touch fault storms, timer ticks landing mid-sequence, and
-invalidation by flush and remap.
+``load_seq``/``store_seq``/``touch_seq`` loop over the session's
+guest-access engine (``Machine.run_seq``), a wall-clock optimisation
+with a hard contract: every ledger total, per-category count, TLB
+statistic, and byte of guest memory must match a machine running every
+access through the reference path.  These tests run the same workload
+on an engine and a reference machine and diff the full architectural
+fingerprint, across strides, sizes, page-crossing shapes, first-touch
+fault storms, timer ticks landing mid-sequence, and TLB flushes and
+remaps between repeats of one sequence.
+
+The file keeps the name of the trace cache these tests were written
+for; it recorded and replayed all-hit sequences and was deleted when it
+stopped paying for itself.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import pytest
 
 from repro import Machine, MachineConfig
 from repro.mem.physmem import PAGE_SIZE
+from tests.conftest import make_machine
 
 IMAGE = b"trace-cache-equivalence" * 8
 
@@ -39,13 +45,13 @@ def _page_bytes(machine, session, gva):
 
 
 def _run_pair(workload, repeats=1, kind="cvm", check_pages=(), **cfg):
-    """Run ``workload`` on a cached and an uncached machine; diff everything.
+    """Run ``workload`` on an engine and a reference machine; diff everything.
 
-    Returns ``(cached_machine, cached_session, workload_results)``.
+    Returns ``(engine_machine, engine_session, workload_results)``.
     """
     outcomes = []
-    for trace_cache in (True, False):
-        machine = Machine(MachineConfig(trace_cache=trace_cache, **cfg))
+    for reference in (False, True):
+        machine = make_machine(reference, **cfg)
         if kind == "cvm":
             session = machine.launch_confidential_vm(image=IMAGE)
         else:
@@ -55,17 +61,15 @@ def _run_pair(workload, repeats=1, kind="cvm", check_pages=(), **cfg):
             for _ in range(repeats)
         ]
         outcomes.append((machine, session, results))
-    (cached, cached_session, cached_results) = outcomes[0]
-    (uncached, uncached_session, uncached_results) = outcomes[1]
-    assert cached._trace_cache is not None
-    assert uncached._trace_cache is None
-    assert cached_results == uncached_results
-    assert _fingerprint(cached) == _fingerprint(uncached)
+    (engine, engine_session, engine_results) = outcomes[0]
+    (reference, reference_session, reference_results) = outcomes[1]
+    assert engine_results == reference_results
+    assert _fingerprint(engine) == _fingerprint(reference)
     for gva in check_pages:
-        assert _page_bytes(cached, cached_session, gva) == _page_bytes(
-            uncached, uncached_session, gva
+        assert _page_bytes(engine, engine_session, gva) == _page_bytes(
+            reference, reference_session, gva
         )
-    return cached, cached_session, cached_results
+    return engine, engine_session, engine_results
 
 
 class TestSeqEquivalence:
@@ -87,8 +91,7 @@ class TestSeqEquivalence:
             base = ctx.session.layout.dram_base + base_off
             values = [(i * 2654435761) & 0xFFFF_FFFF for i in range(count)]
             ctx.store_seq(base, values, size=size, stride=stride)
-            # Same shape twice more: the cached machine records on the
-            # first pass and replays on the later ones.
+            # The same shape twice more, now over hot TLB entries.
             first = ctx.load_seq(base, count, size=size, stride=stride)
             second = ctx.load_seq(base, count, size=size, stride=stride)
             third = ctx.load_seq(base, count, size=size, stride=stride)
@@ -97,9 +100,9 @@ class TestSeqEquivalence:
 
         step = size if stride is None else stride
         pages = {base_off + i * step for i in range(count)}
-        cached, session, results = _run_pair(
+        _engine, _session, results = _run_pair(
             workload,
-            repeats=3,  # cross-run repeats walk live again (TLB flushed between runs); only hit traces replay
+            repeats=3,  # cross-run repeats walk again (the TLB is flushed between runs)
             check_pages=[
                 0x8000_0000 + off for off in sorted(pages)[:8]
             ],
@@ -124,29 +127,29 @@ class TestSeqEquivalence:
 
     @pytest.mark.parametrize("padding", [1, 3, 17, 999, 65_521])
     def test_timer_tick_lands_mid_sequence(self, padding):
-        """A tick firing inside a replayed chunk must split it exactly."""
+        """A tick firing inside a hot sequence lands at the same access."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (32 << 20)
-            # Warm the pages and the trace.
+            # Warm the pages.
             warm = ctx.load_seq(base, 256, size=8, stride=PAGE_SIZE // 4)
             tick = ctx.machine.config.timer_tick_cycles
-            # Park just short of the next tick so it fires mid-replay.
+            # Park just short of the next tick so it fires mid-sequence.
             until = ctx.machine.clint.read_mtimecmp(ctx.session.hart.hart_id) - ctx.ledger.total
             ctx.compute(max(1, until - padding))
-            replay = ctx.load_seq(base, 256, size=8, stride=PAGE_SIZE // 4)
-            assert warm == replay
+            again = ctx.load_seq(base, 256, size=8, stride=PAGE_SIZE // 4)
+            assert warm == again
             return ctx.ledger.total
 
         _run_pair(workload)
 
     def test_store_seq_replay_with_fresh_values(self):
-        """Replays must write the *new* values, not the recorded run's."""
+        """A repeated store sequence writes the *new* values, not the first run's."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (40 << 20)
             ctx.store_seq(base, [0xAA] * 32, stride=PAGE_SIZE)
-            ctx.store_seq(base, [0xBB] * 32, stride=PAGE_SIZE)  # replay, new values
+            ctx.store_seq(base, [0xBB] * 32, stride=PAGE_SIZE)  # all hits, new values
             return ctx.load_seq(base, 32, stride=PAGE_SIZE)
 
         _, _, results = _run_pair(
@@ -196,15 +199,15 @@ def test_one_engine_per_session():
 
 class TestInvalidation:
     def test_remap_invalidates_traces(self):
-        """A table mutation between replays must invalidate the trace."""
+        """A table mutation between repeats of a sequence is seen."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (56 << 20)
             ctx.store_seq(base, [7] * 16, stride=PAGE_SIZE)
             first = ctx.load_seq(base, 16, stride=PAGE_SIZE)
             # Balloon the pages back to the SM (unmaps + scrubs), then
-            # re-touch: the faults must remap fresh zeroed frames and the
-            # stale trace must not resurrect the old PAs.
+            # re-touch: the faults must remap fresh zeroed frames, not
+            # resurrect the old PAs.
             freed = ctx.reclaim_pages(base, 16)
             assert freed == 16
             second = ctx.load_seq(base, 16, stride=PAGE_SIZE)
@@ -215,21 +218,6 @@ class TestInvalidation:
         assert first == [7] * 16
         assert second == [0] * 16
 
-    def test_flush_between_replays(self):
-        """World-switch hfences between runs flip hit traces to miss runs."""
-
-        def workload(ctx):
-            base = ctx.session.layout.dram_base + (20 << 20)
-            out = ctx.load_seq(base, 48, stride=PAGE_SIZE)
-            out2 = ctx.load_seq(base, 48, stride=PAGE_SIZE)
-            assert out == out2
-            return out
-
-        # Each machine.run() exits and re-enters the CVM, flushing the
-        # TLB: run 1 records, later runs must revalidate structurally.
-        cached, _session, _results = _run_pair(workload, repeats=3)
-        assert len(cached._trace_cache) >= 1
-
     def test_map_generation_bump_forces_revalidation(self):
         machine = Machine(MachineConfig())
         session = machine.launch_confidential_vm(image=IMAGE)
@@ -239,8 +227,7 @@ class TestInvalidation:
             return ctx.load_seq(base, 24, stride=PAGE_SIZE)
 
         first = machine.run(session, workload)["workload_result"]
-        # Any SM-side table mutation bumps the token; the stale trace must
-        # re-execute (and still produce identical values).
+        # Any SM-side table mutation bumps the token; it changes no value.
         machine.monitor.split.map_generation += 1
         second = machine.run(session, workload)["workload_result"]
         assert first == second
@@ -252,15 +239,26 @@ class TestInvalidation:
 
         costs = dataclasses.replace(DEFAULT_COSTS, tlb_hit=0.5)
         machine = Machine(MachineConfig(costs=costs))
-        assert machine._trace_cache is None
+        session = machine.launch_confidential_vm(image=IMAGE)
+        taken = []
+        reference = machine._reference_access
+
+        def counted(*args):
+            taken.append(args[1])
+            return reference(*args)
+
+        machine._reference_access = counted
+        base = session.layout.dram_base + (12 << 20)
+        machine.run(session, lambda ctx: (ctx.store(base, 1), ctx.load_seq(base, 2)))
+        assert taken == [base, base, base + 8]
 
 
 class TestHitProof:
-    """A hit trace is proven by the TLB alone, not by the map epoch."""
+    """A hot sequence, repeated around TLB changes, matches the reference path."""
 
     @staticmethod
     def _hot_then(between):
-        """Warm 8 pages, record their all-hit ``load_seq``, run ``between``,
+        """Warm 8 pages, run their all-hit ``load_seq``, run ``between``,
         then issue the same ``load_seq`` again; returns both results."""
 
         def workload(ctx):
@@ -274,61 +272,29 @@ class TestHitProof:
         return workload
 
     @staticmethod
-    def _count_live_runs(machine):
-        """Count the sequences ``machine`` executes live instead of replaying."""
-        runs = []
-        engine = machine._live_seq
-
-        def counted(*args, **kwargs):
-            runs.append(args[1])
-            return engine(*args, **kwargs)
-
-        machine._live_seq = counted
-        return runs
-
-    def _diffed(self, workload):
-        """``workload`` on a cached and a reference machine, diffed."""
+    def _diffed(workload):
+        """``workload`` on an engine and a reference machine, diffed."""
         outcomes = []
-        for trace_cache in (True, False):
-            machine = Machine(MachineConfig(trace_cache=trace_cache))
+        for reference in (False, True):
+            machine = make_machine(reference)
             session = machine.launch_confidential_vm(image=IMAGE)
-            runs = self._count_live_runs(machine)
             result = machine.run(session, workload)["workload_result"]
-            outcomes.append((machine, runs, result))
-        (cached, runs, result), (reference, _, reference_result) = outcomes
+            outcomes.append((machine, result))
+        (engine, result), (reference, reference_result) = outcomes
         assert result == reference_result
-        assert _fingerprint(cached) == _fingerprint(reference)
-        return cached, runs, result
-
-    def _run(self, between):
-        cached, runs, result = self._diffed(self._hot_then(between))
-        assert result[0] == result[1] == list(range(1, 9))
-        return cached, runs
-
-    def test_replays_across_a_map_epoch_bump(self):
-        def first_touch_elsewhere(ctx, base):
-            # The mem_churn shape: a first-touch fault maps a fresh page
-            # (bumping the SM's map epoch) while the hot entries stay.
-            epoch = ctx.machine.monitor.split.map_generation
-            ctx.store_seq(base + (1 << 20), [0xF00D])
-            assert ctx.machine.monitor.split.map_generation != epoch
-
-        cached, runs = self._run(first_touch_elsewhere)
-        # The two store_seqs and the recording load_seq ran live; the
-        # second load_seq replayed.
-        assert runs == ["S", "L", "S"]
-        assert len(cached._trace_cache) >= 1
+        assert _fingerprint(engine) == _fingerprint(reference)
+        return result
 
     def test_reexecutes_when_an_entry_was_flushed(self):
         def flush_one_page(ctx, base):
             ctx.machine.translator.sfence_page(ctx.session.vmid, base + 3 * PAGE_SIZE)
 
-        _cached, runs = self._run(flush_one_page)
-        assert runs == ["S", "L", "L"]
+        result = self._diffed(self._hot_then(flush_one_page))
+        assert result[0] == result[1] == list(range(1, 9))
 
     def test_a_straddle_and_a_miss_record_nothing(self):
         """A straddling access's two hits and a missing access's none add up
-        to one hit per access, yet neither access was one engine hit."""
+        to one hit per access, and the repeat charges the same again."""
 
         def workload(ctx):
             base = ctx.session.layout.dram_base + (44 << 20)
@@ -341,7 +307,5 @@ class TestHitProof:
             first_hits = tlb.hits - hits
             return first, first_hits, ctx.load_seq(*shape)
 
-        cached, runs, result = self._diffed(workload)
+        result = self._diffed(workload)
         assert result == ([2 << 32, 0], 2, [2 << 32, 0])
-        assert runs == ["S", "L", "L"]
-        assert len(cached._trace_cache) == 0

@@ -3,8 +3,8 @@
 A default machine runs every guest access through the one engine
 (``Machine._build_engine``): ``load``/``store``/``read_bytes``/
 ``write_bytes`` make one engine call per access, and ``load_seq``/
-``store_seq``/``touch_seq`` loop over it behind the trace cache
-(``Machine.run_seq``).  A ``trace_cache=False`` machine runs the same
+``store_seq``/``touch_seq`` loop over it (``Machine.run_seq``).  A
+reference machine (``make_machine(reference=True)``) runs the same
 calls one access at a time through the reference path
 (``Machine.guest_access`` plus the data move).  The state machines below
 (``SingleAccessDiff``, one access per call, and ``AccessDiff``, which
@@ -38,12 +38,12 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from repro import Machine, MachineConfig
 from repro.machine import GuestContext
 from repro.mem.pagetable import PTE_W
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import GpaLayout
 from repro.trace import Tracer
+from tests.conftest import make_machine
 
 #: Both kinds of VM boot with the default GPA layout.
 LAYOUT = GpaLayout()
@@ -64,7 +64,7 @@ FRESH = DRAM + (40 << 20)
 #: The small-block variant's secure block size.
 SMALL_BLOCK = 4 * PAGE_SIZE
 #: Strided shapes ``(gva0, size, stride, count)``, few enough that the
-#: same shape recurs -- and replays -- within one run.
+#: same shape recurs within one run.
 STRIDED = [
     (PRIVATE, 8, PAGE_SIZE, 4),  # one aligned word per private page
     (PRIVATE + 8, 8, 8, 6),  # dense words in one page
@@ -104,8 +104,8 @@ def _leaf_slot(machine, root: int, gpa: int) -> int:
 class _Side:
     """One machine of the pair, with its session entered."""
 
-    def __init__(self, kind: str, trace_cache: bool, **config):
-        machine = Machine(MachineConfig(trace_cache=trace_cache, **config))
+    def __init__(self, kind: str, reference: bool, **config):
+        machine = make_machine(reference, **config)
         self.machine = machine
         if kind == "cvm":
             session = machine.launch_confidential_vm(image=IMAGE)
@@ -194,10 +194,8 @@ class SingleAccessDiff(RuleBasedStateMachine):
         if small_blocks:
             config = {"secure_block_size": SMALL_BLOCK, "initial_pool_bytes": 16 * SMALL_BLOCK}
         self.sides = tuple(
-            _Side(kind, trace_cache=trace_cache, **config) for trace_cache in (True, False)
+            _Side(kind, reference=reference, **config) for reference in (False, True)
         )
-        assert self.sides[0].machine._trace_cache is not None
-        assert self.sides[1].machine._trace_cache is None
         # The engine side runs traced: recording must change nothing the
         # fingerprints compare.
         self.tracer = Tracer(self.sides[0].machine)

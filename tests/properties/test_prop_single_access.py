@@ -1,7 +1,7 @@
 """Differential test of one-access-per-call guest accesses.
 
 Runs ``SingleAccessDiff`` from ``test_prop_seq_access.py`` alone: a
-default machine and a ``trace_cache=False`` machine in lockstep over
+default machine and a reference machine in lockstep over
 ``load``/``store``/``read_bytes``/``write_bytes`` and the steps between
 accesses (timer-tick padding, ``sfence``, reclaim and retouch, one
 ``store`` per fresh page), with no sequence calls.  The merged machine

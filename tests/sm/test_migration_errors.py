@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from repro import Machine, MachineConfig, SecurityViolation
+from repro.isa.hart import GPR_NAMES
 from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import CvmState
 from repro.sm.migration import (
@@ -24,6 +25,7 @@ from repro.sm.migration import (
     import_cvm,
 )
 from repro.sm.secmem import OWNER_FREE, OWNER_SM
+from repro.sm.vcpu import GUEST_CSRS
 
 KEY = derive_migration_key(b"test-fleet", b"src-nonce", b"dst-nonce")
 
@@ -50,7 +52,11 @@ def _good_header(page_count: int = 0) -> dict:
         },
         "measurement": "ab" * 32,
         "rtmrs": [],
-        "vcpus": [{"gprs": {}, "csrs": {}, "pc": 0x8000_0000}],
+        "vcpus": [{
+            "gprs": dict.fromkeys(GPR_NAMES, 0),
+            "csrs": dict.fromkeys(GUEST_CSRS, 0),
+            "pc": 0x8000_0000,
+        }],
         "page_count": page_count,
     }
 
@@ -237,9 +243,11 @@ class TestFraming:
         (_set(("vcpus",), {"gprs": {}}), "vcpus must be a list"),
         (_set(("vcpus",), [{}]), "vCPU must have exactly"),
         (_set(("vcpus", 0, "gprs"), [1, 2]), "vCPU state malformed"),
-        (_set(("vcpus", 0, "gprs"), {"x99": 1}), "vCPU state malformed"),
-        (_set(("vcpus", 0, "csrs"), {"vsatp": "0"}), "vCPU state malformed"),
+        (_set(("vcpus", 0, "gprs", "x99"), 1), "vCPU state malformed"),
+        (_set(("vcpus", 0, "csrs", "vsatp"), "0"), "vCPU state malformed"),
         (_set(("vcpus", 0, "pc"), None), "vCPU state malformed"),
+        (_drop(("vcpus", 0, "gprs", "s5")), "vCPU state malformed"),
+        (_drop(("vcpus", 0, "csrs", "vsatp")), "vCPU state malformed"),
         (_set(("measurement",), "zz"), "measurement is not hex"),
         (_set(("measurement",), 7), "measurement is not hex"),
         (_set(("rtmrs",), ["zz"]), "rtmrs must be a list of hex"),
@@ -248,7 +256,7 @@ class TestFraming:
         "layout-unknown-field", "layout-missing-field", "layout-str-field",
         "layout-misaligned", "vcpus-not-list", "vcpu-empty", "vcpu-gprs-list",
         "vcpu-unknown-gpr", "vcpu-csr-str", "vcpu-pc-null",
-        "measurement-not-hex", "measurement-int", "rtmr-not-hex",
+        "vcpu-missing-gpr", "vcpu-missing-csr", "measurement-not-hex", "measurement-int", "rtmr-not-hex",
     ])
     def test_malformed_field_is_a_typed_refusal(self, mutate, match):
         """Authenticated but ill-typed fields never unwind untyped."""
@@ -276,14 +284,28 @@ class TestFraming:
     def test_register_words_at_the_64_bit_bounds_are_imported(self):
         header = _good_header()
         top = (1 << 64) - 1
-        header["vcpus"][0] = {"gprs": {"a0": top, "s1": 0},
-                              "csrs": {"vsepc": top, "hvip": 0}, "pc": top}
+        state = header["vcpus"][0]
+        state["gprs"]["a0"] = state["csrs"]["vsepc"] = state["pc"] = top
         destination = Machine(MachineConfig())
         cvm_id = import_cvm(destination.monitor, _seal(_frame(header)), KEY)
         vcpu = destination.monitor.cvms[cvm_id].vcpu(0)
-        assert (vcpu.gprs, vcpu.csrs, vcpu.pc) == (
-            {"a0": top, "s1": 0}, {"vsepc": top, "hvip": 0}, top,
-        )
+        assert (vcpu.gprs, vcpu.csrs, vcpu.pc) == (state["gprs"], state["csrs"], top)
+        assert vcpu.gprs["a0"] == vcpu.csrs["vsepc"] == top
+
+    def test_a_host_value_in_s5_does_not_reach_vs_mode(self):
+        """Entry installs the imported register files over the hart's, so
+        a blob without ``s5`` would leave the host's ``s5`` to the guest:
+        import refuses it, and a full file's ``s5`` is what VS mode sees."""
+        destination = Machine(MachineConfig())
+        destination.hart.write_gpr("s5", 0x05EC_2E75)
+        header = _good_header()
+        del header["vcpus"][0]["gprs"]["s5"]
+        with pytest.raises(SecurityViolation, match="vCPU state malformed"):
+            destination.import_confidential_vm(_seal(_frame(header)), KEY)
+        header["vcpus"][0]["gprs"]["s5"] = 7
+        session = destination.import_confidential_vm(_seal(_frame(header)), KEY)
+        seen = destination.run(session, lambda ctx: ctx.session.hart.read_gpr("s5"))
+        assert seen["workload_result"] == 7
 
 
 class TestPartialImportCleanup:

@@ -1,5 +1,8 @@
 """End-to-end machine engine tests: guest execution, faults, MMIO, I/O."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import Machine, MachineConfig
@@ -251,3 +254,50 @@ class TestSessionManagement:
     def test_run_result_breakdown_covers_total(self, machine, cvm_session):
         result = machine.run(cvm_session, lambda ctx: ctx.compute(5000))
         assert sum(result["breakdown"].values()) == result["cycles"]
+
+
+def _run_everything_and_drop():
+    """Run a CVM and a normal VM, each over virtio-blk, and a channel
+    between two more CVMs; drop it all and return a weak reference to
+    the machine's DRAM."""
+    from repro.workloads.pingpong import pingpong_client, pingpong_server
+
+    machine = Machine(MachineConfig())
+    cvm = machine.launch_confidential_vm(image=b"dropped" * 64)
+    vm = machine.launch_normal_vm("dropped")
+    machine.attach_virtio_block(vm)
+    machine.attach_virtio_block(cvm, mmio_base=0x1000_4000, source_id=4)
+
+    def workload(ctx):
+        base = ctx.session.layout.dram_base + (4 << 20)
+        ctx.store_seq(base, list(range(8)), stride=PAGE_SIZE)
+        ctx.load(base + PAGE_SIZE - 4)  # a page-straddling access
+        ctx.blk_driver().write(0, b"block" * 100)
+        return ctx.blk_driver().read(0, 500)
+
+    for session in (cvm, vm):
+        assert machine.run(session, workload)["workload_result"] == b"block" * 100
+    server = machine.launch_confidential_vm(image=b"dropped" * 64)
+    client = machine.launch_confidential_vm(image=b"dropped" * 64)
+    box: dict = {}
+    meas = server.cvm.measurement
+    results = machine.run_concurrent([
+        (server, pingpong_server(rounds=2, expected_peer_measurement=meas, channel_box=box)),
+        (client, pingpong_client(box, message_size=64, rounds=2,
+                                 expected_creator_measurement=meas)),
+    ])
+    assert results[client]["rounds"] == 2
+    return weakref.ref(machine.dram)
+
+
+class TestTeardown:
+    def test_a_dropped_machine_frees_its_dram(self):
+        """Reference counting alone frees a dropped machine's DRAM: no
+        reference cycle holds it until the cycle collector runs."""
+        gc.collect()
+        gc.disable()
+        try:
+            dram = _run_everything_and_drop()
+            assert dram() is None
+        finally:
+            gc.enable()
