@@ -17,16 +17,20 @@ start and end snapshots.  None of this changes what is charged -- the
 cycle model is identical.
 
 The ledger also carries the machine's one event sink,
-:attr:`CycleLedger.events` (``None`` unless a :class:`repro.trace.Tracer`
-is attached).  Every component already holds the ledger, so the charge
-points that matter -- world switches, stage-2 faults, ECALLs -- record
-into it with an inline ``if events is not None``; with no sink attached
-nothing else runs.
+:attr:`CycleLedger.events`: ``None`` unless a :class:`repro.trace.Tracer`
+or a :class:`repro.faults.FaultInjector` is attached through
+:meth:`CycleLedger.attach`.  Every component already holds the ledger, so
+the charge points that matter -- world switches, the hypervisor's reply,
+stage-2 faults, ECALLs and the SM's two upcalls into the hypervisor --
+record into it with an inline ``if events is not None``; with no sink
+attached nothing else runs.
 """
 
 from __future__ import annotations
 
 import enum
+
+from repro.errors import ConfigurationError
 
 
 class Category(enum.Enum):
@@ -73,6 +77,17 @@ class CycleLedger:
         #: included), preserving ``by_category``'s historical contract of
         #: listing every category that has been touched.
         self._charged_mask = 0
+
+    def attach(self, sink) -> None:
+        """Make ``sink`` the event sink; a machine has one at a time."""
+        if self.events is not None:
+            raise ConfigurationError("this machine already has an event sink attached")
+        self.events = sink
+
+    def detach(self, sink) -> None:
+        """Remove ``sink`` if it is the attached one."""
+        if self.events is sink:
+            self.events = None
 
     @property
     def total(self) -> int:

@@ -4,10 +4,11 @@ The paper's threat model (PAPER section III) assumes the hypervisor is
 *actively malicious on every interface* -- not merely buggy.  This
 package turns that assumption into a repeatable campaign: a
 :class:`FaultPlan` is derived from an integer seed, a
-:class:`FaultInjector` applies it by wrapping the existing SM /
-hypervisor / IPC seams (the same non-invasive method-wrapping pattern
-:mod:`repro.trace` uses), and after every injected event a
-post-condition checker re-asserts the design's security invariants.
+:class:`FaultInjector` applies it as the machine's event sink (the slot
+a :class:`repro.trace.Tracer` uses), perturbing the machine at the
+events it records where the SM meets the hypervisor, and after every
+injected event a post-condition checker re-asserts the design's
+security invariants.
 
 A fault is *contained* when it surfaces as a typed
 :class:`~repro.errors.ReproError` (the SM refusing a corrupt reply, a

@@ -1,9 +1,10 @@
 """The fault campaign: a hostile run per seed, judged on containment.
 
-Each seed builds a fresh machine with a deliberately small secure pool
-(so stage-3 expansions happen), launches three CVMs -- a channel
-ping-pong server/client pair plus a page-stress guest that forces pool
-pressure -- derives the seed's :class:`FaultPlan`, attaches the
+Each seed builds a fresh machine with a small secure pool (2 MiB, which
+the scenario's 160 stress pages and one channel window do not exhaust:
+no stage-3 expansion happens, so the ``expand`` seam never fires here),
+launches three CVMs -- a channel ping-pong server/client pair plus a
+page-stress guest -- derives the seed's :class:`FaultPlan`, attaches the
 injector, and drives everything through
 :meth:`Machine.run_concurrent(..., on_error="contain")`.
 

@@ -1,33 +1,33 @@
 """Applies a :class:`~repro.faults.plan.FaultPlan` to a live machine.
 
-Hooks the same seams the tracer does -- non-invasive method wrapping
-with an ``_unhook`` list, attachable to any built machine without a
-rebuild -- and perturbs them when their seam counter reaches a planned
-event's trigger:
+The injector is the machine's event sink (the slot a
+:class:`~repro.trace.Tracer` uses), so it attaches to any built machine
+and replaces no method.  Each seam counts one kind of recorded event;
+when a seam's count reaches a planned event's trigger it perturbs:
 
-- ``enter`` (``WorldSwitch.enter_cvm`` with a pending exit context):
+- ``enter`` (``cvm_reply``, an entry carrying the hypervisor's reply):
   overwrite a shared-vCPU field *before* Check-after-Load reads it;
-- ``notify`` (``ChannelManager.notify``): drop or duplicate the doorbell
-  wakeup, clear the injected VSEI, flip window bytes, poison a length
-  prefix, tear a ring counter;
-- ``expand`` (``Hypervisor.on_pool_expand_request``): donate nothing, or
-  a single block instead of the configured chunk;
-- ``timer`` (``Machine.check_timer``): inject a spurious timer
-  exit/entry cycle.
+- ``notify`` (``doorbell``, the SM's wakeup upcall): drop (decline) or
+  duplicate the wakeup, clear the injected VSEI, flip window bytes,
+  poison a length prefix, tear a ring counter;
+- ``expand`` (``pool_expand``, the SM's stage-3 upcall): donate nothing,
+  or a single block instead of the configured chunk, declining the
+  hypervisor's own donation;
+- ``timer`` (``fault`` with path ``sm``, which both access paths record
+  alike): inject a spurious timer exit/entry cycle.
 
 After every injected event the injector runs
 :func:`~repro.faults.invariants.check_postconditions` at the next point
-where the machine's world state is consistent (immediately for most
-seams; at the following CVM exit for a successful corrupted entry) and
-accumulates any violations.  Injection uses **no randomness**: every
-parameter was drawn at plan time, preserving seed determinism.
+where the machine's world state is consistent (immediately, and again
+at the next ``cvm_exit`` for a corrupted entry) and accumulates any
+violations.  Injection uses **no randomness**: every parameter was
+drawn at plan time, preserving seed determinism.
 """
 
 from __future__ import annotations
 
 from repro.faults.invariants import check_postconditions
 from repro.faults.plan import FaultPlan
-from repro.hyp.vm import VmKind
 from repro.ipc.ring import HEADER_SIZE
 from repro.sm.channel import DOORBELL_IRQ_BIT, ChannelState
 from repro.sm.secmem import SECURE_BLOCK_SIZE
@@ -38,7 +38,11 @@ POISON_LENGTH = 0x00FF_FFFF_FFFF
 
 
 class FaultInjector:
-    """Installs a plan's hooks; records injections and violations."""
+    """The event sink that applies a plan; records injections and violations.
+
+    Attaching one while another sink (a tracer) is attached raises
+    :class:`~repro.errors.ConfigurationError`.
+    """
 
     def __init__(self, machine, plan: FaultPlan):
         self.machine = machine
@@ -56,8 +60,7 @@ class FaultInjector:
         #: Sites whose post-check is deferred to the next safe point
         #: (the following CVM exit).
         self._deferred_checks: list[str] = []
-        self._unhook: list = []
-        self._attach()
+        machine.ledger.attach(self)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -141,161 +144,105 @@ class FaultInjector:
         dram.write_u64(base, torn)
         self._record(event, before=prod, after=torn)
 
-    # -- hooks -------------------------------------------------------------
+    # -- seams: the machine's events -----------------------------------------
 
-    def _attach(self) -> None:
-        machine = self.machine
-        ws = machine.monitor.world_switch
-        manager = machine.monitor.channels
-        hypervisor = machine.hypervisor
+    def record(self, kind: str, **detail):
+        """The event sink: drive the seam of ``kind``, if it has one; a
+        truthy return declines a ``doorbell`` or ``pool_expand`` upcall."""
+        seam = self._SEAMS.get(kind)
+        return None if seam is None else seam(self, **detail)
 
-        # --- enter seam: corrupt shared-vCPU fields pre-validation -------
-        original_enter = ws.enter_cvm
+    def _on_exit(self, **_detail) -> None:
+        if self._deferred_checks:
+            pending, self._deferred_checks = self._deferred_checks, []
+            for site in pending:
+                self._postcheck(site)
 
-        def faulted_enter(hart, cvm, vcpu):
-            if vcpu.exit_context is None:
-                return original_enter(hart, cvm, vcpu)
-            due = self._due("enter")
-            for event in due:
-                if event.site == "vcpu_corrupt":
-                    field, value = event.params
-                    cvm.shared_vcpus[vcpu.vcpu_id].sm_write(field, value)
-                    self._record(event, cvm=cvm.cvm_id, field=field)
-                    # The machine is consistent right now (pool closed,
-                    # pre-entry); a successful entry ends inside the
-                    # guest, so the post-entry sweep waits for the exit.
-                    self._postcheck(event.site)
-                    self._deferred_checks.append(event.site)
-            try:
-                return original_enter(hart, cvm, vcpu)
-            except Exception:
-                if due:
-                    # Entry refused: the world state is back to pre-entry
-                    # (pool closed) and may be swept immediately.
-                    self._deferred_checks.clear()
-                    self._postcheck("vcpu_corrupt(refused)")
-                raise
+    def _on_reply(self, cvm, vcpu, **_detail) -> None:
+        for event in self._due("enter"):
+            field, value = event.params
+            self.machine.monitor.cvms[cvm].shared_vcpus[vcpu].sm_write(field, value)
+            self._record(event, cvm=cvm, field=field)
+            # The pool is still closed: sweep now, and again at the next
+            # exit (the entry, if accepted, ends inside the guest).
+            self._postcheck(event.site)
+            self._deferred_checks.append(event.site)
 
-        ws.enter_cvm = faulted_enter
-        self._unhook.append(lambda: setattr(ws, "enter_cvm", original_enter))
+    def _on_doorbell(self, channel, cvm, peer) -> bool:
+        due = self._due("notify")
+        for event in due:
+            if event.site == "doorbell_drop":
+                self._record(event, channel=channel)
+            elif event.site == "doorbell_dup":
+                self.machine.hypervisor.on_channel_doorbell(peer)
+                self._record(event, channel=channel, peer=peer)
+            elif event.site == "vsei_drop":
+                vcpu = self.machine.monitor.cvms[peer].vcpus[0]
+                vcpu.csrs["hvip"] &= ~DOORBELL_IRQ_BIT
+                self._record(event, channel=channel, peer=peer)
+            elif event.site == "window_flip":
+                self._flip_window_byte(event)
+            elif event.site == "window_length":
+                self._poison_length_prefix(event)
+            elif event.site == "ring_tear":
+                self._tear_ring_counter(event)
+        if due:
+            self._postcheck("/".join(e.site for e in due))
+        return any(e.site == "doorbell_drop" for e in due)
 
-        # --- exit flushes deferred post-checks ---------------------------
-        original_exit = ws.exit_to_normal
-
-        def checked_exit(hart, cvm, vcpu, exit_info):
-            result = original_exit(hart, cvm, vcpu, exit_info)
-            if self._deferred_checks:
-                pending, self._deferred_checks = self._deferred_checks, []
-                for site in pending:
-                    self._postcheck(site)
-            return result
-
-        ws.exit_to_normal = checked_exit
-        self._unhook.append(lambda: setattr(ws, "exit_to_normal", original_exit))
-
-        # --- notify seam: doorbell / VSEI / window / ring faults ----------
-        original_notify = manager.notify
-
-        def faulted_notify(cvm, channel_id):
-            due = self._due("notify")
-            drop = any(e.site == "doorbell_drop" for e in due)
-            saved_wake = hypervisor.on_channel_doorbell
-            if drop:
-                hypervisor.on_channel_doorbell = lambda cvm_id: None
-            try:
-                result = original_notify(cvm, channel_id)
-            finally:
-                if drop:
-                    hypervisor.on_channel_doorbell = saved_wake
-            peer_id = None
-            channel = manager.channels.get(channel_id)
-            if channel is not None and len(channel.gpas) == 2:
-                peer_id = channel.other_end(cvm.cvm_id)
-            for event in due:
-                if event.site == "doorbell_drop":
-                    self._record(event, channel=channel_id)
-                elif event.site == "doorbell_dup" and peer_id is not None:
-                    hypervisor.on_channel_doorbell(peer_id)
-                    self._record(event, channel=channel_id, peer=peer_id)
-                elif event.site == "vsei_drop" and peer_id is not None:
-                    peer = self.machine.monitor.cvms[peer_id]
-                    peer.vcpus[0].csrs["hvip"] &= ~DOORBELL_IRQ_BIT
-                    self._record(event, channel=channel_id, peer=peer_id)
-                elif event.site == "window_flip":
-                    self._flip_window_byte(event)
-                elif event.site == "window_length":
-                    self._poison_length_prefix(event)
-                elif event.site == "ring_tear":
-                    self._tear_ring_counter(event)
-            if due:
-                self._postcheck("/".join(e.site for e in due))
-            return result
-
-        manager.notify = faulted_notify
-        self._unhook.append(lambda: setattr(manager, "notify", original_notify))
-
-        # --- expand seam: failed / short stage-3 donations ----------------
-        original_expand = hypervisor.on_pool_expand_request
-
-        def faulted_expand(monitor):
-            due = self._due("expand")
-            fail = any(e.site == "expand_fail" for e in due)
-            short = any(e.site == "expand_short" for e in due)
-            if fail:
-                for event in due:
-                    if event.site == "expand_fail":
-                        self._record(event)
-                self._postcheck("expand_fail")
-                return  # the hypervisor "forgets" to donate anything
-            if short:
-                saved_chunk = hypervisor.expand_chunk
+    def _on_pool_expand(self) -> bool:
+        due = self._due("expand")
+        for site in ("expand_fail", "expand_short"):
+            hits = [e for e in due if e.site == site]
+            if not hits:
+                continue
+            if site == "expand_short":
+                hypervisor = self.machine.hypervisor
+                chunk = hypervisor.expand_chunk
                 hypervisor.expand_chunk = SECURE_BLOCK_SIZE
                 try:
-                    original_expand(monitor)
+                    hypervisor.on_pool_expand_request(self.machine.monitor)
                 finally:
-                    hypervisor.expand_chunk = saved_chunk
-                for event in due:
-                    if event.site == "expand_short":
-                        self._record(event)
-                self._postcheck("expand_short")
-                return
-            original_expand(monitor)
+                    hypervisor.expand_chunk = chunk
+            for event in hits:
+                self._record(event)
+            self._postcheck(site)
+            return True
+        return False
 
-        hypervisor.on_pool_expand_request = faulted_expand
-        self._unhook.append(
-            lambda: setattr(hypervisor, "on_pool_expand_request", original_expand)
-        )
+    def _on_fault(self, path, **_detail) -> None:
+        if path != "sm":
+            return
+        due = self._due("timer")
+        if not due:
+            return
+        machine = self.machine
+        session = machine._active_session
+        ws = machine.monitor.world_switch
+        vcpu = session.cvm.vcpu(session.vcpu_id)
+        ws.exit_to_normal(session.hart, session.cvm, vcpu, {"kind": "timer", "cause": 7})
+        machine.hypervisor.sched_tick()
+        ws.enter_cvm(session.hart, session.cvm, vcpu)
+        machine._collect_injected_irqs(session)
+        for event in due:
+            self._record(event, cvm=session.cvm.cvm_id)
+        self._postcheck("timer_spurious")
 
-        # --- timer seam: spurious timer exits -----------------------------
-        original_timer = machine.check_timer
-
-        def faulted_timer(session):
-            due = self._due("timer")
-            spurious = [e for e in due if e.site == "timer_spurious"]
-            if spurious and session.kind is VmKind.CONFIDENTIAL and session.active:
-                vcpu = session.cvm.vcpu(session.vcpu_id)
-                ws.exit_to_normal(
-                    session.hart, session.cvm, vcpu,
-                    {"kind": "timer", "cause": 7},
-                )
-                hypervisor.sched_tick()
-                ws.enter_cvm(session.hart, session.cvm, vcpu)
-                machine._collect_injected_irqs(session)
-                for event in spurious:
-                    self._record(event, cvm=session.cvm.cvm_id)
-                self._postcheck("timer_spurious")
-            return original_timer(session)
-
-        machine.check_timer = faulted_timer
-        self._unhook.append(lambda: setattr(machine, "check_timer", original_timer))
+    #: Event kind -> handler: plain functions at class level, since bound
+    #: methods kept on the injector would form a reference cycle.
+    _SEAMS = {
+        "cvm_exit": _on_exit,
+        "cvm_reply": _on_reply,
+        "doorbell": _on_doorbell,
+        "pool_expand": _on_pool_expand,
+        "fault": _on_fault,
+    }
 
     # -- lifecycle ---------------------------------------------------------
 
     def detach(self) -> None:
-        """Remove every hook (records stay available)."""
-        for undo in self._unhook:
-            undo()
-        self._unhook.clear()
+        """Stop injecting (records stay available)."""
+        self.machine.ledger.detach(self)
 
     def __enter__(self):
         return self

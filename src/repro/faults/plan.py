@@ -10,9 +10,10 @@ failure the campaign finds.
 Each :class:`FaultEvent` names a *site* (the fault class), the 1-based
 *occurrence* of its underlying seam at which it fires, and a tuple of
 site-specific parameters.  Several sites share one seam (every channel
-fault triggers on the Nth doorbell ECALL, both expansion faults on the
-Nth pool-expand request); the injector keys its occurrence counters by
-seam, so events on sibling sites compose predictably.
+fault triggers on the Nth doorbell the SM passes to the hypervisor, both
+expansion faults on the Nth pool-expand request); the injector keys its
+occurrence counters by seam, so events on sibling sites compose
+predictably.
 """
 
 from __future__ import annotations

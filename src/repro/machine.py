@@ -816,24 +816,16 @@ class Machine:
                 # Invalid walk: a stage-2 guest page fault.
                 if not fault_in_place(hart, op & 1):
                     return reference(gva, op, size, value)
-                session = session_ref()
-                if not faults:
-                    # The reference path calls check_timer once per access,
-                    # before its first walk; a faulting access does too, so
-                    # a hook on it (the fault injector's timer seam) counts
-                    # the same occurrences.  The compare above has already
-                    # fired any due tick, and a tick leaves the tables alone.
-                    machine.check_timer(session)
                 tlb.misses += 1
                 ledger._total += walk
                 counts[walk_index] += walk
                 ledger._charged_mask |= walk_bit
-                # Only the timer check ran since the probe: the fault
-                # handler takes its walk.
+                # Nothing ran since the probe: the fault handler takes
+                # its walk.
                 if inside:
-                    machine._sm_fault(session, gva, probed)
+                    machine._sm_fault(session_ref(), gva, probed)
                 else:
-                    machine._kvm_demand_map(session, gva, probed)
+                    machine._kvm_demand_map(session_ref(), gva, probed)
                 # Retry: the reference path performs no timer check
                 # between a fault fix and its retry.
                 faults += 1

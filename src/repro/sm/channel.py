@@ -166,7 +166,7 @@ class ChannelManager:
         """One secure block for the window, expanding the pool if needed."""
         block = self.monitor.pool.alloc_block(owner=owner)
         if block is None and self.monitor.hypervisor is not None:
-            self.monitor.hypervisor.on_pool_expand_request(self.monitor)
+            self.monitor.ask_host_for_pool_memory()
             block = self.monitor.pool.alloc_block(owner=owner)
         if block is None:
             raise EcallError("secure pool exhausted; no space for a channel")
@@ -290,7 +290,11 @@ class ChannelManager:
                 Category.TLB, monitor.costs.ipi_shootdown_cost
             )
             monitor.clint.clear_ipi(0)
-        if monitor.hypervisor is not None:
+        # The SM's upcall, which an event sink may decline.
+        events = monitor.ledger.events
+        if monitor.hypervisor is not None and (events is None or not events.record(
+            "doorbell", channel=channel_id, cvm=cvm.cvm_id, peer=peer_id
+        )):
             monitor.hypervisor.on_channel_doorbell(peer_id)
         return channel.doorbells[peer_id]
 

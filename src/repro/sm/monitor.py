@@ -582,14 +582,19 @@ class SecureMonitor:
         """
         if self.hypervisor is None:
             raise PoolExhausted("secure pool exhausted and no hypervisor connected")
-        if hart is not None:
-            vcpu = cvm.vcpu(vcpu_id)
-            self.world_switch.exit_to_normal(
-                hart, cvm, vcpu, {"kind": "pool_expand", "cause": 0}
-            )
-            self.hypervisor.on_pool_expand_request(self)
-            self.world_switch.enter_cvm(hart, cvm, vcpu)
-        else:
+        if hart is None:
+            self.ask_host_for_pool_memory()
+            return
+        vcpu = cvm.vcpu(vcpu_id)
+        self.world_switch.exit_to_normal(hart, cvm, vcpu, {"kind": "pool_expand", "cause": 0})
+        self.ask_host_for_pool_memory()
+        self.world_switch.enter_cvm(hart, cvm, vcpu)
+
+    def ask_host_for_pool_memory(self) -> None:
+        """The SM's upcall for stage-3 memory, which an untrusted host may
+        ignore -- so an event sink may decline it; callers re-check."""
+        events = self.ledger.events
+        if events is None or not events.record("pool_expand"):
             self.hypervisor.on_pool_expand_request(self)
 
     def _alloc_table_page(self) -> int:

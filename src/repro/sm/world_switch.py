@@ -226,6 +226,9 @@ class WorldSwitch:
         shared = cvm.shared_vcpus[vcpu.vcpu_id]
         reply: dict = {}
         if vcpu.exit_context is not None:
+            events = self.ledger.events
+            if events is not None:
+                events.record("cvm_reply", cvm=cvm.cvm_id, vcpu=vcpu.vcpu_id, hart=hart.hart_id)
             try:
                 if self.use_shared_vcpu:
                     reply = self.check_after_load.validate_reply(vcpu, shared)

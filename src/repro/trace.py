@@ -1,25 +1,37 @@
 """Event tracing: a cycle-timestamped log of architectural events.
 
-A :class:`Tracer` is the machine's event sink.  Constructing one attaches
-it to ``machine.ledger.events``; from then on the charge points record
-into it -- world switches (``cvm_exit``/``cvm_enter``, at the end of the
-switch), stage-2 faults (``fault``: path, allocation stage and cycles)
-and ECALLs (``ecall``: the ``ecall_*`` method, before its charge) -- each
-with the ledger timestamp at which it happened.  Useful for debugging
-workload behaviour ("why did this exit happen at cycle 2,401,733?"), for
-tests that assert event *ordering* rather than just counts, and for the
-per-fault samples of the E3 and ablation benches.
+A :class:`Tracer` is an event sink.  Constructing one attaches it to the
+machine's ledger (:meth:`CycleLedger.attach`: one sink at a time); from
+then on the machine records into it, each event with the ledger
+timestamp at which it happened:
 
-Recording never charges and runs no other code path: an attached tracer
-changes nothing the machine computes, and with none attached each charge
-point pays one ``is not None`` test.
+- ``cvm_exit`` / ``cvm_enter``: a world switch, at its end;
+- ``cvm_reply``: an entry that carries the hypervisor's reply to an
+  exit, after the entry's trap and before Check-after-Load reads the
+  shared vCPU;
+- ``fault``: a stage-2 fault's fix (path ``sm`` or ``kvm``, allocation
+  stage and cycles);
+- ``ecall``: the ``ecall_*`` method, before its charge;
+- ``doorbell`` / ``pool_expand``: the SM's only two upcalls into the
+  hypervisor (a channel doorbell's wakeup, a request for stage-3 pool
+  memory), before the hypervisor runs.
+
+Useful for debugging workload behaviour ("why did this exit happen at
+cycle 2,401,733?"), for tests that assert event *ordering* rather than
+just counts, and for the per-fault samples of the E3 and ablation
+benches.
+
+The hypervisor is untrusted and may ignore any request, so a sink may
+decline the two upcalls -- and only those -- by returning a truthy value
+from ``record`` (the fault injector does).  A tracer returns ``None``:
+recording never charges and runs no other code path, so an attached
+tracer changes nothing the machine computes, and with none attached each
+charge point pays one ``is not None`` test.
 """
 
 from __future__ import annotations
 
 import dataclasses
-
-from repro.errors import ConfigurationError
 
 
 @dataclasses.dataclass(frozen=True)
@@ -27,7 +39,7 @@ class TraceEvent:
     """One recorded event."""
 
     cycle: int
-    kind: str  # "cvm_exit", "cvm_enter", "fault" or "ecall"
+    kind: str  # one of the kinds the module docstring lists
     detail: dict
 
     def __repr__(self):
@@ -38,21 +50,18 @@ class TraceEvent:
 class Tracer:
     """Records machine events until detached or the limit is reached.
 
-    A machine has one sink: attaching a second tracer while one is
-    attached raises :class:`ConfigurationError`.
+    A machine has one sink: attaching a tracer while any sink is
+    attached raises :class:`~repro.errors.ConfigurationError`.
     """
 
     def __init__(self, machine, limit: int = 100_000):
-        ledger = machine.ledger
-        if ledger.events is not None:
-            raise ConfigurationError("this machine already has an event sink attached")
+        machine.ledger.attach(self)
         self.machine = machine
         self.limit = limit
         self.events: list[TraceEvent] = []
         #: Events discarded after the limit was reached -- a non-zero
         #: value means the timeline is a prefix, not the whole run.
         self.dropped = 0
-        ledger.events = self
 
     # -- recording ----------------------------------------------------------
 
@@ -67,9 +76,7 @@ class Tracer:
 
     def detach(self) -> None:
         """Stop recording (events stay available)."""
-        ledger = self.machine.ledger
-        if ledger.events is self:
-            ledger.events = None
+        self.machine.ledger.detach(self)
 
     def __enter__(self):
         return self

@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.errors import SecurityViolation
+from repro.errors import ConfigurationError, SecurityViolation
 from repro.faults.campaign import page_stress, tolerant_client, tolerant_server
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.machine import Machine, MachineConfig
 from repro.sm.alloc import PoolExhausted
+from repro.trace import Tracer
 
 IMAGE = b"forced-fault-guest" * 60
 
@@ -143,28 +144,26 @@ class TestTimerFaults:
 
 
 class TestLifecycle:
-    def test_detach_restores_every_seam(self):
+    def test_detach_clears_the_sink_for_a_tracer(self):
         machine = Machine(MachineConfig())
-        ws = machine.monitor.world_switch
-        manager = machine.monitor.channels
-        originals = (
-            ws.enter_cvm,
-            ws.exit_to_normal,
-            manager.notify,
-            machine.hypervisor.on_pool_expand_request,
-            machine.check_timer,
-        )
-        with FaultInjector(machine, FaultPlan.single("doorbell_drop")):
-            assert ws.enter_cvm != originals[0]
-            assert ws.exit_to_normal != originals[1]
-            assert manager.notify != originals[2]
-            assert machine.check_timer != originals[4]
-        # Bound-method equality: same underlying function, same receiver.
-        assert ws.enter_cvm == originals[0]
-        assert ws.exit_to_normal == originals[1]
-        assert manager.notify == originals[2]
-        assert machine.hypervisor.on_pool_expand_request == originals[3]
-        assert machine.check_timer == originals[4]
+        with FaultInjector(machine, FaultPlan.single("doorbell_drop")) as injector:
+            assert machine.ledger.events is injector
+        assert machine.ledger.events is None
+        with Tracer(machine) as tracer:
+            assert machine.ledger.events is tracer
+        assert machine.ledger.events is None
+
+    def test_one_sink_at_a_time(self):
+        machine = Machine(MachineConfig())
+        plan = FaultPlan.single("doorbell_drop")
+        with FaultInjector(machine, plan) as injector:
+            with pytest.raises(ConfigurationError):
+                Tracer(machine)
+            assert machine.ledger.events is injector
+        with Tracer(machine) as tracer:
+            with pytest.raises(ConfigurationError):
+                FaultInjector(machine, plan)
+            assert machine.ledger.events is tracer
 
     def test_unknown_site_is_rejected_at_plan_time(self):
         from repro.faults.plan import _draw_event

@@ -6,9 +6,6 @@
   engine and reference machines agree on the cycles charged.
 - A fault handler that maps nothing ends the access after eight
   faults, in the engine as on the reference path.
-- A first touch calls ``Machine.check_timer`` once in the engine, as on
-  the reference path, so the fault injector's timer seam counts the
-  same occurrences.
 - A VM's first-touch faults are fixed inside the engine, from the
   batched calls and from the scalar and bulk calls alike, whether or not
   a ``Tracer`` is attached, and the tracer records what it records on the
@@ -65,31 +62,6 @@ def test_permission_fault_is_refused_without_allocating(kind, method):
         assert side.ctx.load(gpa) == 0x5EED  # the page kept its contents
     engine, reference = (side.machine.ledger.by_category() for side in sides)
     assert engine == reference
-
-
-@pytest.mark.parametrize("calls", ["batched", "scalar"])
-@pytest.mark.parametrize("kind", ["cvm", "normal"])
-def test_a_first_touch_checks_the_timer_once(kind, calls):
-    checks = []
-    for reference in (False, True):
-        side = _Side(kind, reference=reference)
-        machine = side.machine
-        seen: list = []
-
-        def counted(session, check_timer=machine.check_timer, seen=seen):
-            seen.append(session)
-            return check_timer(session)
-
-        machine.check_timer = counted
-        base = side.session.layout.dram_base + (40 << 20)
-        gvas = [base + page * PAGE_SIZE for page in range(10)]
-        if calls == "batched":
-            side.ctx.touch_seq(gvas)
-        else:
-            for gva in gvas:
-                side.ctx.touch(gva)
-        checks.append(len(seen))
-    assert checks == [10, 10]
 
 
 @pytest.mark.parametrize("method", ["load", "load_seq"])

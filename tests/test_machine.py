@@ -290,6 +290,37 @@ def _run_everything_and_drop():
     return weakref.ref(machine.dram)
 
 
+def _run_faulted_and_drop():
+    """Run a tolerant channel pair and a page-stress guest under a fault
+    injector with one event on each machine seam; drop it all and return
+    a weak reference to the machine's DRAM."""
+    from repro.faults.campaign import page_stress, tolerant_client, tolerant_server
+    from repro.faults.injector import FaultInjector
+    from repro.faults.plan import FaultEvent, FaultPlan
+
+    machine = Machine(MachineConfig(initial_pool_bytes=2 << 20, timer_tick_cycles=50_000))
+    machine.hypervisor.expand_chunk = 1 << 20
+    server, client, stress = (
+        machine.launch_confidential_vm(image=b"faulted" * 64) for _ in range(3)
+    )
+    box: dict = {}
+    meas = server.cvm.measurement
+    plan = FaultPlan(-1, (
+        FaultEvent("vcpu_corrupt", 1, ("htval", 0xDEAD)),
+        FaultEvent("doorbell_dup", 1),
+        FaultEvent("expand_short", 1),
+        FaultEvent("timer_spurious", 2),
+    ))
+    with FaultInjector(machine, plan) as injector:
+        machine.run_concurrent([
+            (server, tolerant_server(meas, 3, box)),
+            (client, tolerant_client(box, meas, 3)),
+            (stress, page_stress(pages=600)),
+        ], on_error="contain")
+    assert len(injector.applied) == len(plan)
+    return weakref.ref(machine.dram)
+
+
 class TestTeardown:
     def test_a_dropped_machine_frees_its_dram(self):
         """Reference counting alone frees a dropped machine's DRAM: no
@@ -298,6 +329,17 @@ class TestTeardown:
         gc.disable()
         try:
             dram = _run_everything_and_drop()
+            assert dram() is None
+        finally:
+            gc.enable()
+
+    def test_a_dropped_machine_frees_its_dram_after_fault_injection(self):
+        """A detached fault injector leaves nothing behind that holds the
+        machine: its DRAM is freed by reference counting alone."""
+        gc.collect()
+        gc.disable()
+        try:
+            dram = _run_faulted_and_drop()
             assert dram() is None
         finally:
             gc.enable()

@@ -297,4 +297,16 @@ def test_tracing_changes_nothing_the_machine_computes():
     functions = {event.detail["function"] for event in tracer.of_kind("ecall")}
     assert {"ecall_channel_create", "ecall_channel_connect", "ecall_channel_notify",
             "ecall_channel_close", "ecall_create_cvm", "ecall_finalize"} <= functions
-    assert {event.kind for event in tracer.events} == {"cvm_enter", "cvm_exit", "fault", "ecall"}
+
+    # Every exit but a halt is answered by an entry that carries the
+    # hypervisor's reply.
+    replies = sum(cvm.exit_count - cvm.exit_reasons.get("halt", 0) for cvm in cvms)
+    assert len(tracer.of_kind("cvm_reply")) == replies > 0
+    # The SM's two upcalls, each recorded once per call the host served.
+    channels = machine.monitor.channels.channels.values()
+    doorbells = sum(channel.notify_count for channel in channels)
+    assert len(tracer.of_kind("doorbell")) == doorbells == machine.hypervisor.doorbell_wakeups > 0
+    assert len(tracer.of_kind("pool_expand")) == machine.hypervisor.pool_expansions > 0
+    assert {event.kind for event in tracer.events} == {
+        "cvm_enter", "cvm_exit", "cvm_reply", "fault", "ecall", "doorbell", "pool_expand",
+    }
