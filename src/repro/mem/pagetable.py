@@ -17,6 +17,7 @@ alignment requirement.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from itertools import compress
 
 from repro.errors import MemoryError_
@@ -34,6 +35,8 @@ PTE_D = 1 << 7
 
 _PPN_SHIFT = 10
 _PPN_MASK = ((1 << 44) - 1) << _PPN_SHIFT
+#: The lowest PTE word with a bit above the PPN (reserved, PBMT, N).
+_ABOVE_PPN = 1 << 54
 
 #: PTE permission bit required for each access type.
 _REQUIRED_BIT = {
@@ -63,6 +66,19 @@ def pte_target(pte: int) -> int:
 def pte_is_leaf(pte: int) -> bool:
     """Whether the PTE is a leaf (any of R/W/X set)."""
     return bool(pte & (PTE_R | PTE_W | PTE_X))
+
+
+def _reaches(ordered: list, after: int, end: int) -> bool:
+    """Whether a sorted list of PTE words, none at or above bit 54, holds
+    a word whose PA lies in ``(after, end)``.
+
+    Such a word is ``ppn << 10 | flags``, so its PA lies in the window
+    exactly when the word lies in ``[(after // 4096 + 1) << 10,
+    ceil(end / 4096) << 10)``: two bisects decide it.
+    """
+    return bisect_left(ordered, -(-end // PAGE_SIZE) << _PPN_SHIFT) > bisect_left(
+        ordered, (after // PAGE_SIZE + 1) << _PPN_SHIFT
+    )
 
 
 class WalkResult:
@@ -301,9 +317,12 @@ class PageTable:
         whole span ``[pa, pa + span)`` overlaps one of ``regions``
         (``(base, size)`` pairs), under the root slots overlapping ``[lo, hi)``.
 
-        Each table page's leaves are tested against a region in one
-        comprehension, so leaves that miss every region cost no Python
-        call each; only overlapping leaves become tuples.
+        Each table page is screened first: when no word sets a bit above
+        the PPN, word order is PA order, so two bisects over the sorted
+        words show whether any word can reach a region at all.  Only a
+        table page the screen cannot clear tests its leaves against the
+        region in one comprehension, so leaves that miss every region cost
+        no Python call each; only overlapping leaves become tuples.
         """
         hits: set = set()
         self._overlapping(memory.read, root_pa, 0, 0, self._root_slots(lo, hi),
@@ -318,8 +337,15 @@ class PageTable:
         level = self.levels - 1 - depth
         ptes = words.unpack(read(table, words.size))
         in_range = ptes[slots.start : slots.stop]
+        # One C-speed sort per table page lets a region that no word can
+        # reach skip the per-PTE comprehension; a word with a bit above
+        # the PPN breaks the order ``_reaches`` relies on.
+        ordered = sorted(in_range)
+        screened = not ordered or ordered[-1] < _ABOVE_PPN
         for base, size in regions:
             after, end = base - span, base + size
+            if screened and not _reaches(ordered, after, end):
+                continue
             hits.update([
                 (va_prefix | index << shift, pa, pte & 0xFF, level)
                 for index in compress(slots, in_range)

@@ -10,11 +10,16 @@ production design would run attestation-based key agreement).  The
 untrusted hypervisors ferry the blob; they can neither read nor undetectably
 modify it.
 
-Crypto is stdlib-only: an HMAC-SHA256 keystream cipher (CTR construction)
-under a per-export nonce, with encrypt-then-MAC.  The construction is
+Crypto is stdlib-only: a SHAKE-256 keystream cipher (the XOF's output
+over an encryption subkey and a per-export nonce), with encrypt-then-MAC
+under HMAC-SHA256 and a separate MAC subkey.  The construction is
 standard; the primitive choice is a simulation stand-in for the AES-GCM a
-real SM would use.  A blob is ``ZIONMIG2 || nonce || ciphertext || tag``,
-and the tag covers ``nonce || ciphertext``.
+real SM would use.  A blob is ``ZIONMIG3 || nonce || ciphertext || tag``,
+and the tag covers ``nonce || ciphertext``.  ``ZIONMIG2`` blobs, whose
+keystream was HMAC-SHA256 in counter mode (one ``pbkdf2_hmac`` call), are
+refused as framing errors.  SHAKE-256 makes a stream in about a third
+of the host time: 0.25 -> 0.08 ms for a 23 KB blob (2-vCPU x86 VM,
+CPython 3.11).
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from repro.mem.physmem import PAGE_SIZE
 from repro.sm.cvm import CvmState, GpaLayout
 from repro.sm.vcpu import GUEST_CSRS
 
-_MAGIC = b"ZIONMIG2"
+_MAGIC = b"ZIONMIG3"
 _NONCE = struct.Struct("<Q")
 _TAG_SIZE = 32
 _LAYOUT_FIELDS = frozenset(field.name for field in dataclasses.fields(GpaLayout))
@@ -48,15 +53,16 @@ def derive_migration_key(fleet_secret: bytes, src_nonce: bytes, dst_nonce: bytes
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    # HMAC-SHA256 in counter mode: block i (from 1) is
-    # HMAC(enc_key, nonce || u32be(i)).  That is exactly PBKDF2-HMAC-SHA256
-    # with one iteration (RFC 8018 section 5.2, c = 1), so one C call
-    # produces the whole stream.  Nothing is cached across calls: a cache
-    # would hold key material.
-    if length == 0:
-        return b""
+    # SHAKE-256 over enc_key || nonce, read out to ``length`` bytes in one
+    # C call.  enc_key is 32 bytes and the nonce a fixed 8, so distinct
+    # (enc_key, nonce) pairs absorb distinct inputs.  It replaced
+    # HMAC-SHA256 in counter mode (PBKDF2 with one iteration), which costs
+    # three SHA-256 compressions per 32 output bytes: over 8 fleet_migrate
+    # rounds (seed 1, 2-vCPU x86 VM, CPython 3.11) this call went from
+    # 0.70-0.75 to 0.20-0.27 s of host time.  Nothing is cached across
+    # calls: a cache would hold key material.
     enc_key = hmac.digest(key, b"enc", "sha256")
-    return hashlib.pbkdf2_hmac("sha256", enc_key, nonce, 1, length)
+    return hashlib.shake_256(enc_key + nonce).digest(length)
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:

@@ -1,12 +1,13 @@
 """CVM migration between machines (extension; see repro.sm.migration)."""
 
+import hashlib
 import hmac
 import struct
 
 import pytest
 
 from repro import Machine, MachineConfig, SecurityViolation
-from repro.sm.migration import _MAGIC, _keystream, _xor, derive_migration_key
+from repro.sm.migration import _MAGIC, _keystream, _mac, _xor, derive_migration_key
 
 FLEET_SECRET = b"fleet-provisioning-secret"
 
@@ -28,6 +29,16 @@ def _seal_v1(plaintext: bytes, key: bytes) -> bytes:
     ciphertext = _xor(plaintext, stream)
     mac_key = hmac.digest(key, b"mac", "sha256")
     return b"ZIONMIG1" + ciphertext + hmac.digest(mac_key, ciphertext, "sha256")
+
+
+def _seal_v2(plaintext: bytes, key: bytes, nonce: bytes) -> bytes:
+    """The retired ZIONMIG2 seal: today's framing and tag, with blocks
+    HMAC(enc_key, nonce || u32be(i)) from 1 as the keystream (PBKDF2-HMAC-
+    SHA256 with one iteration)."""
+    enc_key = hmac.digest(key, b"enc", "sha256")
+    stream = hashlib.pbkdf2_hmac("sha256", enc_key, nonce, 1, len(plaintext))
+    ciphertext = _xor(plaintext, stream)
+    return b"ZIONMIG2" + nonce + ciphertext + _mac(key, nonce + ciphertext)
 
 
 @pytest.fixture
@@ -186,6 +197,25 @@ class TestBlobSecurity:
         for old in (_seal_v1(plaintext, key), b"ZIONMIG1" + blob[len(_MAGIC):]):
             with pytest.raises(SecurityViolation, match="framing"):
                 destination.import_confidential_vm(old, key)
+        assert _pool_state(destination) == before
+        assert not destination.monitor.cvms
+
+    def test_v2_format_blob_rejected_without_leak(self, source_pair, key):
+        """A ZIONMIG2 blob, correctly sealed with the retired PBKDF2
+        keystream under the right key, is refused as a framing error before
+        anything is decrypted or mapped."""
+        source, session = source_pair
+        blob = source.export_confidential_vm(session, key)
+        start = len(_MAGIC) + 8
+        nonce, ciphertext = blob[len(_MAGIC):start], blob[start:-32]
+        plaintext = _xor(ciphertext, _keystream(key, nonce, len(ciphertext)))
+        old = _seal_v2(plaintext, key, nonce)
+        assert len(old) == len(blob) and old[start:-32] != ciphertext
+        destination = Machine(MachineConfig())
+        before = _pool_state(destination)
+        for stale in (old, b"ZIONMIG2" + blob[len(_MAGIC):]):
+            with pytest.raises(SecurityViolation, match="framing"):
+                destination.import_confidential_vm(stale, key)
         assert _pool_state(destination) == before
         assert not destination.monitor.cvms
 

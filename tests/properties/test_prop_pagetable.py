@@ -15,6 +15,7 @@ from repro.mem.pagetable import (
     PTE_X,
     Sv39,
     Sv39x4,
+    _reaches,
     pte_is_leaf,
     pte_target,
 )
@@ -236,3 +237,96 @@ def test_bounded_scans_are_the_full_scan_filtered(scheme, leaves, high, lo, size
         if any(pa < base + size and base < pa + scheme.level_span(level)
                for base, size in regions)
     ]
+
+
+# -- the overlap scan's screen against raw leaf words --------------------------
+
+_PPN_ALL = (1 << 44) - 1
+
+#: Page offsets from a region's edges: a PPN just inside, on, or just
+#: outside either end of the region or of the span before it.
+_EDGE_PAGES = st.integers(-2, 2)
+
+
+@st.composite
+def _raw_words(draw, span, regions):
+    """One raw PTE word for a slot whose leaves cover ``span`` bytes.
+
+    Its PPN sits near an edge of one of ``regions`` (including a span
+    below the base, where superpages start that reach into the region),
+    inside one, or anywhere.  V may be clear, and bits 54-63 may be set
+    (``iter_leaves`` ignores them; they reorder words against PAs).
+    """
+    base, size = draw(st.sampled_from(regions))
+    anchor = draw(st.sampled_from([
+        base - span, base, base + size - PAGE_SIZE, base + size,
+        base // span * span,
+    ]))
+    pa = draw(st.one_of(
+        _EDGE_PAGES.map(lambda pages: anchor // PAGE_SIZE * PAGE_SIZE + pages * PAGE_SIZE),
+        st.integers(base, base + size - 1),
+        st.integers(0, (1 << 56) - 1),
+    ))
+    flags = draw(st.one_of(leaf_flags.map(lambda flags: flags | PTE_V),
+                           st.integers(0, 0x3FF)))
+    high = draw(st.sampled_from([0, 0, 0, 1, 1 << 9, 0x3FF]))
+    return high << 54 | (max(pa, 0) >> 12 & _PPN_ALL) << 10 | flags
+
+
+#: Regions of at most a few superpages; bases range from below one 4 KB
+#: span up the PA space, and sizes need not be page multiples.
+_regions = st.lists(
+    st.tuples(
+        st.one_of(st.integers(0, PAGE_SIZE), st.integers(0, 4 * GIB),
+                  st.integers(0, _PPN_ALL).map(lambda pages: pages * PAGE_SIZE)),
+        st.one_of(st.integers(1, 3 * PAGE_SIZE), st.integers(1, 5 << 20)),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(deadline=None)
+@given(scheme=st.sampled_from([Sv39x4(), Sv39()]), regions=_regions, data=st.data())
+def test_overlap_scan_matches_reference_over_raw_leaf_words(scheme, regions, data):
+    """Hypervisor-written tables hold any word.  ``leaves_overlapping`` on
+    raw leaf words at every level (4 KB, 2 MB and 1 GB spans) is the
+    ``iter_leaves`` scan filtered by span overlap, whether or not a word's
+    high bits defeat the sorted-word screen."""
+    dram, acc, root, alloc = _env(scheme)
+    # One pointer chain down to a last-level table; every other slot on
+    # the chain's three tables is a raw word.
+    scheme.map(acc, root, 0, BASE, PTE_R, alloc)
+    tables = [root]
+    for _depth in range(scheme.levels - 1):
+        tables.append(pte_target(dram.read_u64(tables[-1])))
+    for depth, table in enumerate(tables):
+        span = scheme.level_span(scheme.levels - 1 - depth)
+        entries = scheme.root_entries if depth == 0 else 512
+        placed = data.draw(st.dictionaries(
+            st.integers(1, entries - 1), _raw_words(span, regions), max_size=8,
+        ))
+        for slot, word in placed.items():
+            if depth < scheme.levels - 1 and word & PTE_V and not pte_is_leaf(word):
+                word |= PTE_R  # keep to leaves: a raw pointer leads anywhere
+            dram.write_u64(table + 8 * slot, word)
+    assert scheme.leaves_overlapping(dram, root, regions) == [
+        (va, pa, flags, level) for va, pa, flags, level in scheme.iter_leaves(dram, root)
+        if any(pa < base + size and base < pa + scheme.level_span(level)
+               for base, size in regions)
+    ]
+
+
+@settings(deadline=None)
+@given(after=st.integers(-3 * PAGE_SIZE, 1 << 40), width=st.integers(0, 6 * PAGE_SIZE),
+       data=st.data())
+def test_the_screen_is_exact_for_words_below_bit_54(after, width, data):
+    """``_reaches`` says a word's PA lies in ``(after, end)`` exactly when
+    one does: too narrow a window would drop a leaf, too wide one would
+    run the comprehension it exists to skip."""
+    end = after + width
+    near = st.integers(after // PAGE_SIZE - 2, -(-end // PAGE_SIZE) + 2)
+    pages = data.draw(st.lists(st.one_of(near, st.integers(0, _PPN_ALL)), max_size=8))
+    words = [max(page, 0) << 10 | data.draw(st.integers(0, 0x3FF)) for page in pages]
+    assert _reaches(sorted(words), after, end) == any(
+        after < word >> 10 << 12 < end for word in words
+    )

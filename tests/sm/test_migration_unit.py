@@ -17,25 +17,88 @@ from repro.sm.migration import _keystream, _mac, _xor, derive_migration_key
 KAT_KEY = derive_migration_key(b"kat-fleet", b"kat-src", b"kat-dst")
 KAT_NONCE = struct.pack("<Q", 1)
 
-#: Stream lengths around the 32-byte block edges, plus multi-page ones.
+#: Stream lengths around 32-byte and SHAKE-256's 136-byte block edges,
+#: plus multi-page ones.
 KEYSTREAM_LENGTHS = st.one_of(
-    st.sampled_from([0, 1, 31, 32, 33]),
+    st.sampled_from([0, 1, 31, 32, 33, 135, 136, 137]),
     st.integers(0, 300),
     st.integers(2 * PAGE_SIZE, 3 * PAGE_SIZE + 100),
 )
 
 
-def _reference_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
-    """One ``hmac.new`` object per 32-byte block: block i (from 1) is
-    ``HMAC(enc_key, nonce || u32be(i))``."""
+_LANE = (1 << 64) - 1
+
+
+def _rc_bit(t: int) -> int:
+    """Keccak's round-constant LFSR, x^8 + x^6 + x^5 + x^4 + 1 (FIPS 202
+    algorithm 5)."""
+    r = 1
+    for _ in range(t % 255):
+        r <<= 1
+        if r & 0x100:
+            r ^= 0x171
+    return r & 1
+
+
+#: iota's 24 round constants, from the LFSR (FIPS 202 section 3.2.5).
+_ROUND_CONSTANTS = [
+    sum(_rc_bit(j + 7 * i) << ((1 << j) - 1) for j in range(7)) for i in range(24)
+]
+
+
+def _rho_offsets() -> list:
+    """rho's lane rotations, lane ``x + 5y`` (FIPS 202 algorithm 2)."""
+    offsets = [0] * 25
+    x, y = 1, 0
+    for t in range(24):
+        offsets[x + 5 * y] = (t + 1) * (t + 2) // 2 % 64
+        x, y = y, (2 * x + 3 * y) % 5
+    return offsets
+
+
+_RHO = _rho_offsets()
+#: pi moves lane (x, y) to (y, 2x + 3y).
+_PI = [y + 5 * ((2 * x + 3 * y) % 5) for y in range(5) for x in range(5)]
+
+
+def _keccak_f(lanes: list) -> list:
+    """Keccak-f[1600] on 25 little-endian 64-bit lanes, lane ``x + 5y``."""
+    for rc in _ROUND_CONSTANTS:
+        c = [lanes[x] ^ lanes[x + 5] ^ lanes[x + 10] ^ lanes[x + 15] ^ lanes[x + 20]
+             for x in range(5)]
+        d = [c[x - 1] ^ ((c[(x + 1) % 5] << 1 | c[(x + 1) % 5] >> 63) & _LANE)
+             for x in range(5)]
+        b = [0] * 25
+        for i in range(25):
+            v, n = lanes[i] ^ d[i % 5], _RHO[i]
+            b[_PI[i]] = (v << n | v >> (64 - n)) & _LANE if n else v
+        lanes = [b[i] ^ (~b[i - i % 5 + (i + 1) % 5] & b[i - i % 5 + (i + 2) % 5])
+                 for i in range(25)]
+        lanes[0] ^= rc
+    return lanes
+
+
+def _reference_shake256(message: bytes, length: int) -> bytes:
+    """SHAKE256 as a plain sponge: rate 136 bytes, pad ``0x1F ... 0x80``."""
+    rate = 136
+    padded = bytearray(message) + b"\x1f" + bytes(-(len(message) + 1) % rate)
+    padded[-1] |= 0x80
+    lanes = [0] * 25
+    for start in range(0, len(padded), rate):
+        for i in range(rate // 8):
+            lanes[i] ^= int.from_bytes(padded[start + 8 * i : start + 8 * i + 8], "little")
+        lanes = _keccak_f(lanes)
     out = bytearray()
-    counter = 1
-    enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
     while len(out) < length:
-        block = nonce + struct.pack(">I", counter)
-        out += hmac.new(enc_key, block, hashlib.sha256).digest()
-        counter += 1
+        out += b"".join(lane.to_bytes(8, "little") for lane in lanes[: rate // 8])
+        lanes = _keccak_f(lanes)
     return bytes(out[:length])
+
+
+def _reference_keystream(key: bytes, nonce: bytes, length: int) -> bytes:
+    """The pure-Python sponge's output over ``enc_key || nonce``."""
+    enc_key = hmac.new(key, b"enc", hashlib.sha256).digest()
+    return _reference_shake256(enc_key + nonce, length)
 
 
 def _reference_xor(data: bytes, stream: bytes) -> bytes:
@@ -59,22 +122,22 @@ class TestAgainstReference:
         assert _xor(data, stream) == _reference_xor(data, stream)
 
 
-class TestKeystreamAgainstHmacBlocks:
-    @settings(deadline=None)
-    @given(
-        key=st.binary(min_size=32, max_size=32),
-        nonce=st.binary(min_size=8, max_size=8),
-        length=KEYSTREAM_LENGTHS,
-    )
-    def test_blocks_are_one_shot_hmacs(self, key, nonce, length):
-        """Block i (from 1) is ``hmac.digest(enc_key, nonce || u32be(i))``,
-        whatever single call produces the stream."""
-        enc_key = hmac.digest(key, b"enc", "sha256")
-        reference = b"".join(
-            hmac.digest(enc_key, nonce + struct.pack(">I", i), "sha256")
-            for i in range(1, -(-length // 32) + 1)
-        )[:length]
-        assert _keystream(key, nonce, length) == reference
+class TestReferenceSponge:
+    """The reference model is itself checked: against FIPS 202's published
+    answer, and against the stdlib's SHAKE-256 around its block edges."""
+
+    def test_nist_shake256_empty_message(self):
+        expected = "46b9dd2b0ba88d13233b3feb743eeb243fcd52ea62b81b82b50c27646ed5762f"
+        assert _reference_shake256(b"", 32).hex() == expected
+        assert hashlib.shake_256(b"").hexdigest(32) == expected
+
+    @pytest.mark.parametrize("message_length", [0, 1, 135, 136, 137, 300])
+    def test_matches_the_stdlib_over_rate_edges(self, message_length):
+        message = (bytes(range(256)) * 2)[:message_length]
+        for length in (0, 1, 135, 136, 137, 1000):
+            assert _reference_shake256(message, length) == hashlib.shake_256(
+                message
+            ).digest(length)
 
 
 class TestSealKnownAnswers:
@@ -95,13 +158,13 @@ class TestSealKnownAnswers:
 
     @pytest.mark.parametrize("length, digest", [
         (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-        (1, "0bfe935e70c321c7ca3afc75ce0d0ca2f98b5422e008bb31c00c6d7f1f1c0ad6"),
-        (31, "8694c5bf0d6da4585dcdc3e03234e228b9b73d94ba7795c6d5aa316174359cbc"),
-        (32, "7b5aed9e85906087dc0d34e4b85eca32b913ba2c6246da578aa5051550c4586d"),
-        (33, "1c1e6277913dddaad9c9a6a4fd04e500868941448af80e6ec17fffc1aabec5b6"),
+        (1, "333e0a1e27815d0ceee55c473fe3dc93d56c63e3bee2b3b4aee8eed6d70191a3"),
+        (31, "c51f54e6da93f17f0d3e2c0764ab7962b1663124e39ec4b14188461f1c9cf11d"),
+        (32, "e22815b5b8e68bdeb3e8d4fadea3b8d9c723edd4b87784cea5393e1881c92e75"),
+        (33, "46e5d4f508885981aced6a5ddeae9ea455eb6ae92d9a00a5c062607b134df7e1"),
         # Eight page records (GPA word + page) plus a 17-byte remainder.
         (8 * 4104 + 17,
-         "f02aae0bcf3e16e6d1cb220851ef1fc308ceec35e9405f2a0ef3113eb16f4540"),
+         "381ab635736e7fc92357cc3dc75f61b98bd22f1620785373cb3d68c4c5bc4098"),
     ])
     def test_keystream(self, length, digest):
         stream = _keystream(KAT_KEY, KAT_NONCE, length)
@@ -116,7 +179,7 @@ class TestSealKnownAnswers:
     def test_xor_truncates_to_the_shorter_input(self):
         longer_data = _xor(bytes(range(40)), _keystream(KAT_KEY, KAT_NONCE, 33))
         assert longer_data.hex() == (
-            "758405aa76b2249f0774ed350fd04776b323dcb15ed23e9bab568afe899ddb6fd9"
+            "474105736d2ce31030ee45efedd4f1a783c010d008f07574c74bb0ed4fa77a92b5"
         )
         longer_stream = _xor(bytes(range(10)), bytes(range(100, 140)))
         assert longer_stream.hex() == "646464646c6c6c6c6464"
@@ -130,9 +193,10 @@ class TestSealKnownAnswers:
         machine.run(session, lambda ctx: ctx.write_bytes(base, b"pinned state" * 300))
         blob = machine.export_confidential_vm(session, KAT_KEY)
         assert len(blob) == 9367
+        assert blob[:8] == b"ZIONMIG3"
         assert blob[8:16] == KAT_NONCE  # the SM's first export
         assert hashlib.sha256(blob).hexdigest() == (
-            "707209e5e12b26bd1321e26e83250f5f919b15e9076050ff9fb1b640d3ca0777"
+            "8b97fef9c668cf4b4b5bbb132e292e736cb8f13c61a122dc960731ff14c14d36"
         )
 
 
@@ -141,7 +205,7 @@ class TestKeystream:
         assert _keystream(b"k" * 32, KAT_NONCE, 100) == _keystream(b"k" * 32, KAT_NONCE, 100)
 
     def test_prefix_property(self):
-        """Longer streams extend shorter ones (CTR construction)."""
+        """Longer streams extend shorter ones (an XOF's output)."""
         short = _keystream(b"k" * 32, KAT_NONCE, 40)
         long = _keystream(b"k" * 32, KAT_NONCE, 200)
         assert long[:40] == short
