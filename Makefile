@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install verify test bench bench-full experiments faults perf perf-compare lint lint-changed lint-strict linkcheck redis-cluster fleet virtio-batch zbench zbench-compare zbench-trace examples clean
+.PHONY: install verify test test-fast bench bench-full experiments faults perf perf-compare lint lint-changed lint-strict linkcheck fleet zbench zbench-compare zbench-trace examples clean
 
 install:
 	pip install -e .
@@ -24,7 +24,7 @@ bench-full:
 experiments:
 	$(PYTHON) -m repro experiments
 
-# Wall-clock perf suite with cycle-exactness golden check (INTERNALS §11).
+# Wall-clock perf suite: cycle goldens plus each scenario's check (INTERNALS §11).
 perf:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro perf
 
@@ -49,19 +49,10 @@ lint-strict:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro lint --strict
 	$(PYTHON) tools/check_baseline_ratchet.py
 
-# Sharded redis over SM channels, one run with stats (docs/DATA_PLANE.md).
-redis-cluster:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro redis-cluster
-
 # Fleet orchestrator: multi-host CVM lifecycle + live migration under
 # adversarial load, acceptance-sized campaign (docs/FLEET.md).
 fleet:
 	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro fleet --hosts 4 --cvms 12 --seeds 3
-
-# Batched-vs-naive virtio data-plane ablation smoke (docs/DATA_PLANE.md):
-# fails if MMIO-exit or doorbell reduction drops below 2x.
-virtio-batch:
-	PYTHONPATH=src$${PYTHONPATH:+:$$PYTHONPATH} $(PYTHON) -m repro virtio-batch
 
 # zbench, every workload once at its canonical rounds only (no extra timed
 # seconds): prints every metric and fails on any wrong output (zbench/README.md).

@@ -10,7 +10,8 @@ Environment knobs:
 
 - ``REPRO_FULL=1`` runs the paper-scale workloads (10x slower); the
   default uses the documented scaled-down loads whose reported
-  percentages are scale-invariant.
+  percentages are scale-invariant.  E1-E7 take both scales from
+  ``repro.bench.experiments.EXPERIMENTS`` through ``run_experiment``.
 """
 
 from __future__ import annotations
@@ -20,14 +21,29 @@ import os
 import pytest
 
 
-def pytest_collection_modifyitems(items):
-    # Benchmarks are deterministic; keep declaration order (micro -> macro).
-    pass
-
-
 @pytest.fixture(scope="session")
 def full_scale() -> bool:
     return os.environ.get("REPRO_FULL") == "1"
+
+
+@pytest.fixture
+def run_experiment(benchmark, full_scale):
+    """Run one E1-E7 experiment at this session's scale, timed once.
+
+    The runner and both scales come from
+    ``repro.bench.experiments.EXPERIMENTS``, the table the CLI and
+    ``examples/reproduce_paper.py`` read too.
+    """
+    from repro.bench.experiments import EXPERIMENTS
+
+    def _run(tag: str) -> dict:
+        experiment = EXPERIMENTS[tag]
+        return benchmark.pedantic(
+            experiment.run, kwargs=experiment.kwargs(full_scale),
+            rounds=1, iterations=1,
+        )
+
+    return _run
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,11 @@
 """E5 (paper section V-D): CoreMark score, normal vs confidential VM."""
 
 from repro.bench import paper_data
-from repro.bench.macro import run_coremark_experiment
 from repro.bench.tables import format_comparison_table
 
 
-def test_bench_coremark(benchmark, print_table, full_scale):
-    iterations = 10_000 if full_scale else 1_500
-    result = benchmark.pedantic(
-        run_coremark_experiment, kwargs={"iterations": iterations},
-        rounds=1, iterations=1,
-    )
+def test_bench_coremark(run_experiment, print_table):
+    result = run_experiment("E5")
     paper = paper_data.COREMARK
     rows = [
         ("normal VM", {"measured": result["normal_score"], "paper": paper["normal_score"]}),

@@ -8,20 +8,11 @@ as device exits dominate; lower absolute throughput at small records.
 """
 
 from repro.bench import paper_data
-from repro.bench.macro import run_iozone_experiment
 from repro.bench.tables import format_comparison_table, human_bytes
 
 
-def test_bench_iozone_fig4(benchmark, print_table, full_scale):
-    if full_scale:
-        kwargs = {"size_scale": 1}
-    else:
-        # The documented scaled grid: joint file/cache scaling preserves
-        # the streamed fraction that drives the overhead.
-        kwargs = {"size_scale": 4}
-    result = benchmark.pedantic(
-        run_iozone_experiment, kwargs=kwargs, rounds=1, iterations=1
-    )
+def test_bench_iozone_fig4(run_experiment, print_table):
+    result = run_experiment("E7")
     rows = [
         (
             f"{human_bytes(cell['file_bytes'])}/{human_bytes(cell['record_bytes'])}",

@@ -6,15 +6,11 @@ stages and their weighted average.
 """
 
 from repro.bench import paper_data
-from repro.bench.microbench import run_page_fault_experiment
 from repro.bench.tables import format_comparison_table
 
 
-def test_bench_page_fault(benchmark, print_table, full_scale):
-    pages = 2048 if full_scale else 512
-    result = benchmark.pedantic(
-        run_page_fault_experiment, kwargs={"pages": pages}, rounds=1, iterations=1
-    )
+def test_bench_page_fault(run_experiment, print_table):
+    result = run_experiment("E3")
     paper = paper_data.PAGE_FAULT
     labels = [
         ("normal VM (KVM)", "normal_vm"),

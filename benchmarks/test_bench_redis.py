@@ -6,18 +6,11 @@ headline deltas (throughput -5.3%, latency +4%).
 """
 
 from repro.bench import paper_data
-from repro.bench.macro import run_redis_experiment
 from repro.bench.tables import format_comparison_table
 
 
-def test_bench_redis_fig3(benchmark, print_table, full_scale):
-    requests = 2_000 if full_scale else 300
-    rounds = 3 if full_scale else 1
-    result = benchmark.pedantic(
-        run_redis_experiment,
-        kwargs={"requests": requests, "rounds": rounds},
-        rounds=1, iterations=1,
-    )
+def test_bench_redis_fig3(run_experiment, print_table):
+    result = run_experiment("E6")
     rows = [
         (
             op,

@@ -5,15 +5,11 @@ the per-benchmark overhead percentage, plus the suite average.
 """
 
 from repro.bench import paper_data
-from repro.bench.macro import run_rv8_experiment
 from repro.bench.tables import format_comparison_table
 
 
-def test_bench_rv8_table_i(benchmark, print_table, full_scale):
-    scale = 0.1 if full_scale else 0.01
-    result = benchmark.pedantic(
-        run_rv8_experiment, kwargs={"scale": scale}, rounds=1, iterations=1
-    )
+def test_bench_rv8_table_i(run_experiment, print_table):
+    result = run_experiment("E4")
     rows = []
     for name, row in result["benchmarks"].items():
         rows.append(

@@ -6,16 +6,11 @@ baseline built for the comparison.
 """
 
 from repro.bench import paper_data
-from repro.bench.microbench import run_switch_path_experiment
 from repro.bench.tables import format_comparison_table
 
 
-def test_bench_switch_path(benchmark, print_table, full_scale):
-    iterations = 200 if full_scale else 50
-    result = benchmark.pedantic(
-        run_switch_path_experiment, kwargs={"iterations": iterations},
-        rounds=1, iterations=1,
-    )
+def test_bench_switch_path(run_experiment, print_table):
+    result = run_experiment("E2")
     paper = paper_data.SWITCH_PATH
     rows = [
         (

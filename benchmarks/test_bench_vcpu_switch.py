@@ -6,16 +6,11 @@ shared-vCPU state-update mechanism.
 """
 
 from repro.bench import paper_data
-from repro.bench.microbench import run_vcpu_switch_experiment
 from repro.bench.tables import format_comparison_table
 
 
-def test_bench_vcpu_switch(benchmark, print_table, full_scale):
-    iterations = 200 if full_scale else 50
-    result = benchmark.pedantic(
-        run_vcpu_switch_experiment, kwargs={"iterations": iterations},
-        rounds=1, iterations=1,
-    )
+def test_bench_vcpu_switch(run_experiment, print_table):
+    result = run_experiment("E1")
     paper = paper_data.VCPU_SWITCH
     rows = [
         (

@@ -3,97 +3,14 @@
 
 Runs experiments E1-E7 (DESIGN.md's per-experiment index) at their
 documented scaled loads and prints measured-vs-paper for each table and
-figure.  Pass ``--full`` for the paper-scale loads (slower).
+figure; the loads and the formatting are ``repro.bench.experiments``,
+the table ``python -m repro experiments`` reads too.  Pass ``--full``
+for the paper-scale loads (slower).
 """
 
 import sys
 
-from repro.bench import paper_data
-from repro.bench.macro import (
-    run_coremark_experiment,
-    run_iozone_experiment,
-    run_redis_experiment,
-    run_rv8_experiment,
-)
-from repro.bench.microbench import (
-    run_page_fault_experiment,
-    run_switch_path_experiment,
-    run_vcpu_switch_experiment,
-)
-from repro.bench.tables import human_bytes
-
-
-def section(title):
-    print(f"\n===== {title} " + "=" * max(0, 60 - len(title)))
-
-
-def main():
-    full = "--full" in sys.argv
-
-    section("E1: shared-vCPU switch optimization (section V-B.1)")
-    r = run_vcpu_switch_experiment(iterations=200 if full else 50)
-    p = paper_data.VCPU_SWITCH
-    for direction in ("entry", "exit"):
-        print(f"  CVM {direction}: {r[f'{direction}_without_shared']:.0f} -> "
-              f"{r[f'{direction}_with_shared']:.0f} cycles "
-              f"({r[f'{direction}_improvement_pct']:.1f}% better; paper "
-              f"{p[f'{direction}_without_shared']} -> {p[f'{direction}_with_shared']}"
-              f", {p[f'{direction}_improvement_pct']}%)")
-
-    section("E2: short-path vs long-path CVM mode (section V-B.2)")
-    r = run_switch_path_experiment(iterations=200 if full else 50)
-    p = paper_data.SWITCH_PATH
-    for direction in ("entry", "exit"):
-        print(f"  CVM {direction}: long {r[f'{direction}_long_path']:.0f}, short "
-              f"{r[f'{direction}_short_path']:.0f} cycles "
-              f"({r[f'{direction}_improvement_pct']:.1f}% better; paper "
-              f"{p[f'{direction}_long_path']} vs {p[f'{direction}_short_path']}"
-              f", {p[f'{direction}_improvement_pct']}%)")
-
-    section("E3: stage-2 page-fault handling (section V-C)")
-    r = run_page_fault_experiment(pages=2048 if full else 512)
-    p = paper_data.PAGE_FAULT
-    for label, key in [("normal VM (KVM)", "normal_vm"), ("CVM stage 1", "cvm_stage1"),
-                       ("CVM stage 2", "cvm_stage2"), ("CVM stage 3", "cvm_stage3"),
-                       ("CVM average", "cvm_average")]:
-        print(f"  {label:<16} {r[key]:>9,.0f} cycles (paper {p[key]:>7,})")
-
-    section("E4: RV8 benchmarks (Table I)")
-    r = run_rv8_experiment(scale=0.1 if full else 0.01)
-    for name, row in r["benchmarks"].items():
-        print(f"  {name:<10} {row['normal_1e9_extrapolated']:>8.3f} -> "
-              f"{row['cvm_1e9_extrapolated']:>8.3f} x1e9 cycles  "
-              f"({row['overhead_pct']:+.2f}%; paper {row['paper_overhead_pct']:+.2f}%)")
-    print(f"  {'Average':<10} {'':>23} ({r['average_overhead_pct']:+.2f}%; "
-          f"paper {paper_data.RV8_AVERAGE_OVERHEAD_PCT:+.2f}%)")
-
-    section("E5: CoreMark (section V-D)")
-    r = run_coremark_experiment(iterations=10_000 if full else 1_500)
-    p = paper_data.COREMARK
-    print(f"  normal {r['normal_score']:.1f} (paper {p['normal_score']}), "
-          f"CVM {r['cvm_score']:.1f} (paper {p['cvm_score']}), "
-          f"drop {r['overhead_pct']:.2f}% (paper {p['overhead_pct']}%)")
-
-    section("E6: Redis benchmark (Fig. 3)")
-    r = run_redis_experiment(requests=2_000 if full else 300)
-    for op, row in r["ops"].items():
-        print(f"  {op:<11} {row['normal_throughput_rps']:>6.0f} -> "
-              f"{row['cvm_throughput_rps']:>6.0f} rps ({row['throughput_drop_pct']:+.2f}%)"
-              f"   latency {row['latency_increase_pct']:+.2f}%")
-    print(f"  average: throughput {r['avg_throughput_drop_pct']:+.2f}% "
-          f"(paper -5.3%), latency {r['avg_latency_increase_pct']:+.2f}% (paper +4%)")
-
-    section("E7: IOZone (Fig. 4)")
-    r = run_iozone_experiment(size_scale=1 if full else 4)
-    for cell in r["cells"]:
-        print(f"  {human_bytes(cell['file_bytes']):>6}/{human_bytes(cell['record_bytes']):<6}"
-              f" write {cell['write_normal_kb_s']:>7,.0f} KB/s "
-              f"({cell['write_overhead_pct']:+6.2f}%)   "
-              f"read {cell['read_normal_kb_s']:>7,.0f} KB/s "
-              f"({cell['read_overhead_pct']:+6.2f}%)")
-
-    print("\nall seven experiments regenerated")
-
+from repro.bench.experiments import run_experiments
 
 if __name__ == "__main__":
-    main()
+    sys.exit(run_experiments(full="--full" in sys.argv))

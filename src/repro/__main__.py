@@ -3,7 +3,7 @@
 Commands:
 
 - ``experiments [--full] [--only E1,E4,...]`` — regenerate the paper's
-  tables/figures (the same runners the benchmark suite uses);
+  tables/figures (the ``repro.bench.experiments`` table);
 - ``demo`` — the quickstart flow with a stats report;
 - ``attack`` — run the hypervisor attack battery and report outcomes;
 - ``stats`` — launch a CVM, run a mixed workload, print the full
@@ -11,11 +11,11 @@ Commands:
 - ``faults [--seeds N | --seed K] [--rounds R] [-v]`` — run the
   seeded fault-injection campaign (``--seed K`` deterministically
   replays one seed, the failing-seed repro workflow);
-- ``perf [--quick] [--out PATH] [--compare PREV.json] [--runs N]
-  [--gate]`` — wall-clock performance harness: run the fixed scenario
-  suite, emit ``BENCH_PERF.json`` and verify simulated cycle totals
-  against the committed goldens (any deviation means the *model*
-  changed, which an optimization must never do); ``--compare`` prints
+- ``perf [--quick] [--only a,b] [--out PATH] [--compare PREV.json]
+  [--runs N] [--gate]`` — wall-clock performance harness: run the
+  scenario suite (``repro.bench.perf.SCENARIOS``), emit
+  ``BENCH_PERF.json`` and fail on simulated-cycle drift from the
+  committed goldens or on a failed scenario check; ``--compare`` prints
   per-scenario wall/cycle deltas against a previous report, ``--gate``
   fails on >10% wall-time regression over the committed quick-mode
   baseline (median of ``--runs``);
@@ -24,14 +24,6 @@ Commands:
   trust-boundary/taint/charging analyzer for the SM seam (INTERNALS
   §12); exits non-zero on findings that are neither pragma-suppressed
   nor baselined;
-- ``virtio-batch [--quick]`` — batched-vs-naive virtio data-plane
-  smoke: run the iozone and redis ablation arms plus the channel
-  doorbell ablation, print the exit/interrupt/doorbell reductions, and
-  exit non-zero if MMIO-exit reduction drops below 2x
-  (docs/DATA_PLANE.md);
-- ``redis-cluster [--shards N --clients C --requests R --pipeline K]``
-  — run the sharded redis cluster over SM channels once and print its
-  throughput/latency/balance stats (docs/DATA_PLANE.md);
 - ``fleet [--hosts N --cvms M --seeds S --epochs E --rate R]
   [--seams a,b] [--ablate]`` — the fleet orchestrator: multi-host CVM
   lifecycle + live migration under adversarial load, with per-migration
@@ -46,57 +38,10 @@ import sys
 
 
 def _cmd_experiments(args) -> int:
-    from repro.bench import paper_data
-    from repro.bench.macro import (
-        run_coremark_experiment,
-        run_iozone_experiment,
-        run_redis_experiment,
-        run_rv8_experiment,
-    )
-    from repro.bench.microbench import (
-        run_page_fault_experiment,
-        run_switch_path_experiment,
-        run_vcpu_switch_experiment,
-    )
+    from repro.bench.experiments import run_experiments
 
-    full = args.full
-    selected = set(args.only.upper().split(",")) if args.only else None
-
-    def want(tag):
-        return selected is None or tag in selected
-
-    if want("E1"):
-        r = run_vcpu_switch_experiment(iterations=200 if full else 50)
-        print("E1 shared vCPU: entry {:.0f}->{:.0f} (-{:.1f}%), exit {:.0f}->{:.0f} (-{:.1f}%)".format(
-            r["entry_without_shared"], r["entry_with_shared"], r["entry_improvement_pct"],
-            r["exit_without_shared"], r["exit_with_shared"], r["exit_improvement_pct"]))
-    if want("E2"):
-        r = run_switch_path_experiment(iterations=200 if full else 50)
-        print("E2 switch path: entry long {:.0f} short {:.0f} (-{:.1f}%), exit long {:.0f} short {:.0f} (-{:.1f}%)".format(
-            r["entry_long_path"], r["entry_short_path"], r["entry_improvement_pct"],
-            r["exit_long_path"], r["exit_short_path"], r["exit_improvement_pct"]))
-    if want("E3"):
-        r = run_page_fault_experiment(pages=2048 if full else 512)
-        print("E3 faults: KVM {:.0f}, CVM s1 {:.0f} s2 {:.0f} s3 {:.0f} avg {:.0f}".format(
-            r["normal_vm"], r["cvm_stage1"], r["cvm_stage2"], r["cvm_stage3"], r["cvm_average"]))
-    if want("E4"):
-        r = run_rv8_experiment(scale=0.1 if full else 0.01)
-        for name, row in r["benchmarks"].items():
-            print(f"E4 {name}: {row['overhead_pct']:+.2f}% (paper {row['paper_overhead_pct']:+.2f}%)")
-        print(f"E4 average: {r['average_overhead_pct']:+.2f}% (paper {paper_data.RV8_AVERAGE_OVERHEAD_PCT:+.2f}%)")
-    if want("E5"):
-        r = run_coremark_experiment(iterations=10_000 if full else 1_500)
-        print(f"E5 CoreMark: {r['normal_score']:.1f} -> {r['cvm_score']:.1f} ({r['overhead_pct']:.2f}% drop)")
-    if want("E6"):
-        r = run_redis_experiment(requests=2_000 if full else 300)
-        print(f"E6 Redis: throughput {r['avg_throughput_drop_pct']:+.2f}% "
-              f"latency {r['avg_latency_increase_pct']:+.2f}%")
-    if want("E7"):
-        r = run_iozone_experiment(size_scale=1 if full else 4)
-        worst = max(r["cells"], key=lambda c: c["read_overhead_pct"])
-        print(f"E7 IOZone: worst overhead {worst['read_overhead_pct']:+.2f}% read "
-              f"at {worst['file_bytes'] >> 20} MB / {worst['record_bytes'] >> 10} KB records")
-    return 0
+    only = set(args.only.upper().split(",")) if args.only else None
+    return run_experiments(full=args.full, only=only)
 
 
 def _cmd_demo(args) -> int:
@@ -224,11 +169,10 @@ def _cmd_perf(args) -> int:
     from repro.bench import perf
 
     only = set(args.only.split(",")) if args.only else None
-    if only:
-        unknown = only - set(perf.SCENARIOS)
-        if unknown:
-            print(f"unknown scenarios: {', '.join(sorted(unknown))}")
-            return 2
+    unknown = (only or set()) - set(perf.SCENARIOS)
+    if unknown:
+        print(f"unknown scenarios: {', '.join(sorted(unknown))}")
+        return 2
     # Snapshot the comparison report *before* running: --compare and
     # --out may name the same file (the default workflow diffs against
     # the committed BENCH_PERF.json, then overwrites it).
@@ -239,10 +183,9 @@ def _cmd_perf(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"cannot read comparison report {args.compare}: {exc}")
             return 2
-    all_runs = [
-        perf.run_suite(quick=args.quick, only=only) for _ in range(args.runs)
-    ]
-    runs = all_runs[0] if args.runs == 1 else perf.median_runs(all_runs)
+    runs = perf.median_runs(
+        [perf.run_suite(quick=args.quick, only=only) for _ in range(args.runs)]
+    )
     for run in runs:
         print(
             f"{run.name:<12} wall {run.wall_seconds:8.3f} s   "
@@ -269,26 +212,23 @@ def _cmd_perf(args) -> int:
                 f"({wall_pct:+6.1f}%)   "
                 f"cycles {old_c:>14,} -> {new_c:>14,} ({new_c - old_c:+,})"
             )
+    problems = [f"SCENARIO CHECK: {p}" for p in perf.check_scenarios(runs)]
+    updating = args.update_goldens or args.update_baseline
     if args.update_goldens:
         perf.update_goldens(runs, quick=args.quick)
         print(f"goldens updated in {perf.GOLDEN_PATH}")
-        if args.update_baseline:
-            perf.write_report(report, perf.BASELINE_PATH)
-            print(f"baseline updated in {perf.BASELINE_PATH}")
-        return 0
     if args.update_baseline:
         perf.write_report(report, perf.BASELINE_PATH)
         print(f"baseline updated in {perf.BASELINE_PATH}")
-        return 0
-    exit_code = 0
-    if not (args.no_golden_check or only):
-        problems = perf.check_goldens(runs, quick=args.quick)
-        for problem in problems:
-            print(f"GOLDEN MISMATCH: {problem}")
-        if not problems:
+    if not updating:
+        golden = perf.check_goldens(runs, quick=args.quick)
+        problems += [f"GOLDEN MISMATCH: {p}" for p in golden]
+        if not golden:
             print("golden check: all simulated cycle totals match")
-        exit_code = 1 if problems else exit_code
-    if args.gate:
+    for problem in problems:
+        print(problem)
+    exit_code = 1 if problems else 0
+    if args.gate and not updating:
         try:
             baseline = json_module.loads(perf.BASELINE_PATH.read_text())
         except (OSError, ValueError) as exc:
@@ -308,88 +248,6 @@ def _cmd_perf(args) -> int:
             )
         exit_code = 1 if gate_problems else exit_code
     return exit_code
-
-
-def _cmd_virtio_batch(args) -> int:
-    from repro.bench.ipc import run_doorbell_ablation
-    from repro.bench.perf import run_iozone, run_redis_batch
-
-    if args.quick:
-        runs = [
-            run_iozone(file_mb=2, record_kb=64, queue_depth=8),
-            run_redis_batch(requests=64, pipeline=8),
-        ]
-        doorbells = run_doorbell_ablation(messages=128, burst=64)
-    else:
-        runs = [run_iozone(), run_redis_batch()]
-        doorbells = run_doorbell_ablation()
-
-    failures = 0
-    for run in runs:
-        extra = run.extra
-        print(
-            f"{run.name:<12} exits {extra['naive']['mmio_exits']:>5} -> "
-            f"{extra['batched']['mmio_exits']:>5} "
-            f"({extra['mmio_exit_reduction']:.1f}x)   "
-            f"irqs {extra['naive']['irqs_raised']:>5} -> "
-            f"{extra['batched']['irqs_raised']:>5} "
-            f"({extra['irq_reduction']:.1f}x)   "
-            f"cycles {extra['cycle_reduction']:.2f}x"
-        )
-        if extra["mmio_exit_reduction"] < 2:
-            print(f"FAIL: {run.name} MMIO-exit reduction "
-                  f"{extra['mmio_exit_reduction']:.2f}x < 2x")
-            failures += 1
-    print(
-        f"{'doorbells':<12} rung {doorbells['eager']['doorbells']:>5} -> "
-        f"{doorbells['adaptive']['doorbells']:>5} "
-        f"({doorbells['doorbell_reduction']:.1f}x)   "
-        f"suppressed {doorbells['adaptive']['suppressed']}   "
-        f"cycles saved {doorbells['cycles_saved']:,}"
-    )
-    if doorbells["doorbell_reduction"] < 2:
-        print(f"FAIL: doorbell reduction "
-              f"{doorbells['doorbell_reduction']:.2f}x < 2x")
-        failures += 1
-    return 1 if failures else 0
-
-
-def _cmd_redis_cluster(args) -> int:
-    from repro.bench.redis_cluster import run_cluster
-
-    result = run_cluster(
-        shards=args.shards, clients=args.clients,
-        requests=args.requests, pipeline=args.pipeline,
-        wake_priority=not args.tail_wake,
-    )
-    total = result["requests"]
-    print(
-        f"{result['shards']} shards, {result['clients']} clients, "
-        f"{total} requests, pipeline {result['pipeline']}"
-    )
-    print(
-        f"serving {result['serving_cycles']:,} cycles "
-        f"(+{result['setup_cycles']:,} bring-up)   "
-        f"{result['cycles_per_request']:,.0f} cycles/request   "
-        f"{result['throughput_rps']:,.0f} req/s"
-    )
-    print(
-        f"latency p50 {result['p50_latency_us']:.1f} us   "
-        f"p99 {result['p99_latency_us']:.1f} us"
-    )
-    print(
-        f"ops {result['ops']}   mget splits {result['mget_splits']}   "
-        f"doorbells {result['doorbells']}"
-    )
-    print(
-        f"per-shard requests {result['per_shard_requests']}   "
-        f"balance {result['shard_balance']:.3f}"
-    )
-    if result["shards_down"]:
-        print(f"shards down: {result['shards_down']}")
-    if result["errors"]:
-        print(f"errors: {result['errors']} (samples {result['error_samples']})")
-    return 1 if result["errors"] else 0
 
 
 def _cmd_fleet(args) -> int:
@@ -499,10 +357,7 @@ def main(argv=None) -> int:
                       help="CI-scale loads (same code paths, ~5x less work)")
     perf.add_argument("--out", default="BENCH_PERF.json",
                       help="report path (default BENCH_PERF.json)")
-    perf.add_argument("--only", help="comma-separated scenario subset "
-                      "(skips the golden check)")
-    perf.add_argument("--no-golden-check", action="store_true",
-                      help="measure only; skip the cycle-exactness gate")
+    perf.add_argument("--only", help="comma-separated scenario subset")
     perf.add_argument("--update-goldens", action="store_true",
                       help="re-record golden cycle totals (model changes only)")
     perf.add_argument("--compare", metavar="PREV.json",
@@ -520,28 +375,6 @@ def main(argv=None) -> int:
                       help="re-record the committed wall-clock baseline "
                            "for the perf gate from this run")
     perf.set_defaults(func=_cmd_perf)
-    virtio_batch = sub.add_parser(
-        "virtio-batch",
-        help="batched-vs-naive virtio + doorbell ablation smoke",
-    )
-    virtio_batch.add_argument("--quick", action="store_true",
-                              help="CI-scale loads (same code paths)")
-    virtio_batch.set_defaults(func=_cmd_virtio_batch)
-    cluster = sub.add_parser("redis-cluster",
-                             help="sharded redis over SM channels, one run")
-    cluster.add_argument("--shards", type=int, default=4,
-                         help="shard CVM count (default 4)")
-    cluster.add_argument("--clients", type=int, default=2,
-                         help="client CVM count (default 2)")
-    cluster.add_argument("--requests", type=int, default=48,
-                         help="requests per client (default 48)")
-    cluster.add_argument("--pipeline", type=int, default=8,
-                         help="in-flight requests per client (default 8)")
-    cluster.add_argument("--tail-wake", action="store_true",
-                         help="doorbell wakes go to the back of the run "
-                              "queue (throughput policy; default is "
-                              "front-wake, the latency policy)")
-    cluster.set_defaults(func=_cmd_redis_cluster)
     fleet = sub.add_parser("fleet",
                            help="multi-host CVM fleet: lifecycle + live "
                                 "migration under adversarial load")

@@ -2,31 +2,16 @@
 
 Measures how fast the *simulator itself* runs -- wall seconds and
 simulated cycles per wall second -- over a fixed scenario suite that
-exercises the guest memory pipeline end to end:
-
-- ``memstress``: the 2000-page ``sequential_write_stress`` profile (one
-  stage-2 fault per page through the SM's allocation stages);
-- ``pingpong``: inter-CVM channel ping-pong under ``run_concurrent``
-  (doorbells, scheduler rotations, ring loads/stores);
-- ``redis``: the in-guest RESP server over virtio-net + SWIOTLB (the
-  full I/O path: MMIO exits, bounce copies, interrupt delivery);
-- ``redis_cluster``: the sharded key-value cluster over SM channels
-  (router + N shard CVMs, pipelined clients; see docs/DATA_PLANE.md);
-- ``switch_path``: a tight short-path world-switch loop (E2's shape);
-- ``fleet``: the multi-host rebalancing control loop (clean run, no
-  fault injection): live migrations between simulated hosts, with
-  per-migration downtime reported alongside the wall-clock numbers
-  (see docs/FLEET.md);
-- ``iozone`` / ``redis_batch``: batched-vs-naive virtio data-plane
-  ablations (one naive arm, one batched arm, identical payload work);
-  their ``extra`` blocks carry per-arm kick/interrupt/MMIO-exit counts
-  and the reduction ratios (see docs/DATA_PLANE.md).
+exercises the guest memory pipeline end to end.  :data:`SCENARIOS`
+defines each scenario once: its runner (whose docstring says what it
+exercises), its quick and full kwargs and its own check.
 
 The harness enforces the repository's one hard performance invariant:
 **optimizations may change how fast Python executes the model, never what
 the model charges**.  Every scenario's simulated cycle total is compared
 against ``perf_goldens.json`` (recorded from the pre-optimization tree);
-any deviation is a model change, not an optimization, and fails the run.
+any deviation is a model change, not an optimization, and fails the run,
+as does a failed scenario check.
 
 Results land in ``BENCH_PERF.json`` -- wall seconds, simulated cycles and
 cycles-per-wall-second per scenario -- which CI uploads as an artifact so
@@ -40,6 +25,7 @@ import dataclasses
 import json
 import pathlib
 import time
+from typing import Callable
 
 from repro.machine import Machine, MachineConfig
 
@@ -55,30 +41,6 @@ BASELINE_PATH = pathlib.Path(__file__).with_name("perf_baseline_quick.json")
 #: The perf gate fails when a scenario's median wall time regresses by
 #: more than this fraction over the committed baseline.
 GATE_THRESHOLD = 0.10
-
-#: Scenario parameters at full scale (the documented profiles) and quick
-#: scale (CI smoke: same code paths, ~5x less work).
-FULL_PARAMS = {
-    "memstress": {"pages": 2000},
-    "pingpong": {"rounds": 64, "message_size": 256},
-    "redis": {"requests": 400, "op": "GET"},
-    "redis_cluster": {"shards": 4, "clients": 4, "requests": 64, "pipeline": 8},
-    "switch_path": {"iterations": 400},
-    "fleet": {"hosts": 3, "cvms": 8, "epochs": 5, "migration_rate": 3},
-    "iozone": {"file_mb": 4, "record_kb": 64, "queue_depth": 8},
-    "redis_batch": {"requests": 200, "pipeline": 8, "op": "GET"},
-}
-QUICK_PARAMS = {
-    "memstress": {"pages": 400},
-    "pingpong": {"rounds": 16, "message_size": 256},
-    "redis": {"requests": 100, "op": "GET"},
-    "redis_cluster": {"shards": 2, "clients": 2, "requests": 16, "pipeline": 4},
-    "switch_path": {"iterations": 100},
-    "fleet": {"hosts": 2, "cvms": 4, "epochs": 3, "migration_rate": 2},
-    "iozone": {"file_mb": 2, "record_kb": 64, "queue_depth": 8},
-    "redis_batch": {"requests": 64, "pipeline": 8, "op": "GET"},
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class ScenarioRun:
@@ -106,11 +68,22 @@ class ScenarioRun:
         return self.cycles / self.wall_seconds if self.wall_seconds else 0.0
 
 
-def _measure(name: str, params: dict, machine: Machine, timed) -> ScenarioRun:
-    """Run ``timed()`` under the wall clock and package the result."""
+def _breakdown(machines) -> dict:
+    """Per-category cycles summed over ``machines`` (category name -> cycles)."""
+    breakdown: dict = {}
+    for machine in machines:
+        for cat, cycles in machine.ledger.by_category().items():
+            breakdown[cat.name] = breakdown.get(cat.name, 0) + cycles
+    return breakdown
+
+
+def _measure(name: str, params: dict, machine: Machine, timed,
+             summarise=None) -> ScenarioRun:
+    """Run ``timed()`` under the wall clock and package the result; the
+    optional ``summarise(timed())`` becomes ``extra`` after the clock stops."""
     cycles_before = machine.ledger.total
     t0 = time.perf_counter()
-    timed()
+    result = timed()
     wall = time.perf_counter() - t0
     return ScenarioRun(
         name=name,
@@ -118,10 +91,16 @@ def _measure(name: str, params: dict, machine: Machine, timed) -> ScenarioRun:
         wall_seconds=wall,
         cycles=machine.ledger.total - cycles_before,
         total_cycles=machine.ledger.total,
-        breakdown={
-            cat.name: cycles for cat, cycles in machine.ledger.by_category().items()
-        },
+        breakdown=_breakdown((machine,)),
+        extra=summarise(result) if summarise else {},
     )
+
+
+def _summed_run(name: str, params: dict, wall: float, machines, extra: dict) -> ScenarioRun:
+    """A multi-machine run: cycles and breakdown summed over whole ledgers."""
+    total = sum(machine.ledger.total for machine in machines)
+    return ScenarioRun(name=name, params=params, wall_seconds=wall, cycles=total,
+                       total_cycles=total, breakdown=_breakdown(machines), extra=extra)
 
 
 # ---------------------------------------------------------------------------
@@ -180,19 +159,34 @@ def run_redis(requests: int = 400, op: str = "GET") -> ScenarioRun:
 
 def run_redis_cluster(shards: int = 4, clients: int = 4, requests: int = 64,
                       pipeline: int = 8) -> ScenarioRun:
-    """Sharded redis over SM channels: router + N shards, pipelined."""
-    from repro.bench.redis_cluster import build_cluster
+    """Sharded redis over SM channels: router + N shards, pipelined.
 
-    machine, pairs, _sessions = build_cluster(
+    ``extra`` carries the cluster's summary (latency percentiles in
+    cycles, client errors, shard balance, doorbells, MGET splits),
+    worked out from the run's results after the clock stops.
+    """
+    from repro.bench.redis_cluster import build_cluster, summarise_cluster
+
+    machine, pairs, sessions = build_cluster(
         shards, clients, requests, pipeline
     )
     params = {
         "shards": shards, "clients": clients,
         "requests": requests, "pipeline": pipeline,
     }
+    setup_total = machine.ledger.total
+
+    def summarise(results):
+        summary = summarise_cluster(machine, sessions, results, setup_total)
+        return {key: summary[key] for key in (
+            "p50_latency_cycles", "p99_latency_cycles", "errors",
+            "shard_balance", "doorbells", "mget_splits",
+        )}
+
     return _measure(
         "redis_cluster", params, machine,
         lambda: machine.run_concurrent(pairs, wake_priority=True),
+        summarise,
     )
 
 
@@ -200,7 +194,7 @@ def _virtio_ablation(name: str, params: dict, naive_arm, batched_arm) -> Scenari
     """Package a naive-vs-batched virtio pair as one scenario.
 
     Both arms run identical payload work; cycles and breakdowns are
-    summed over the two machines (the fleet pattern), and the per-arm
+    summed over the two machines (:func:`_summed_run`), and the per-arm
     exit/kick/interrupt statistics plus their reduction ratios ride in
     :attr:`ScenarioRun.extra` -- the acceptance figure for the batched
     data plane is ``mmio_exit_reduction >= 2``.
@@ -209,35 +203,18 @@ def _virtio_ablation(name: str, params: dict, naive_arm, batched_arm) -> Scenari
     naive_machine, naive = naive_arm()
     batched_machine, batched = batched_arm()
     wall = time.perf_counter() - t0
-    total = naive_machine.ledger.total + batched_machine.ledger.total
-    breakdown: dict = {}
-    for machine in (naive_machine, batched_machine):
-        for cat, cycles in machine.ledger.by_category().items():
-            breakdown[cat.name] = breakdown.get(cat.name, 0) + cycles
-    return ScenarioRun(
-        name=name,
-        params=params,
-        wall_seconds=wall,
-        cycles=total,
-        total_cycles=total,
-        breakdown=breakdown,
-        extra={
-            "naive": naive,
-            "batched": batched,
-            "mmio_exit_reduction": round(
-                naive["mmio_exits"] / batched["mmio_exits"], 2
-            ) if batched["mmio_exits"] else 0.0,
-            "kick_reduction": round(
-                naive["kicks"] / batched["kicks"], 2
-            ) if batched["kicks"] else 0.0,
-            "irq_reduction": round(
-                naive["irqs_raised"] / batched["irqs_raised"], 2
-            ) if batched["irqs_raised"] else 0.0,
-            "cycle_reduction": round(
-                naive["cycles"] / batched["cycles"], 3
-            ) if batched["cycles"] else 0.0,
-        },
-    )
+
+    def reduction(key: str, digits: int = 2) -> float:
+        return round(naive[key] / batched[key], digits) if batched[key] else 0.0
+
+    return _summed_run(name, params, wall, (naive_machine, batched_machine), {
+        "naive": naive,
+        "batched": batched,
+        "mmio_exit_reduction": reduction("mmio_exits"),
+        "kick_reduction": reduction("kicks"),
+        "irq_reduction": reduction("irqs_raised"),
+        "cycle_reduction": reduction("cycles", 3),
+    })
 
 
 def _virtio_arm_stats(machine: Machine, device) -> dict:
@@ -334,11 +311,11 @@ def run_fleet(hosts: int = 3, cvms: int = 8, epochs: int = 5,
               migration_rate: int = 3) -> ScenarioRun:
     """Multi-host fleet rebalancing loop (clean run, no fault injection).
 
-    The only multi-machine scenario: cycles are summed over every host's
-    independent ledger, and the fleet's own figures (migration count,
-    per-migration downtime, serving-throughput dip) ride along in
-    :attr:`ScenarioRun.extra` so ``BENCH_PERF.json`` carries the paper's
-    migration-cost story next to the wall-clock one.
+    Cycles are summed over every host's independent ledger, and the
+    fleet's own figures (migration count, per-migration downtime,
+    serving-throughput dip) ride along in :attr:`ScenarioRun.extra` so
+    ``BENCH_PERF.json`` carries the paper's migration-cost story next to
+    the wall-clock one.
     """
     from repro.fleet import FleetConfig, FleetOrchestrator
 
@@ -348,38 +325,68 @@ def run_fleet(hosts: int = 3, cvms: int = 8, epochs: int = 5,
     t0 = time.perf_counter()
     result = orchestrator.run()
     wall = time.perf_counter() - t0
-    total = sum(host.cycles for host in orchestrator.hosts)
-    breakdown: dict = {}
-    for host in orchestrator.hosts:
-        for cat, cycles in host.machine.ledger.by_category().items():
-            breakdown[cat.name] = breakdown.get(cat.name, 0) + cycles
-    return ScenarioRun(
-        name="fleet",
-        params={"hosts": hosts, "cvms": cvms, "epochs": epochs,
-                "migration_rate": migration_rate},
-        wall_seconds=wall,
-        cycles=total,
-        total_cycles=total,
-        breakdown=breakdown,
-        extra={
-            "migrations": result.migrations,
-            "downtime_mean_cycles": round(result.downtime_mean, 1),
-            "downtime_max_cycles": result.downtime_max,
-            "throughput_dip_pct": round(result.throughput_dip_pct, 2),
-        },
-    )
+    params = {"hosts": hosts, "cvms": cvms, "epochs": epochs,
+              "migration_rate": migration_rate}
+    machines = [host.machine for host in orchestrator.hosts]
+    return _summed_run("fleet", params, wall, machines, {
+        "migrations": result.migrations,
+        "downtime_mean_cycles": round(result.downtime_mean, 1),
+        "downtime_max_cycles": result.downtime_max,
+        "throughput_dip_pct": round(result.throughput_dip_pct, 2),
+    })
 
 
-SCENARIOS = {
-    "memstress": run_memstress,
-    "pingpong": run_pingpong,
-    "redis": run_redis,
-    "redis_cluster": run_redis_cluster,
-    "switch_path": run_switch_path,
-    "fleet": run_fleet,
-    "iozone": run_iozone,
-    "redis_batch": run_redis_batch,
-}
+def _cuts_mmio_exits_2x(run: ScenarioRun) -> list:
+    reduction = run.extra["mmio_exit_reduction"]
+    return [] if reduction >= 2 else [f"{run.name}: MMIO-exit reduction {reduction:.2f}x < 2x"]
+
+
+def _no_check(run: ScenarioRun) -> list:
+    """The check of a scenario without one: always passes."""
+    return []
+
+
+def _no_client_errors(run: ScenarioRun) -> list:
+    errors = run.extra["errors"]
+    return [f"{run.name}: {errors} client errors"] if errors else []
+
+
+@dataclasses.dataclass(frozen=True)
+class Scenario:
+    """One suite scenario: its runner at both scales, and its own check."""
+
+    name: str
+    #: Runner kwargs at quick scale (CI smoke: same code paths, less work).
+    quick: dict
+    #: Runner kwargs at full scale (the documented profiles).
+    full: dict
+    run: Callable[..., ScenarioRun]
+    #: ScenarioRun -> problem strings (empty == pass), enforced by every
+    #: ``perf`` run beside the golden check.
+    check: Callable[[ScenarioRun], list] = _no_check
+
+
+SCENARIOS = {scenario.name: scenario for scenario in (
+    Scenario("memstress", {"pages": 400}, {"pages": 2000}, run_memstress),
+    Scenario("pingpong", {"rounds": 16, "message_size": 256},
+             {"rounds": 64, "message_size": 256}, run_pingpong),
+    Scenario("redis", {"requests": 100, "op": "GET"},
+             {"requests": 400, "op": "GET"}, run_redis),
+    Scenario("redis_cluster",
+             {"shards": 2, "clients": 2, "requests": 16, "pipeline": 4},
+             {"shards": 4, "clients": 4, "requests": 64, "pipeline": 8},
+             run_redis_cluster, _no_client_errors),
+    Scenario("switch_path", {"iterations": 100}, {"iterations": 400},
+             run_switch_path),
+    Scenario("fleet", {"hosts": 2, "cvms": 4, "epochs": 3, "migration_rate": 2},
+             {"hosts": 3, "cvms": 8, "epochs": 5, "migration_rate": 3}, run_fleet),
+    Scenario("iozone", {"file_mb": 2, "record_kb": 64, "queue_depth": 8},
+             {"file_mb": 4, "record_kb": 64, "queue_depth": 8},
+             run_iozone, _cuts_mmio_exits_2x),
+    Scenario("redis_batch", {"requests": 64, "pipeline": 8, "op": "GET"},
+             {"requests": 200, "pipeline": 8, "op": "GET"},
+             run_redis_batch, _cuts_mmio_exits_2x),
+)}
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +396,16 @@ SCENARIOS = {
 
 def run_suite(quick: bool = False, only=None) -> list:
     """Run the scenario suite; returns a list of :class:`ScenarioRun`."""
-    params = QUICK_PARAMS if quick else FULL_PARAMS
-    runs = []
-    for name, runner in SCENARIOS.items():
-        if only is not None and name not in only:
-            continue
-        runs.append(runner(**params[name]))
-    return runs
+    return [
+        scenario.run(**(scenario.quick if quick else scenario.full))
+        for scenario in SCENARIOS.values()
+        if only is None or scenario.name in only
+    ]
+
+
+def check_scenarios(runs) -> list:
+    """Each run's own scenario check; problem strings (empty == pass)."""
+    return [problem for run in runs for problem in SCENARIOS[run.name].check(run)]
 
 
 def build_report(runs, quick: bool) -> dict:

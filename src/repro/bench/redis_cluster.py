@@ -49,8 +49,8 @@ def build_cluster(shards: int = 4, clients: int = 2, requests: int = 32,
     """Launch the cluster's CVMs and build its ``run_concurrent`` pairs.
 
     Returns ``(machine, pairs, (shard_sessions, client_sessions,
-    router_session))`` so callers (the perf suite, the CLI) can time the
-    concurrent run themselves.
+    router_session))`` so the perf suite can time the concurrent run
+    itself and then :func:`summarise_cluster` it.
     """
     machine = Machine(MachineConfig())
     slot_map = SlotMap(shards)
@@ -103,18 +103,31 @@ def run_cluster(shards: int = 4, clients: int = 2, requests: int = 32,
         value_size=value_size, fail_shard=fail_shard, fail_after=fail_after,
         idle_limit=idle_limit,
     )
-    shard_sessions, client_sessions, router_session = sessions
-
     before = dict(machine.ledger.by_category())
-    total_before = machine.ledger.total
+    setup_total = machine.ledger.total
     results = machine.run_concurrent(pairs, wake_priority=wake_priority)
     after = machine.ledger.by_category()
-    breakdown = {
-        category.name: after[category] - before.get(category, 0)
-        for category in after
-        if after[category] - before.get(category, 0) > 0
+    return {
+        "shards": shards,
+        "clients": clients,
+        "pipeline": pipeline,
+        **summarise_cluster(machine, sessions, results, setup_total),
+        "breakdown": {
+            category.name: after[category] - before.get(category, 0)
+            for category in after
+            if after[category] - before.get(category, 0) > 0
+        },
     }
 
+
+def summarise_cluster(machine, sessions, results, setup_total: int) -> dict:
+    """Throughput/latency/balance stats of one finished cluster run.
+
+    ``sessions`` is :func:`build_cluster`'s third value, ``results`` the
+    ``run_concurrent`` return value and ``setup_total`` the ledger total
+    just before that run.  Reads the results only; charges nothing.
+    """
+    shard_sessions, client_sessions, router_session = sessions
     client_stats = [results[session] for session in client_sessions]
     shard_stats = [results[session] for session in shard_sessions]
     router_stats = results[router_session]
@@ -124,7 +137,7 @@ def run_cluster(shards: int = 4, clients: int = 2, requests: int = 32,
     # redis_benchmark's serving_cycles: the baseline times its serving
     # loop only, so the comparison must too.  Bring-up is still visible
     # as "setup_cycles" and inside the whole-run "cycles".
-    setup_cycles = router_stats["setup_done_total"] - total_before
+    setup_cycles = router_stats["setup_done_total"] - setup_total
     serving_cycles = cycles - setup_cycles
     completed = sum(stat["completed"] for stat in client_stats)
     latencies = sorted(
@@ -135,10 +148,7 @@ def run_cluster(shards: int = 4, clients: int = 2, requests: int = 32,
     busy = [stat["busy_cycles"] for stat in shard_stats]
     max_busy = max(busy) if busy else 0
     return {
-        "shards": shards,
-        "clients": clients,
         "requests": completed,
-        "pipeline": pipeline,
         "cycles": cycles,
         "setup_cycles": setup_cycles,
         "serving_cycles": serving_cycles,
@@ -176,7 +186,6 @@ def run_cluster(shards: int = 4, clients: int = 2, requests: int = 32,
         "shard_balance": (
             sum(busy) / (len(busy) * max_busy) if max_busy else 0.0
         ),
-        "breakdown": breakdown,
     }
 
 

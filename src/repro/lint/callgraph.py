@@ -276,18 +276,6 @@ class Project:
             return mod.classes[name]
         return self._unique_class(name)
 
-    def attr_type(
-        self, module_key: str, class_name: Optional[str], attr: str
-    ) -> Optional[str]:
-        """Semantic type tag of ``self.<attr>`` inside ``class_name``."""
-        if class_name is None:
-            return None
-        cls = self.class_of(module_key, class_name)
-        if cls is None:
-            return None
-        tag = cls.attr_types.get(attr)
-        return None if tag == "?" else tag
-
     def receiver_type(
         self,
         expr: ast.AST,

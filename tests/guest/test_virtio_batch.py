@@ -180,3 +180,9 @@ class TestBatchDeterminism:
                 for _ in range(2)]
         assert runs[0] == runs[1]
         assert runs[0]["suppressed"] > 0
+
+    def test_adaptive_doorbells_ring_at_least_2x_fewer(self):
+        from repro.bench.ipc import run_doorbell_ablation
+
+        result = run_doorbell_ablation(messages=128, burst=64)
+        assert result["doorbell_reduction"] >= 2

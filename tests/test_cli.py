@@ -88,8 +88,42 @@ def test_fleet_ablation_table(capsys, monkeypatch):
     assert "    2     4     1" in out
 
 
-def test_virtio_batch_smoke(capsys):
-    assert main(["virtio-batch", "--quick"]) == 0
+def test_perf_virtio_batching_cuts_mmio_exits(tmp_path):
+    import json
+
+    out = tmp_path / "perf.json"
+    assert main(["perf", "--quick", "--only", "iozone,redis_batch",
+                 "--out", str(out)]) == 0
+    scenarios = json.loads(out.read_text())["scenarios"]
+    for name in ("iozone", "redis_batch"):
+        assert scenarios[name]["mmio_exit_reduction"] >= 2, name
+
+
+def test_perf_fails_an_arm_that_does_not_cut_mmio_exits(tmp_path, capsys, monkeypatch):
+    from repro.bench import perf
+
+    real_stats = perf._virtio_arm_stats
+
+    def same_exits_on_both_arms(machine, device):
+        return {**real_stats(machine, device), "mmio_exits": 10}
+
+    monkeypatch.setattr(perf, "_virtio_arm_stats", same_exits_on_both_arms)
+    assert main(["perf", "--quick", "--only", "iozone",
+                 "--out", str(tmp_path / "perf.json")]) == 1
     out = capsys.readouterr().out
-    assert "iozone" in out and "redis_batch" in out and "doorbells" in out
-    assert "FAIL" not in out
+    assert "SCENARIO CHECK: iozone: MMIO-exit reduction 1.00x < 2x" in out
+    assert "golden check: all simulated cycle totals match" in out
+
+
+def test_perf_fails_a_cluster_run_with_client_errors(tmp_path, capsys, monkeypatch):
+    from repro.bench import redis_cluster
+
+    real_summary = redis_cluster.summarise_cluster
+
+    def one_error(*args):
+        return {**real_summary(*args), "errors": 1}
+
+    monkeypatch.setattr(redis_cluster, "summarise_cluster", one_error)
+    assert main(["perf", "--quick", "--only", "redis_cluster",
+                 "--out", str(tmp_path / "perf.json")]) == 1
+    assert "SCENARIO CHECK: redis_cluster: 1 client errors" in capsys.readouterr().out

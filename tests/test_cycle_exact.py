@@ -30,33 +30,24 @@ import pytest
 GOLDEN_PATH = pathlib.Path(__file__).parent / "goldens" / "cycle_exact.json"
 
 
-def _snapshot(machine):
-    """(total, breakdown-by-name) of a machine's ledger."""
-    return (
-        machine.ledger.total,
-        {cat.name: v for cat, v in machine.ledger.by_category().items()},
-    )
+def _run_memstress_cvm():
+    from repro.bench.perf import run_memstress
+
+    run = run_memstress(pages=512)
+    return run.total_cycles, run.breakdown
 
 
-def _memstress(kind: str, pages: int):
+def _run_memstress_normal():
     from repro.machine import Machine, MachineConfig
     from repro.workloads.memstress import sequential_write_stress
 
     machine = Machine(MachineConfig())
-    if kind == "cvm":
-        session = machine.launch_confidential_vm(image=b"perf" * 100)
-    else:
-        session = machine.launch_normal_vm()
-    machine.run(session, sequential_write_stress(pages))
-    return _snapshot(machine)
-
-
-def _run_memstress_cvm():
-    return _memstress("cvm", 512)
-
-
-def _run_memstress_normal():
-    return _memstress("normal", 256)
+    session = machine.launch_normal_vm()
+    machine.run(session, sequential_write_stress(256))
+    return (
+        machine.ledger.total,
+        {cat.name: v for cat, v in machine.ledger.by_category().items()},
+    )
 
 
 def _run_pingpong():
