@@ -121,11 +121,8 @@ EXPERIMENTS = {
                      {"scale": 0.01}, {"scale": 0.1}, _format_rv8),
     "E5": Experiment("CoreMark (section V-D)", run_coremark_experiment,
                      {"iterations": 1_500}, {"iterations": 10_000}, _format_coremark),
-    # One round at full scale too: every round builds a fresh machine and
-    # the model is deterministic, so further rounds repeat the same sample.
     "E6": Experiment("Redis benchmark (Fig. 3)", run_redis_experiment,
-                     {"requests": 300, "rounds": 1},
-                     {"requests": 2_000, "rounds": 1}, _format_redis),
+                     {"requests": 300}, {"requests": 2_000}, _format_redis),
     # size_scale=4: joint file/cache scaling keeps the streamed fraction
     # that drives the overhead (run_iozone_experiment's docstring).
     "E7": Experiment("IOZone (Fig. 4)", run_iozone_experiment,

@@ -97,35 +97,31 @@ def run_coremark_experiment(iterations: int = 2_000) -> dict:
     }
 
 
-def run_redis_experiment(ops=None, requests: int = 500, rounds: int = 1) -> dict:
+def run_redis_experiment(ops=None, requests: int = 500) -> dict:
     """E6 / Fig. 3: redis-benchmark throughput and latency per op type.
 
-    ``requests``/``rounds`` default far below the paper's 10x10,000 (the
-    per-op deltas converge within a few hundred requests; the full load
-    is available by passing the paper values).
+    The paper runs 10 rounds of 10,000 requests.  The model is
+    deterministic, so one round on one normal-VM and one CVM machine per
+    op is the whole sample; ``requests`` defaults far below 10,000 (the
+    per-op deltas converge within a few hundred requests).
     """
     op_names = ops if ops is not None else paper_data.REDIS["ops"]
     rows = {}
     for op in op_names:
-        samples = {"normal": [], "cvm": []}
-        for _ in range(rounds):
-            for kind in ("normal", "cvm"):
-                machine = Machine(MachineConfig())
-                if kind == "cvm":
-                    session = machine.launch_confidential_vm(image=b"redis" * 200)
-                else:
-                    session = machine.launch_normal_vm()
-                machine.attach_virtio_net(session)
-                samples[kind].append(redis_benchmark(machine, session, op, requests))
+        sample = {}
+        for kind in ("normal", "cvm"):
+            machine = Machine(MachineConfig())
+            if kind == "cvm":
+                session = machine.launch_confidential_vm(image=b"redis" * 200)
+            else:
+                session = machine.launch_normal_vm()
+            machine.attach_virtio_net(session)
+            sample[kind] = redis_benchmark(machine, session, op, requests)
 
-        def mean(kind, field):
-            values = [s[field] for s in samples[kind]]
-            return sum(values) / len(values)
-
-        normal_rps = mean("normal", "throughput_rps")
-        cvm_rps = mean("cvm", "throughput_rps")
-        normal_lat = mean("normal", "avg_latency_us")
-        cvm_lat = mean("cvm", "avg_latency_us")
+        normal_rps = sample["normal"]["throughput_rps"]
+        cvm_rps = sample["cvm"]["throughput_rps"]
+        normal_lat = sample["normal"]["avg_latency_us"]
+        cvm_lat = sample["cvm"]["avg_latency_us"]
         rows[op] = {
             "normal_throughput_rps": normal_rps,
             "cvm_throughput_rps": cvm_rps,
@@ -141,7 +137,6 @@ def run_redis_experiment(ops=None, requests: int = 500, rounds: int = 1) -> dict
         "avg_throughput_drop_pct": sum(drops) / len(drops),
         "avg_latency_increase_pct": sum(lats) / len(lats),
         "requests": requests,
-        "rounds": rounds,
     }
 
 

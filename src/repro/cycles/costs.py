@@ -28,6 +28,12 @@ class CycleCosts:
 
     Instances are immutable; experiments that vary a cost (ablations) build
     a modified copy with :func:`dataclasses.replace`.
+
+    Every field is a cost, never a count.  How many CSRs a world switch
+    moves lives beside the code that moves them (``GUEST_CSRS`` in
+    ``sm/vcpu.py``, ``HYP_CSR_COUNT`` in ``sm/world_switch.py``,
+    ``KVM_CSR_COUNT`` in ``hyp/hypervisor.py``), so doubling every field
+    doubles each E1/E2 switch exactly.
     """
 
     # --- privilege / trap plumbing -------------------------------------
@@ -42,7 +48,7 @@ class CycleCosts:
     #: SM ECALL dispatch overhead (argument decode, function table jump).
     ecall_dispatch: int = 90
 
-    # --- register state movement ---------------------------------------
+    # --- register state movement (per register; the counts are not here) -
     #: Save or restore one general-purpose register (store/load + addr gen).
     gpr_save: int = 4
     #: Read one CSR.
@@ -119,19 +125,12 @@ class CycleCosts:
     channel_doorbell: int = 450
 
     # --- hypervisor (Normal mode) internals ------------------------------
-    #: Number of hypervisor-context CSRs swapped on a world switch.
-    hyp_csr_context: int = 18
-    #: Number of guest-context CSRs held in the secure vCPU.
-    guest_csr_context: int = 16
     #: Hypervisor scheduler pass on a timer tick.
     hyp_sched_pass: int = 800
     #: KVM VM-exit handler fixed cost (exit-reason decode, vcpu put).
     kvm_exit_logic: int = 380
     #: KVM VM-entry fixed cost (vcpu load, interrupt window checks).
     kvm_entry_logic: int = 520
-    #: Number of CSRs KVM swaps on a normal-VM world switch (smaller than
-    #: the SM's set: KVM trusts itself and lazily switches several).
-    kvm_csr_context: int = 12
     #: KVM fixed stage-2 fault cost (memslot lookup, gfn_to_pfn /
     #: get_user_pages, mmu lock).  Measurement-calibrated: dominated by the
     #: Linux gup path at 100 MHz.

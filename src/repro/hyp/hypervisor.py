@@ -36,6 +36,9 @@ DEFAULT_SHARED_WINDOW = 4 << 20
 _SHARED_FLAGS = PTE_R | PTE_W | PTE_U | PTE_D
 #: Leaf permissions of a normal VM's demand-mapped page.
 _NORMAL_VM_FLAGS = PTE_R | PTE_W | PTE_X | PTE_U | PTE_D
+#: Number of CSRs KVM swaps on a normal-VM world switch (smaller than
+#: the SM's set: KVM trusts itself and lazily switches several).
+KVM_CSR_COUNT = 12
 
 
 def _shared_window(layout: GpaLayout, window: int | None) -> int:
@@ -127,7 +130,7 @@ class Hypervisor:
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_exit_logic)
         self.ledger.charge(
             Category.REG_SAVE,
-            self.costs.gpr_file_save + self.costs.kvm_csr_context * self.costs.csr_read,
+            self.costs.gpr_file_save + KVM_CSR_COUNT * self.costs.csr_read,
         )
         hart.mode = PrivilegeMode.HS
 
@@ -136,7 +139,7 @@ class Hypervisor:
         self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_entry_logic)
         self.ledger.charge(
             Category.REG_SAVE,
-            self.costs.gpr_file_save + self.costs.kvm_csr_context * self.costs.csr_write,
+            self.costs.gpr_file_save + KVM_CSR_COUNT * self.costs.csr_write,
         )
         self.ledger.charge(Category.TRAP, self.costs.xret)
         hart.mode = PrivilegeMode.VS

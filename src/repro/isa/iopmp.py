@@ -72,10 +72,6 @@ class IopmpUnit:
         """Insert a rule at ``index`` (higher priority than what follows)."""
         self._entries.insert(index, entry)
 
-    def remove_entry(self, index: int) -> IopmpEntry:
-        """Delete and return the rule at ``index``."""
-        return self._entries.pop(index)
-
     def clear(self) -> None:
         """Remove every rule (back to the default-allow reset state)."""
         self._entries.clear()

@@ -2,7 +2,7 @@
 
 Routes device (external) interrupts to hart contexts with the standard
 claim/complete protocol: a device raises its source line; the highest-
-priority pending+enabled source above a context's threshold asserts the
+priority pending+enabled source with a nonzero priority asserts the
 context's external-interrupt pin; software claims (reads the source id,
 atomically clearing its pending bit), services the device, and completes.
 
@@ -30,7 +30,6 @@ class Plic:
         #: In-flight claims (claimed but not completed).
         self._claimed = [False] * (source_count + 1)
         self._enabled = [set() for _ in range(context_count)]
-        self._threshold = [0] * context_count
 
     # -- configuration (hypervisor side) ------------------------------------
 
@@ -51,10 +50,6 @@ class Plic:
         self._check_source(source)
         self._enabled[context].discard(source)
 
-    def set_threshold(self, context: int, threshold: int) -> None:
-        """Sources at or below this priority will not interrupt the context."""
-        self._threshold[context] = threshold
-
     # -- device side ------------------------------------------------------------
 
     def raise_irq(self, source: int) -> None:
@@ -67,7 +62,7 @@ class Plic:
 
     def _best_candidate(self, context: int):
         best = None
-        best_priority = self._threshold[context]
+        best_priority = 0
         for source in self._enabled[context]:
             if not self._pending[source] or self._claimed[source]:
                 continue

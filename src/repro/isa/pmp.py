@@ -137,10 +137,6 @@ class PmpUnit:
         """A copy of the 16-entry array."""
         return list(self._entries)
 
-    def any_implemented(self) -> bool:
-        """True when at least one entry is programmed (spec default-deny)."""
-        return self._any_implemented
-
     def check(self, addr: int, size: int, access: AccessType, mode: PrivilegeMode) -> bool:
         """Whether the access is permitted under the current configuration.
 

@@ -1,11 +1,9 @@
-"""mstatus / hstatus bit-field encoding (the fields ZION manipulates).
+"""mstatus bit-field encoding (the fields ZION manipulates).
 
 The world switch and trap machinery communicate through architectural
 status bits: ``mstatus.MPP``/``MPV`` say where ``mret`` will land (and
 record where a trap came from), ``mstatus.SIE``/``MPIE`` hold the
-interrupt-enable stack, ``hstatus.SPV`` records whether an HS-level trap
-arrived from a virtual mode, and ``hstatus.SPVP`` the guest privilege.
-Field positions follow the privileged spec (RV64).
+interrupt-enable stack.  Field positions follow the privileged spec (RV64).
 """
 
 from __future__ import annotations
@@ -21,12 +19,6 @@ MSTATUS_SPP = 1 << 8
 _MPP_SHIFT = 11
 _MPP_MASK = 0b11 << _MPP_SHIFT
 MSTATUS_MPV = 1 << 39
-MSTATUS_GVA = 1 << 38
-
-# hstatus fields
-HSTATUS_SPV = 1 << 7
-HSTATUS_SPVP = 1 << 8
-HSTATUS_GVA = 1 << 6
 
 
 def mpp_of(mstatus: int) -> int:
@@ -79,14 +71,4 @@ def encode_mret(mstatus: int) -> int:
     updated |= MSTATUS_MPIE
     updated = with_mpp(updated, 0)
     updated &= ~MSTATUS_MPV
-    return updated
-
-
-def encode_hstatus_for_guest(hstatus: int, guest_mode: PrivilegeMode) -> int:
-    """hstatus while a guest trap is being serviced: SPV/SPVP per spec."""
-    updated = hstatus | HSTATUS_SPV
-    if guest_mode is PrivilegeMode.VS:
-        updated |= HSTATUS_SPVP
-    else:
-        updated &= ~HSTATUS_SPVP
     return updated

@@ -108,10 +108,6 @@ class LintReport:
     pragma_count: int
     files: int
 
-    @property
-    def all_findings(self) -> list[Finding]:
-        return self.new + self.pragma_suppressed + self.baselined
-
     def counts(self, findings=None) -> dict[str, int]:
         counts = {rule: 0 for rule in RULE_ORDER}
         for f in self.new if findings is None else findings:

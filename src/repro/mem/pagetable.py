@@ -220,20 +220,6 @@ class PageTable:
             table = pte_target(pte)
         raise MemoryError_(f"walk for {va:#x} bottomed out without a leaf")
 
-    def set_flags(self, accessor, root_pa: int, va: int, flags: int) -> None:
-        """Rewrite the permission bits of the leaf covering ``va``."""
-        self._check_va(va)
-        table = root_pa
-        for depth in range(self.levels):
-            slot = table + 8 * self._index(va, depth)
-            pte = accessor.read_u64(slot)
-            if not pte & PTE_V:
-                raise MemoryError_(f"{va:#x} is not mapped")
-            if pte_is_leaf(pte):
-                accessor.write_u64(slot, pte & _PPN_MASK | flags | PTE_V)
-                return
-            table = pte_target(pte)
-
     # -- translation -----------------------------------------------------------
 
     def walk(self, accessor, root_pa: int, va: int) -> WalkResult | None:

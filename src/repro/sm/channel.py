@@ -298,17 +298,6 @@ class ChannelManager:
             monitor.hypervisor.on_channel_doorbell(peer_id)
         return channel.doorbells[peer_id]
 
-    def consume_doorbell(self, cvm_id: int, channel_id: int) -> int:
-        """Take (and clear) the endpoint's pending doorbell count.
-
-        Membership-checked like :meth:`notify`; the count itself is
-        SM-maintained (trusted) state, so no clamping is needed.
-        """
-        channel = self._endpoint_channel(cvm_id, channel_id)
-        pending = channel.doorbells.get(cvm_id, 0)
-        channel.doorbells[cvm_id] = 0
-        return pending
-
     def close(self, cvm, channel_id: int) -> None:
         """Tear the channel down from either end: unmap, scrub, recycle.
 

@@ -41,6 +41,8 @@ from repro.sm.vcpu import (
 )
 
 _MASK64 = (1 << 64) - 1
+#: Number of hypervisor-context CSRs swapped on a world switch.
+HYP_CSR_COUNT = 18
 
 
 class WorldSwitch:
@@ -91,8 +93,8 @@ class WorldSwitch:
         pmp_toggle = regions * costs.pmp_entry_write + costs.pmp_fence
         guest_save = costs.gpr_file_save + len(GUEST_CSRS) * costs.csr_read
         guest_restore = costs.gpr_file_save + len(GUEST_CSRS) * costs.csr_write
-        hyp_save = costs.hyp_csr_context * costs.csr_read + costs.gpr_file_save
-        hyp_swap = costs.hyp_csr_context * costs.csr_swap + costs.gpr_file_save
+        hyp_save = HYP_CSR_COUNT * costs.csr_read + costs.gpr_file_save
+        hyp_swap = HYP_CSR_COUNT * costs.csr_swap + costs.gpr_file_save
         delegation_swap = 4 * costs.csr_write
         publish = SHARED_VCPU_SLOTS_PUBLISHED * costs.field_copy
 

@@ -183,93 +183,6 @@ def iozone_workload(file_bytes: int, record_bytes: int, cache_bytes: int = DEFAU
     return workload
 
 
-def iozone_full_workload(file_bytes: int, record_bytes: int, cache_bytes: int = DEFAULT_CACHE_BYTES):
-    """The full IOZone pass set: write/rewrite/read/reread/random r+w.
-
-    Beyond Fig. 4's sequential write/read, real IOZone also reports
-    rewrite, reread and random passes; this workload models all six:
-
-    - **rewrite** re-dirties the (now cached, for small files) file, so
-      large files pay writeback again while small ones stay in memory;
-    - **reread** after read is all cache hits for small files and a full
-      device stream again for large ones (sequential LRU thrash);
-    - **random read** loses readahead batching: every record beyond the
-      cache is its own device round trip;
-    - **random write** dirties scattered pages, so writeback degrades to
-      record-sized device requests.
-
-    Offsets for the random passes come from a deterministic LCG (the
-    simulation must be reproducible).
-    """
-
-    def workload(ctx):
-        blk = ctx.blk_driver()
-        ledger = ctx.ledger
-        records = max(1, file_bytes // record_bytes)
-        cached_file = file_bytes <= cache_bytes
-        buf_base = ctx.session.layout.dram_base + (96 << 20)
-        buf_pages = [buf_base + i * PAGE_SIZE for i in range(32)]
-        for page in buf_pages:
-            ctx.touch(page)
-
-        results = {}
-        lcg_state = 0x5EED
-
-        def lcg():
-            nonlocal lcg_state
-            lcg_state = (lcg_state * 6364136223846793005 + 1442695040888963407) % (1 << 64)
-            return lcg_state
-
-        def sequential_pass(op, dirties):
-            start = ledger.total
-            dirty = 0
-            readahead = 0
-            sector = 0
-            for index in range(records):
-                if not dirties and not cached_file:
-                    # Readahead: one batched device read serves several
-                    # records (the batching random access loses).
-                    while readahead < record_bytes:
-                        blk.read(sector, IO_BATCH)
-                        sector += IO_BATCH // 512
-                        readahead += IO_BATCH
-                    readahead -= record_bytes
-                _charge_record(ctx, record_bytes)
-                ctx.touch(buf_pages[index % len(buf_pages)])
-                if dirties:
-                    dirty += record_bytes
-                    while dirty >= IO_BATCH and not cached_file:
-                        blk.write(sector, IO_BATCH)
-                        sector += IO_BATCH // 512
-                        dirty -= IO_BATCH
-            results[op] = ledger.total - start
-
-        def random_pass(op, dirties):
-            start = ledger.total
-            for index in range(records):
-                offset_record = lcg() % records
-                sector = offset_record * record_bytes // 512
-                _charge_record(ctx, record_bytes)
-                ctx.touch(buf_pages[index % len(buf_pages)])
-                if not cached_file:
-                    # No readahead/batching benefit at random offsets.
-                    if dirties:
-                        blk.write(sector, record_bytes)
-                    else:
-                        blk.read(sector, record_bytes)
-            results[op] = ledger.total - start
-
-        sequential_pass("write", dirties=True)
-        sequential_pass("rewrite", dirties=True)
-        sequential_pass("read", dirties=False)
-        sequential_pass("reread", dirties=False)
-        random_pass("random_read", dirties=False)
-        random_pass("random_write", dirties=True)
-        return results
-
-    return workload
-
-
 def iozone_run(machine, session, file_bytes: int, record_bytes: int,
                cache_bytes: int = DEFAULT_CACHE_BYTES) -> IozoneResult:
     """Run one IOZone cell on ``session`` (needs virtio-blk attached)."""

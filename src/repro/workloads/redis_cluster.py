@@ -134,11 +134,6 @@ class SlotMap:
         """The shard owning ``key``'s slot."""
         return self.shard_of_slot(key_slot(key))
 
-    def slots_of_shard(self, shard: int) -> range:
-        """The contiguous slot range shard ``shard`` owns."""
-        start, end = self.ranges[shard]
-        return range(start, end)
-
 
 # ---------------------------------------------------------------------------
 # Pure routing logic (unit-testable without a machine)

@@ -47,12 +47,6 @@ def machine():
 
 
 @pytest.fixture
-def small_machine():
-    """A machine with a small pool so stage-3 expansion is easy to reach."""
-    return Machine(MachineConfig(initial_pool_bytes=2 << 20))
-
-
-@pytest.fixture
 def cvm_session(machine):
     return machine.launch_confidential_vm(image=b"test-guest-image" * 64)
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 
+from repro import Machine, MachineConfig
+from repro.bench.microbench import _MMIO_EXIT, _TIMER_EXIT, _measure_switches
 from repro.cycles import CycleCosts, DEFAULT_COSTS
 
 
@@ -48,3 +50,18 @@ def test_relative_ordering_matches_hardware_intuition():
     assert c.trap_to_vs < c.trap_to_m
     # The KVM gup path dwarfs the SM's fault fixed cost difference.
     assert c.kvm_fault_fixed > c.sm_fault_fixed
+
+
+def test_doubling_every_cost_doubles_e1_and_e2_switches():
+    """Every field is a cost, not a count: doubling them all doubles each
+    E1/E2 mean entry and exit exactly."""
+    doubled = CycleCosts(**{f.name: 2 * getattr(DEFAULT_COSTS, f.name)
+                            for f in dataclasses.fields(CycleCosts)})
+    for config, exit_info in (({"use_shared_vcpu": True}, _MMIO_EXIT),
+                              ({"use_shared_vcpu": False}, _MMIO_EXIT),
+                              ({"long_path": False}, _TIMER_EXIT),
+                              ({"long_path": True}, _TIMER_EXIT)):
+        base, scaled = (_measure_switches(Machine(MachineConfig(costs=costs, **config)),
+                                          exit_info, 5) for costs in (DEFAULT_COSTS, doubled))
+        for key in ("entry_cycles", "exit_cycles"):
+            assert scaled[key] == 2 * base[key], (config, key)

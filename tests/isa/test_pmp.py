@@ -155,4 +155,4 @@ class TestChecking:
         unit.set_entries([(3, first), (1, second),
                           (2, PmpEntry(mode=PmpAddressMode.TOR, base=0x1000, size=0))])
         assert unit._active == [second.match, first.match]
-        assert unit.any_implemented()
+        assert unit._any_implemented

@@ -1,4 +1,4 @@
-"""mstatus/hstatus field encoding and the mret-target invariant."""
+"""mstatus field encoding and the mret-target invariant."""
 
 import pytest
 
@@ -66,18 +66,6 @@ class TestMretTarget:
         for mode in (PrivilegeMode.VS, PrivilegeMode.HS, PrivilegeMode.VU, PrivilegeMode.U):
             mstatus = status.encode_trap_entry(0, mode)
             assert status.mret_target(mstatus) is mode
-
-
-class TestHstatus:
-    def test_spv_set_for_guest_trap(self):
-        hstatus = status.encode_hstatus_for_guest(0, PrivilegeMode.VS)
-        assert hstatus & status.HSTATUS_SPV
-        assert hstatus & status.HSTATUS_SPVP
-
-    def test_spvp_clear_for_vu(self):
-        hstatus = status.encode_hstatus_for_guest(0, PrivilegeMode.VU)
-        assert hstatus & status.HSTATUS_SPV
-        assert not hstatus & status.HSTATUS_SPVP
 
 
 class TestWorldSwitchIntegration:

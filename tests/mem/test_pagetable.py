@@ -125,15 +125,6 @@ class TestMapWalk:
         with pytest.raises(MemoryError_):
             Sv39().unmap(acc, root, 0x9000)
 
-    def test_set_flags(self, acc, root, table_alloc):
-        pt = Sv39()
-        pt.map(acc, root, 0x3000, BASE + 0x300000, PTE_R | PTE_W, table_alloc)
-        pt.set_flags(acc, root, 0x3000, PTE_R)
-        result = pt.walk(acc, root, 0x3000)
-        assert result.flags & PTE_R
-        assert not result.flags & PTE_W
-        assert result.pa == BASE + 0x300000
-
     def test_map_alignment_enforced(self, acc, root, table_alloc):
         with pytest.raises(ValueError):
             Sv39().map(acc, root, 0x1234, BASE, PTE_R, table_alloc)

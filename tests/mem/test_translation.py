@@ -118,7 +118,8 @@ def test_permission_insufficient_tlb_entry_rewalks(env):
     pt.map(acc, root, 0x8000_0000, BASE + 0x100000, PTE_R, table_alloc)
     tr.translate(hart, 1, 0x8000_0000, AccessType.LOAD, root)
     # Upgrade the PTE to writable; the stale TLB entry only has R.
-    pt.set_flags(acc, root, 0x8000_0000, PTE_R | PTE_W)
+    pt.unmap(acc, root, 0x8000_0000)
+    pt.map(acc, root, 0x8000_0000, BASE + 0x100000, PTE_R | PTE_W, table_alloc)
     result = tr.translate(hart, 1, 0x8000_0000, AccessType.STORE, root)
     assert result.pa == BASE + 0x100000
     assert not result.tlb_hit
@@ -153,15 +154,6 @@ def test_vs_stage_translation_over_g_stage(env):
         gpa = guest_table_cursor[0]
         guest_table_cursor[0] += PAGE_SIZE
         return BASE + 0x100000 + (gpa - 0x8000_0000)  # host PA of that GPA
-
-    class GuestAccessor:
-        """Writes guest PTEs at host addresses, with GPA-valued targets."""
-
-        def read_u64(self, addr):
-            return dram.read_u64(addr)
-
-        def write_u64(self, addr, value):
-            dram.write_u64(addr, value)
 
     # Build VS-stage mapping GVA 0x40_0000 -> GPA 0x8000_8000 by hand:
     # root (GPA 0x8000_0000) must contain GPA-based pointers, so we write

@@ -12,11 +12,6 @@ from repro.sm.abi import (
 )
 
 
-@pytest.fixture
-def iface(machine):
-    return machine.ecall_interface
-
-
 def _host_call(machine, fid, *args):
     machine.hart.mode = PrivilegeMode.HS
     return machine.ecall_interface.call(machine.hart, EXT_ZION_HOST, int(fid), list(args) + [0] * (6 - len(args)))

@@ -156,15 +156,6 @@ class TestNotify:
         assert b.cvm.vcpus[0].csrs["hvip"] & (1 << 10)
         assert machine.hypervisor.doorbell_wakeups == before + 1
 
-    def test_consume_doorbell_clears_pending(self, machine):
-        a, b = _two_cvms(machine)
-        channel_id, _, _ = _open_channel(machine, a, b)
-        machine.monitor.ecall_channel_notify(a.cvm.cvm_id, channel_id)
-        machine.monitor.ecall_channel_notify(a.cvm.cvm_id, channel_id)
-        taken = machine.monitor.channels.consume_doorbell(b.cvm.cvm_id, channel_id)
-        assert taken == 2
-        assert machine.monitor.channels.consume_doorbell(b.cvm.cvm_id, channel_id) == 0
-
     def test_non_endpoint_cannot_notify(self, machine):
         a, b = _two_cvms(machine)
         channel_id, _, _ = _open_channel(machine, a, b)
