@@ -12,13 +12,14 @@ Commands:
   seeded fault-injection campaign (``--seed K`` deterministically
   replays one seed, the failing-seed repro workflow);
 - ``perf [--quick] [--only a,b] [--out PATH] [--compare PREV.json]
-  [--runs N] [--gate]`` — wall-clock performance harness: run the
+  [--runs N] [--gate] [--bytecodes]`` — wall-clock performance harness: run the
   scenario suite (``repro.bench.perf.SCENARIOS``), emit
   ``BENCH_PERF.json`` and fail on simulated-cycle drift from the
   committed goldens or on a failed scenario check; ``--compare`` prints
   per-scenario wall/cycle deltas against a previous report, ``--gate``
   fails on >10% wall-time regression over the committed quick-mode
-  baseline (median of ``--runs``);
+  baseline (median of ``--runs``); ``--bytecodes`` adds each quick-scale
+  scenario's executed-bytecode count, per package, to the report;
 - ``lint [paths] [--json] [--baseline FILE] [--changed [REF]]
   [--strict]`` — zionlint, the static
   trust-boundary/taint/charging analyzer for the SM seam (INTERNALS
@@ -192,7 +193,14 @@ def _cmd_perf(args) -> int:
             f"cycles {run.cycles:>12,}   "
             f"{run.cycles_per_wall_second / 1e6:8.1f} Mcyc/s"
         )
-    report = perf.build_report(runs, quick=args.quick)
+    bytecodes = None
+    if args.bytecodes:
+        bytecodes = perf.count_bytecodes(only)
+        for name, counted in bytecodes.items():
+            top = sorted(counted["by_package"].items(), key=lambda item: -item[1])[:4]
+            print(f"{name:<12} bytecodes {counted['total']:>12,}   "
+                  + "  ".join(f"{package} {count:,}" for package, count in top))
+    report = perf.build_report(runs, quick=args.quick, bytecodes=bytecodes)
     perf.write_report(report, args.out)
     print(f"report written to {args.out}")
     if previous is not None:
@@ -371,6 +379,9 @@ def main(argv=None) -> int:
                       help="fail when any scenario's wall time regresses "
                            ">10%% over the committed quick-mode baseline "
                            "(perf_baseline_quick.json)")
+    perf.add_argument("--bytecodes", action="store_true",
+                      help="also count the bytecodes each quick-scale scenario "
+                           "executes, per top-level package, into the report")
     perf.add_argument("--update-baseline", action="store_true",
                       help="re-record the committed wall-clock baseline "
                            "for the perf gate from this run")

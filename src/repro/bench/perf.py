@@ -22,8 +22,11 @@ docs/INTERNALS.md section 11 for how to read it.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
+import os
 import pathlib
+import sys
 import time
 from typing import Callable
 
@@ -408,9 +411,97 @@ def check_scenarios(runs) -> list:
     return [problem for run in runs for problem in SCENARIOS[run.name].check(run)]
 
 
-def build_report(runs, quick: bool) -> dict:
-    """The ``BENCH_PERF.json`` structure."""
-    return {
+#: ``src/repro/`` as this module's code objects name it, so a frame's
+#: file maps to its top-level package (``mem``, ``sm``, ...) or module
+#: (``machine.py``).
+_REPRO_ROOT = os.path.dirname(os.path.dirname(__file__)) + os.sep
+
+
+def _package_of(filename: str) -> str:
+    """The top-level ``repro`` package or module of a code file, else ``other``."""
+    if filename.startswith(_REPRO_ROOT):
+        return filename[len(_REPRO_ROOT):].split(os.sep, 1)[0]
+    return "other"
+
+
+def _count_opcodes(fn) -> dict:
+    """Run ``fn()`` and count the bytecodes it executed, per package.
+
+    A ``sys.settrace`` tracer turns on opcode events (and off line events)
+    in every frame and adds one per opcode to the counter of the frame's
+    package (:func:`_package_of`).  The cycle collector does not run
+    automatically during the count, so no finalizer runs at an
+    allocation-dependent point.  Returns ``{package: opcodes}`` in name
+    order.
+    """
+    counts: dict = {}
+    tracers: dict = {}  # package -> its frames' local tracer
+    by_code: dict = {}  # code object -> local tracer
+
+    def tracer_for(package: str):
+        cell = counts[package] = [0]
+
+        def local(frame, event, arg):
+            if event == "opcode":
+                cell[0] += 1
+            return local
+
+        return local
+
+    def on_call(frame, event, arg):
+        code = frame.f_code
+        local = by_code.get(code)
+        if local is None:
+            package = _package_of(code.co_filename)
+            local = tracers.get(package)
+            if local is None:
+                local = tracers[package] = tracer_for(package)
+            by_code[code] = local
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        return local
+
+    previous = sys.gettrace()
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(0)  # no automatic collection
+    sys.settrace(on_call)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+        gc.set_threshold(*thresholds)
+    return {package: counts[package][0] for package in sorted(counts)}
+
+
+def count_bytecodes(only=None) -> dict:
+    """Bytecodes each quick-scale scenario executes, in total and per package.
+
+    A deterministic measure of host work: unlike wall time it does not
+    move with the machine's load, and it repeats exactly from run to run
+    and across hash seeds.  It does not weigh C calls (a ``hashlib``
+    digest or a ``sorted`` counts as the one opcode that calls it), so
+    wall-time pairs remain the evidence for a host-speed claim.  Each
+    scenario first runs once untraced, so imports and first-use set-up
+    are not counted.  Returns ``{scenario: {"total", "by_package"}}``.
+    """
+    counts = {}
+    for scenario in SCENARIOS.values():
+        if only is not None and scenario.name not in only:
+            continue
+        scenario.run(**scenario.quick)
+        by_package = _count_opcodes(lambda: scenario.run(**scenario.quick))
+        counts[scenario.name] = {"total": sum(by_package.values()), "by_package": by_package}
+    return counts
+
+
+def build_report(runs, quick: bool, bytecodes: dict | None = None) -> dict:
+    """The ``BENCH_PERF.json`` structure.
+
+    ``bytecodes`` (from :func:`count_bytecodes`, always quick scale) is
+    reported under its own key when given.
+    """
+    report = {
         "schema": 1,
         "mode": "quick" if quick else "full",
         "scenarios": {
@@ -426,6 +517,9 @@ def build_report(runs, quick: bool) -> dict:
             for run in runs
         },
     }
+    if bytecodes is not None:
+        report["bytecodes"] = {"scale": "quick", "scenarios": bytecodes}
+    return report
 
 
 def write_report(report: dict, path) -> None:

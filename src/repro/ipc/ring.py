@@ -138,8 +138,11 @@ class SpscRing:
                 f"message of {len(payload)} bytes can never fit a "
                 f"{self.capacity}-byte ring"
             )
-        prod = self.prod
-        used = self._checked_used(prod, self.cons)
+        # One ``load`` call per header word: zionlint's ZL2 takes a
+        # ``load`` result as shared-memory taint, so keep the name.
+        load = self.ctx.load
+        prod = load(self.base + _PROD_OFFSET)
+        used = self._checked_used(prod, load(self.base + _CONS_OFFSET))
         if need > self.capacity - used:
             if self.adaptive:
                 # Publish the cons value that frees enough credits, so
@@ -159,7 +162,7 @@ class SpscRing:
             # consumer's published wake point.  The event word is
             # peer-written and advisory -- it steers a doorbell, never a
             # copy, so no clamping is required (see the offset comment).
-            event = self.ctx.load(self.base + _DATA_EVENT_OFFSET)
+            event = load(self.base + _DATA_EVENT_OFFSET)
             if prod <= event < prod + len(frame):  # zionlint: disable=ZL2 advisory event word by design: the branch only raises a doorbell hint, never steers a copy or an index (vring_need_event semantics)
                 self._data_hint = True
         return True
@@ -174,8 +177,9 @@ class SpscRing:
         prefix is attacker-reachable (it lives in the shared window), so
         it is clamped against the published byte count before any copy.
         """
-        cons = self.cons
-        prod = self.prod
+        load = self.ctx.load
+        cons = load(self.base + _CONS_OFFSET)
+        prod = load(self.base + _PROD_OFFSET)
         used = self._checked_used(prod, cons)
         if used < LENGTH_PREFIX:
             if self.adaptive:
@@ -200,7 +204,7 @@ class SpscRing:
         if self.adaptive:
             # Credit-return doorbell only when this receive crossed the
             # producer's published wake point (set on a refused send).
-            event = self.ctx.load(self.base + _CREDIT_EVENT_OFFSET)
+            event = load(self.base + _CREDIT_EVENT_OFFSET)
             if cons < event <= new_cons:  # zionlint: disable=ZL2 advisory event word by design: the branch only raises a doorbell hint, never steers a copy or an index (vring_need_event semantics)
                 self._credit_hint = True
         return payload

@@ -715,8 +715,7 @@ class Machine:
         va_limit = translator.sv39x4._va_limit
         dram = self.dram
         pages = dram._pages
-        dread = dram.read
-        dwrite = dram.write
+        dram_lo, dram_hi = dram.base, dram.end
         unpack_from = _U64.unpack_from
         pack_into = _U64.pack_into
         vmid = session.vmid
@@ -833,11 +832,25 @@ class Machine:
                     raise ConfigurationError(
                         f"guest access at {gva:#x} did not make progress after 8 faults"
                     )
+            # Chunks and words never straddle a page here, so each moves in
+            # place in its DRAM page.  Only range-checked writes create
+            # pages, so a page that exists lies inside DRAM; a missing one
+            # is compared against DRAM's bounds, and outside them the
+            # checked PhysicalMemory call raises MemoryError_.
+            page = pages.get(pa >> 12)
+            if page is None and not dram_lo <= pa < dram_hi:
+                if op > 1:
+                    return dram.read(pa, size) if op == _READ else dram.write(pa, value)
+                return _move_word(dram, pa, op, size, value)
             if op > 1:
-                return dread(pa, size) if op == _READ else dwrite(pa, value)
+                offset = pa & 0xFFF
+                if op == _READ:
+                    return bytes(size) if page is None else bytes(page[offset:offset + size])
+                if page is None:
+                    page = pages[pa >> 12] = bytearray(PAGE_SIZE)
+                page[offset:offset + size] = value
+                return None
             if size == 8 and not pa & 7:
-                # The aligned word, read or written in place.
-                page = pages.get(pa >> 12)
                 if op:
                     if page is None:
                         page = pages[pa >> 12] = bytearray(PAGE_SIZE)
@@ -845,8 +858,7 @@ class Machine:
                     return None
                 return 0 if page is None else unpack_from(page, pa & 0xFFF)[0]
             if size == 1 and not op:
-                # A byte load (every touch), read in place.
-                page = pages.get(pa >> 12)
+                # A byte load (every touch).
                 return 0 if page is None else page[pa & 0xFFF]
             return _move_word(dram, pa, op, size, value)
 
@@ -1091,10 +1103,21 @@ class GuestContext:
     # -- computation -------------------------------------------------------
 
     def compute(self, cycles: int) -> None:
-        """Execute ``cycles`` of guest-local work (interleaves timer ticks)."""
+        """Execute ``cycles`` of guest-local work (interleaves timer ticks).
+
+        The work is charged in slices that end where the hart's timer
+        deadline falls, each preceded by a timer check.  When the deadline
+        lies beyond the whole amount (``mtime`` is the ledger total), that
+        check could not fire, and the amount is one slice.
+        """
         remaining = int(cycles)
+        if remaining <= 0:
+            return
         clint = self.machine.clint
         hart_id = self.session.hart.hart_id
+        if self.ledger._total + remaining <= clint._mtimecmp[hart_id]:
+            self.ledger.charge(Category.COMPUTE, remaining)
+            return
         while remaining > 0:
             self.machine.check_timer(self.session)
             until_tick = clint.read_mtimecmp(hart_id) - clint.mtime
@@ -1137,38 +1160,50 @@ class GuestContext:
         self.machine.run_seq(self.session, "S", gva, step, len(values), size, values, None)
 
     def write_bytes(self, gva: int, data: bytes) -> None:
-        """Bulk guest write (page-wise translation, per-byte copy charge)."""
+        """Bulk guest write (page-wise translation, per-byte copy charge).
+
+        One engine call per page chunk; a copy that fits in its first
+        page is that one call.
+        """
         access = self._access
         length = len(data)
-        offset = 0
-        while offset < length:
-            chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            access(gva + offset, _WRITE, chunk, data[offset : offset + chunk])
-            offset += chunk
+        if 0 < length <= PAGE_SIZE - (gva & 0xFFF):
+            access(gva, _WRITE, length, data)
+        else:
+            offset = 0
+            while offset < length:
+                chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
+                access(gva + offset, _WRITE, chunk, data[offset : offset + chunk])
+                offset += chunk
         self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
 
     def read_bytes(self, gva: int, length: int) -> bytes:
-        """Bulk guest read."""
+        """Bulk guest read, chunked as :meth:`write_bytes` is."""
         access = self._access
-        chunks = []
-        offset = 0
-        while offset < length:
-            chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
-            chunks.append(access(gva + offset, _READ, chunk, None))
-            offset += chunk
+        if 0 < length <= PAGE_SIZE - (gva & 0xFFF):
+            data = access(gva, _READ, length, None)
+        else:
+            chunks = []
+            offset = 0
+            while offset < length:
+                chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
+                chunks.append(access(gva + offset, _READ, chunk, None))
+                offset += chunk
+            data = b"".join(chunks)
         self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
-        return b"".join(chunks)
+        return data
 
     def touch(self, gva: int) -> None:
         """Touch one page (a minimal load; populates mappings and TLB)."""
-        self.load(gva, 1)
+        self._access(gva, _LOAD, 1, None)
 
     def touch_range(self, gva: int, length: int) -> None:
         """Touch every page of ``[gva, gva+length)`` (e.g. a bounce copy)."""
+        access = self._access
         page = gva & ~(PAGE_SIZE - 1)
         end = gva + max(length, 1)
         while page < end:
-            self.touch(page)
+            access(page, _LOAD, 1, None)
             page += PAGE_SIZE
 
     def touch_seq(self, gvas) -> None:
@@ -1274,18 +1309,24 @@ class GuestContext:
         convenience methods; this is the boundary conformance surface.
         """
         hart = self.session.hart
-        hart.write_gpr("a7", eid)
-        hart.write_gpr("a6", fid)
-        for i in range(6):
-            hart.write_gpr(f"a{i}", args[i] if i < len(args) else 0)
+        gprs = hart.gprs
+        gprs["a7"] = eid & _MASK64
+        gprs["a6"] = fid & _MASK64
+        a0, a1, a2, a3, a4, a5 = (args + (0,) * 6)[:6]
+        gprs["a0"] = a0 & _MASK64
+        gprs["a1"] = a1 & _MASK64
+        gprs["a2"] = a2 & _MASK64
+        gprs["a3"] = a3 & _MASK64
+        gprs["a4"] = a4 & _MASK64
+        gprs["a5"] = a5 & _MASK64
         self.ledger.charge(Category.TRAP, self.costs.trap_to_m)
         self.ledger.charge(Category.SM_LOGIC, self.costs.ecall_dispatch)
         self.machine.ecall_interface.dispatch(hart)
         self.ledger.charge(Category.TRAP, self.costs.xret)
-        error = hart.read_gpr("a0")
+        error = gprs["a0"]
         if error >= 1 << 63:
             error -= 1 << 64  # SBI errors are negative
-        return error, hart.read_gpr("a1")
+        return error, gprs["a1"]
 
     # -- guest user mode (VU) ------------------------------------------------
 

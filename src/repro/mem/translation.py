@@ -23,6 +23,15 @@ from repro.mem.tlb import Tlb
 
 _unpack_u64 = struct.Struct("<Q").unpack_from
 
+#: Sv39x4's fixed geometry, which :meth:`AddressTranslator.probe_gpa`
+#: unrolls: the index shift and mask of each level's VPN field, root
+#: first, and the GPA offset mask of a leaf found at that level.
+SV39X4_SHIFTS = (30, 21, 12)
+SV39X4_MASKS = (0x7FF, 0x1FF, 0x1FF)
+_S0, _S1, _S2 = SV39X4_SHIFTS
+_M0, _M1, _M2 = SV39X4_MASKS
+_O0, _O1, _O2 = (1 << _S0) - 1, (1 << _S1) - 1, (1 << _S2) - 1
+
 
 class TranslationResult:
     """A completed translation.
@@ -69,9 +78,8 @@ class AddressTranslator:
         self.sv39x4 = Sv39x4()
         self._walk_cost = int(costs.page_walk_level)
         self._charge_walk = ledger.charger(Category.PAGE_WALK, costs.page_walk_level)
-        sv = self.sv39x4
-        #: :meth:`probe_gpa`'s per-level geometry and DRAM page lookup.
-        self._probe_geometry = (sv._shifts, sv._masks, sv._spans, bus.dram._pages.get)
+        #: :meth:`probe_gpa`'s DRAM page lookup.
+        self._page_get = bus.dram._pages.get
         self._charge_tlb_hit = ledger.charger(Category.TLB, costs.tlb_hit)
         self._charge_flush_page = ledger.charger(Category.TLB, costs.tlb_flush_page)
 
@@ -118,11 +126,12 @@ class AddressTranslator:
         statistics mutation, so the caller can still fall back to the
         generic per-access path with nothing to undo.
 
-        Sv39x4 always walks three levels, so the walk is unrolled and each
-        PTE word is read in place from its DRAM page.
+        Sv39x4 always walks three levels, so the walk is unrolled over its
+        fixed geometry (:data:`SV39X4_SHIFTS`, :data:`SV39X4_MASKS`) and
+        each PTE word is read in place from its DRAM page.
         """
-        (s0, s1, s2), (m0, m1, m2), (span0, span1, span2), get = self._probe_geometry
-        slot = hgatp_root + 8 * (gpa >> s0 & m0)
+        get = self._page_get
+        slot = hgatp_root + 8 * (gpa >> _S0 & _M0)
         page = get(slot >> 12)
         depth = 0
         if page is not None:
@@ -131,8 +140,8 @@ class AddressTranslator:
                 return None, 0, 1, 0
             base = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
             if pte & 0b1110:  # leaf (R|W|X)
-                return base + (gpa & span0 - 1), pte & 0xFF, 1, 0
-            slot = base + 8 * (gpa >> s1 & m1)
+                return base + (gpa & _O0), pte & 0xFF, 1, 0
+            slot = base + 8 * (gpa >> _S1 & _M1)
             page = get(slot >> 12)
             depth = 1
             if page is not None:
@@ -141,8 +150,8 @@ class AddressTranslator:
                     return None, 0, 2, 0
                 base = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
                 if pte & 0b1110:
-                    return base + (gpa & span1 - 1), pte & 0xFF, 2, 0
-                slot = base + 8 * (gpa >> s2 & m2)
+                    return base + (gpa & _O1), pte & 0xFF, 2, 0
+                slot = base + 8 * (gpa >> _S2 & _M2)
                 page = get(slot >> 12)
                 depth = 2
                 if page is not None:
@@ -151,7 +160,7 @@ class AddressTranslator:
                         return None, 0, 3, slot
                     if pte & 0b1110:
                         base = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
-                        return base + (gpa & span2 - 1), pte & 0xFF, 3, 0
+                        return base + (gpa & _O2), pte & 0xFF, 3, 0
                     return None, 0, 3, 0
         # The slot's DRAM page was never written, so its PTE reads as
         # zero (invalid) -- or the slot lies outside DRAM, and the read

@@ -40,6 +40,8 @@ class SbiError(enum.IntEnum):
     INVALID_ADDRESS = -5
 
 
+_MASK64 = (1 << 64) - 1
+
 EXT_ZION_HOST = 0x5A4E_0001
 EXT_ZION_GUEST = 0x5A4E_0002
 
@@ -115,12 +117,11 @@ class EcallInterface:
 
     def dispatch(self, hart) -> None:
         """Handle the ECALL encoded in the hart's registers (a7/a6/a0-a5)."""
-        eid = hart.read_gpr("a7")
-        fid = hart.read_gpr("a6")
-        args = [hart.read_gpr(f"a{i}") for i in range(6)]
-        error, value = self.call(hart, eid, fid, args)
-        hart.write_gpr("a0", error & (1 << 64) - 1)
-        hart.write_gpr("a1", value & (1 << 64) - 1)
+        gprs = hart.gprs
+        args = [gprs["a0"], gprs["a1"], gprs["a2"], gprs["a3"], gprs["a4"], gprs["a5"]]
+        error, value = self.call(hart, gprs["a7"], gprs["a6"], args)
+        gprs["a0"] = error & _MASK64
+        gprs["a1"] = value & _MASK64
 
     def call(self, hart, eid: int, fid: int, args) -> tuple:
         """Dispatch and catch: architectural errors become error codes."""

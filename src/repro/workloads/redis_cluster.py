@@ -30,6 +30,7 @@ a wedged pipeline.
 
 from __future__ import annotations
 
+import binascii
 import collections
 
 from repro.errors import ChannelCorrupt, ShardDown
@@ -55,23 +56,15 @@ from repro.mem.physmem import PAGE_SIZE
 #: Total hash slots in the cluster keyspace (Redis Cluster's constant).
 HASH_SLOTS = 16384
 
-#: CRC16/XMODEM (poly 0x1021, init 0) -- the exact function Redis Cluster
-#: specifies for key -> slot mapping.
-_CRC16_TABLE = []
-for _byte in range(256):
-    _crc = _byte << 8
-    for _ in range(8):
-        _crc = ((_crc << 1) ^ 0x1021 if _crc & 0x8000 else _crc << 1) & 0xFFFF
-    _CRC16_TABLE.append(_crc)
-del _byte, _crc
-
 
 def crc16(data: bytes) -> int:
-    """CRC16/XMODEM over ``data`` (the Redis Cluster key hash)."""
-    crc = 0
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[(crc >> 8) ^ byte]
-    return crc
+    """CRC16/XMODEM over ``data`` (the Redis Cluster key hash).
+
+    Poly 0x1021, init 0, no reflection: the exact function Redis Cluster
+    specifies for key -> slot mapping, which ``binascii.crc_hqx``
+    computes in C.
+    """
+    return binascii.crc_hqx(data, 0)
 
 
 def hash_tag(key: bytes) -> bytes:

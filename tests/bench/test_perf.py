@@ -1,6 +1,11 @@
-"""The perf harness's own checks: goldens, the wall gate, the median pick."""
+"""The perf harness's own checks: goldens, the wall gate, the median pick,
+the bytecode counts."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 from repro.__main__ import main
 from repro.bench import perf
@@ -52,3 +57,29 @@ def test_check_goldens_flags_drift_and_missing_goldens():
     assert missing == "b: no quick-mode golden recorded"
     assert perf.check_goldens([_run("a", total=100)], quick=False, goldens=goldens) == [
         "a: no full-mode golden recorded"]
+
+
+def test_bytecodes_are_reported_per_scenario_and_package(tmp_path):
+    out = tmp_path / "perf.json"
+    assert main(["perf", "--quick", "--only", "switch_path", "--bytecodes",
+                 "--out", str(out)]) == 0
+    bytecodes = json.loads(out.read_text())["bytecodes"]
+    assert bytecodes["scale"] == "quick"
+    counted = bytecodes["scenarios"]["switch_path"]
+    assert counted["total"] == sum(counted["by_package"].values())
+    # The world-switch loop runs in the SM, over memory and the ISA model.
+    assert {"sm", "mem", "isa"} <= set(counted["by_package"])
+
+
+_COUNT = "from repro.bench import perf; print(perf.count_bytecodes(['switch_path']))"
+
+
+def test_bytecode_counts_do_not_depend_on_the_hash_seed():
+    src = pathlib.Path(perf.__file__).resolve().parent.parent.parent
+    counts = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        counts.append(subprocess.run([sys.executable, "-c", _COUNT], env=env,
+                                     capture_output=True, text=True, check=True).stdout)
+    assert counts[0] == counts[1]
+    assert str(perf.count_bytecodes(["switch_path"])) + "\n" == counts[0]

@@ -146,6 +146,39 @@ class TestZL2Interprocedural:
         assert len(hits) == 1
         assert "branch" in hits[0].message or "counter" in hits[0].message
 
+    def test_unclamped_ring_header_word_from_a_direct_load(self, tmp_path):
+        # The ring reads its header words with ``ctx.load`` itself, directly
+        # or through a local alias, not through a property: both are
+        # still shared-memory sources.
+        _write(
+            tmp_path,
+            "ipc/ring_words.py",
+            """
+            class Ring:
+                def __init__(self, ctx, base, data):
+                    self.ctx = ctx
+                    self.base = base
+                    self.data = data
+
+                def direct(self):
+                    prod = self.ctx.load(self.base)
+                    return self.data[prod]
+
+                def aliased(self):
+                    load = self.ctx.load
+                    cons = load(self.base + 8)
+                    return self.data[cons]
+
+                def clamped(self):
+                    load = self.ctx.load
+                    pos = load(self.base + 8) % 64
+                    return self.data[pos]
+            """,
+        )
+        report = run_lint([tmp_path])
+        hits = sorted(f.func for f in report.new if f.rule == "ZL2")
+        assert hits == ["Ring.aliased", "Ring.direct"]
+
 
 # -- ZL3: path-sensitive charging ------------------------------------------
 

@@ -10,7 +10,7 @@ from repro.isa.privilege import PrivilegeMode
 from repro.isa.traps import AccessType, ExceptionCause
 from repro.mem.pagetable import PTE_R, PTE_W, PTE_X, Sv39, Sv39x4
 from repro.mem.physmem import PAGE_SIZE, MemoryBus, PhysicalMemory
-from repro.mem.translation import AddressTranslator
+from repro.mem.translation import SV39X4_MASKS, SV39X4_SHIFTS, AddressTranslator
 
 BASE = 0x8000_0000
 
@@ -53,6 +53,12 @@ def env():
     root = BASE + (2 << 20)
     dram.zero_range(root, 16 * 1024)
     return dram, bus, ledger, translator, hart, acc, table_alloc, root
+
+
+def test_probe_geometry_is_sv39x4s():
+    sv = Sv39x4()
+    assert SV39X4_SHIFTS == sv._shifts
+    assert SV39X4_MASKS == sv._masks
 
 
 def test_bare_vs_stage_identity(env):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cycles import Category
 from repro.isa.privilege import PrivilegeMode
 from repro.sm.abi import (
     EXT_ZION_GUEST,
@@ -81,6 +82,33 @@ class TestHostAbi:
 
 
 class TestGuestAbi:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="GuestContext.sbi_ecall charges trap_to_m, ecall_dispatch and "
+               "xret, and the handler's SecureMonitor._charge_ecall charges "
+               "them again",
+    )
+    def test_raw_and_typed_ecalls_charge_the_same_trap_and_dispatch(self, machine):
+        session = machine.launch_confidential_vm(image=b"x")
+        buf = session.layout.dram_base + 0x6000
+
+        def charged(ctx, call):
+            before = ctx.ledger.by_category()
+            call()
+            after = ctx.ledger.by_category()
+            return {category: after[category] - before.get(category, 0)
+                    for category in (Category.TRAP, Category.SM_LOGIC)}
+
+        def workload(ctx):
+            ctx.touch(buf)
+            raw = charged(ctx, lambda: ctx.sbi_ecall(
+                EXT_ZION_GUEST, int(GuestFunction.GET_RANDOM), buf, 8))
+            typed = charged(ctx, lambda: ctx.get_random(8))
+            return raw, typed
+
+        raw, typed = machine.run(session, workload)["workload_result"]
+        assert raw == typed
+
     def test_get_measurement_into_guest_buffer(self, machine):
         session = machine.launch_confidential_vm(image=b"abi-guest" * 100)
         buf = session.layout.dram_base + 0x5000

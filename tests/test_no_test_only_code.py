@@ -26,6 +26,8 @@ KEPT = {
     "repro.guest.swiotlb.Swiotlb.free_slots": "observation: SWIOTLB slot leaks",
     "repro.hyp.virtio.VirtioNetDevice.backlog": "observation: host frames awaiting RX buffers",
     "repro.isa.clint.Clint.ipi_pending": "observation: a hart's MSIP bit",
+    "repro.isa.hart.Hart.read_gpr": "register file by ABI name, x0 reading as zero",
+    "repro.isa.hart.Hart.write_gpr": "register file by ABI name, x0 writes dropped",
     "repro.isa.plic.Plic.disable": "PLIC feature: the inverse of enable",
     "repro.isa.plic.Plic.external_pending": "observation: a context's external-interrupt line",
     "repro.isa.traps.route_interrupt": "privileged-spec reference for the delegation profiles",

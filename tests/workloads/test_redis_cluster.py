@@ -8,6 +8,8 @@ router fail-stops a dead shard with typed errors instead of hanging.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.errors import ShardDown
@@ -50,6 +52,23 @@ class TestKeySlot:
         # for "123456789" (0x31C3 == 12739).
         assert crc16(b"123456789") == 0x31C3
         assert key_slot(b"123456789") == 12739
+
+    def test_crc16_matches_a_bitwise_xmodem_reference(self):
+        def xmodem(data: bytes) -> int:
+            crc = 0
+            for byte in data:
+                crc ^= byte << 8
+                for _ in range(8):
+                    crc = (crc << 1 ^ 0x1021 if crc & 0x8000 else crc << 1) & 0xFFFF
+            return crc
+
+        assert xmodem(b"123456789") == 0x31C3
+        rng = random.Random(16)
+        keys = [b"", b"\x00", b"\xff" * 3, b"key:1234", b"{user1000}.following"]
+        keys += [rng.randbytes(rng.randrange(1, 48)) for _ in range(300)]
+        keys += [b"key:%d" % i for i in range(300)]
+        for key in keys:
+            assert crc16(key) == xmodem(key), key
 
     def test_empty_key_is_slot_zero(self):
         assert key_slot(b"") == 0
