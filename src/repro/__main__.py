@@ -19,7 +19,9 @@ Commands:
   per-scenario wall/cycle deltas against a previous report, ``--gate``
   fails on >10% wall-time regression over the committed quick-mode
   baseline (median of ``--runs``); ``--bytecodes`` adds each quick-scale
-  scenario's executed-bytecode count, per package, to the report;
+  scenario's executed-bytecode count, per package, to the report and
+  compares it with ``bytecode_pin.json`` (reported only; with
+  ``--update-goldens`` it records this Python minor version's pin);
 - ``lint [paths] [--json] [--baseline FILE] [--changed [REF]]
   [--strict]`` — zionlint, the static
   trust-boundary/taint/charging analyzer for the SM seam (INTERNALS
@@ -225,6 +227,18 @@ def _cmd_perf(args) -> int:
     if args.update_goldens:
         perf.update_goldens(runs, quick=args.quick)
         print(f"goldens updated in {perf.GOLDEN_PATH}")
+        if bytecodes is not None:
+            perf.update_bytecode_pin(bytecodes)
+            print(f"Python {perf.python_minor()} bytecode pin updated in "
+                  f"{perf.BYTECODE_PIN_PATH}")
+    elif bytecodes is not None:
+        # Reported only: the tier-1 pin test is the gate.
+        rises, decreases = perf.check_bytecodes(bytecodes, perf.load_bytecode_pin())
+        for line in rises + decreases:
+            print(f"bytecode pin: {line}")
+        if not rises:
+            print(f"bytecode pin: every total within {perf.BYTECODE_BOUND:.0%} "
+                  f"of the Python {perf.python_minor()} pin")
     if args.update_baseline:
         perf.write_report(report, perf.BASELINE_PATH)
         print(f"baseline updated in {perf.BASELINE_PATH}")

@@ -45,6 +45,14 @@ BASELINE_PATH = pathlib.Path(__file__).with_name("perf_baseline_quick.json")
 #: more than this fraction over the committed baseline.
 GATE_THRESHOLD = 0.10
 
+#: Pinned bytecode totals of the quick scenarios, per CPython minor
+#: version (``{"3.11": {scenario: total}}``); see :func:`pinned_bytecodes`.
+BYTECODE_PIN_PATH = pathlib.Path(__file__).with_name("bytecode_pin.json")
+
+#: The bytecode pin fails when a scenario's total rises by more than this
+#: fraction; decreases are reported, not failed.
+BYTECODE_BOUND = 0.01
+
 @dataclasses.dataclass(frozen=True)
 class ScenarioRun:
     """One measured scenario: the wall/simulated-cycle pair."""
@@ -424,6 +432,11 @@ def _package_of(filename: str) -> str:
     return "other"
 
 
+def _ask_for_opcodes(frame, event, arg) -> None:
+    """A tracer that turns on a frame's opcode events and counts nothing."""
+    frame.f_trace_opcodes = True
+
+
 def _count_opcodes(fn) -> dict:
     """Run ``fn()`` and count the bytecodes it executed, per package.
 
@@ -465,6 +478,10 @@ def _count_opcodes(fn) -> dict:
     thresholds = gc.get_threshold()
     gc.collect()
     gc.set_threshold(0)  # no automatic collection
+    # CPython 3.12 delivers no opcode events in a process's first tracing
+    # session that asks for them; spend such a session on an empty call.
+    sys.settrace(_ask_for_opcodes)
+    (lambda: None)()
     sys.settrace(on_call)
     try:
         fn()
@@ -493,6 +510,63 @@ def count_bytecodes(only=None) -> dict:
         by_package = _count_opcodes(lambda: scenario.run(**scenario.quick))
         counts[scenario.name] = {"total": sum(by_package.values()), "by_package": by_package}
     return counts
+
+
+def pinned_bytecodes(bytecodes: dict) -> dict:
+    """Each scenario's pinned total: its bytecodes outside ``other``.
+
+    The ``other`` bucket is the standard library's share, which a patch
+    release of the interpreter may move; the ``repro`` packages' own
+    bytecode is the same on every patch release of one minor version.
+    """
+    return {
+        name: counted["total"] - counted["by_package"].get("other", 0)
+        for name, counted in bytecodes.items()
+    }
+
+
+def python_minor() -> str:
+    """The running interpreter's ``major.minor``, the bytecode pin's key."""
+    return f"{sys.version_info.major}.{sys.version_info.minor}"
+
+
+def load_bytecode_pin(path=BYTECODE_PIN_PATH) -> dict:
+    """This interpreter's pinned totals ({scenario: total}); empty if none."""
+    return json.loads(pathlib.Path(path).read_text()).get(python_minor(), {})
+
+
+def check_bytecodes(bytecodes: dict, pin: dict) -> tuple:
+    """Compare counted bytecodes with ``pin``: ``(rises, decreases)``.
+
+    ``rises`` lists each scenario whose pinned total exceeds its pin by
+    more than :data:`BYTECODE_BOUND`, or has no pin; ``decreases`` lists
+    each one that fell below its pin.  Both are human-readable strings.
+    """
+    rises, decreases = [], []
+    for name, total in pinned_bytecodes(bytecodes).items():
+        want = pin.get(name)
+        if want is None:
+            rises.append(f"{name}: no bytecode pin recorded for Python {python_minor()}")
+        elif total > want * (1 + BYTECODE_BOUND):
+            rises.append(
+                f"{name}: {total:,} bytecodes, {total / want - 1:+.2%} over the pin "
+                f"{want:,} (bound {BYTECODE_BOUND:.0%})"
+            )
+        elif total < want:
+            decreases.append(f"{name}: {total:,} bytecodes, {total / want - 1:+.2%} "
+                             f"under the pin {want:,}")
+    return rises, decreases
+
+
+def update_bytecode_pin(bytecodes: dict, path=BYTECODE_PIN_PATH) -> dict:
+    """Record the counted totals as this interpreter's bytecode pin."""
+    try:
+        pins = json.loads(pathlib.Path(path).read_text())
+    except FileNotFoundError:
+        pins = {}
+    pins.setdefault(python_minor(), {}).update(pinned_bytecodes(bytecodes))
+    pathlib.Path(path).write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
+    return pins
 
 
 def build_report(runs, quick: bool, bytecodes: dict | None = None) -> dict:

@@ -66,17 +66,13 @@ class CycleLedger:
     mirroring a hardware cycle counter.
     """
 
-    __slots__ = ("_total", "_counts", "_charged_mask", "events")
+    __slots__ = ("_total", "_counts", "events")
 
     def __init__(self):
         #: The attached event sink (``record(kind, **detail)``) or ``None``.
         self.events = None
         self._total = 0
         self._counts = [0] * len(_CATEGORIES)
-        #: Bitmask of category indices ever charged (zero charges
-        #: included), preserving ``by_category``'s historical contract of
-        #: listing every category that has been touched.
-        self._charged_mask = 0
 
     def attach(self, sink) -> None:
         """Make ``sink`` the event sink; a machine has one at a time."""
@@ -95,13 +91,15 @@ class CycleLedger:
         return self._total
 
     def by_category(self) -> dict:
-        """A snapshot of per-category totals."""
-        counts = self._counts
-        mask = self._charged_mask
+        """A snapshot of the non-zero per-category totals, in category order.
+
+        A category charged only zero cycles is not listed: no counter
+        records that it was charged at all.
+        """
         return {
-            cat: counts[i]
-            for i, cat in enumerate(_CATEGORIES)
-            if mask >> i & 1
+            category: count
+            for category, count in zip(_CATEGORIES, self._counts)
+            if count
         }
 
     def charge(self, category: Category, cycles) -> None:
@@ -110,10 +108,8 @@ class CycleLedger:
             cycles = int(cycles)
         if cycles < 0:
             raise ValueError(f"cannot charge negative cycles: {cycles}")
-        index = category.index
         self._total += cycles
-        self._counts[index] += cycles
-        self._charged_mask |= 1 << index
+        self._counts[category.index] += cycles
 
     def charger(self, category: Category, cycles, *more):
         """Precompile a zero-argument charge of fixed ``(category, cycles)``.
@@ -122,8 +118,8 @@ class CycleLedger:
         resolve it once and get back a closure that only performs the
         counter updates: calling it is exactly ``charge(category,
         cycles)``, then ``charge`` of each further ``category, cycles``
-        pair in ``more`` -- fused into one update of the total, the
-        counters and the charged mask.
+        pair in ``more`` -- fused into one update of the total and the
+        counters.
         """
         pairs = (category, cycles) + more
         if len(pairs) % 2:
@@ -134,14 +130,12 @@ class CycleLedger:
             if cycles < 0:
                 raise ValueError(f"cannot charge negative cycles: {cycles}")
             adds[category.index] = adds.get(category.index, 0) + cycles
-        mask = sum(1 << index for index in adds)
 
-        def fire(self=self, total=sum(adds.values()), adds=tuple(adds.items()), mask=mask):
+        def fire(self=self, total=sum(adds.values()), adds=tuple(adds.items())):
             self._total += total
             counts = self._counts
             for index, cycles in adds:
                 counts[index] += cycles
-            self._charged_mask |= mask
 
         return fire
 

@@ -14,6 +14,10 @@ from __future__ import annotations
 from repro.cycles import Category
 from repro.errors import MemoryError_
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_COPY = Category.COPY
+
 #: Linux's default maximum single SWIOTLB mapping (128 slots x 2 KB).
 MAX_MAPPING = 256 * 1024
 
@@ -117,6 +121,6 @@ class Swiotlb:
         naive drivers account the same bytes at the same price.
         """
         self._ledger.charge(
-            Category.COPY,
+            _COPY,
             sum(self._costs.copy_bytes(length) for length in lengths),
         )

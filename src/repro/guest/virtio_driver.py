@@ -24,6 +24,10 @@ from repro.cycles import Category
 from repro.errors import VirtioError, VirtioIoError
 from repro.hyp.virtio import STATUS_OK, Descriptor, Virtqueue, payload_len
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_GUEST_KERNEL = Category.GUEST_KERNEL
+
 
 class _DriverBase:
     def __init__(self, ctx, device, swiotlb):
@@ -35,7 +39,7 @@ class _DriverBase:
 
     def _charge_driver_fixed(self) -> None:
         self.ctx.ledger.charge(
-            Category.GUEST_KERNEL, self.ctx.costs.virtio_driver_fixed
+            _GUEST_KERNEL, self.ctx.costs.virtio_driver_fixed
         )
 
     def _kick(self, queue_index: int) -> None:

@@ -36,6 +36,10 @@ DEFAULT_SHARED_WINDOW = 4 << 20
 _SHARED_FLAGS = PTE_R | PTE_W | PTE_U | PTE_D
 #: Leaf permissions of a normal VM's demand-mapped page.
 _NORMAL_VM_FLAGS = PTE_R | PTE_W | PTE_X | PTE_U | PTE_D
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_HS, _VS = PrivilegeMode.HS, PrivilegeMode.VS
+_HYP_LOGIC, _PAGE_WALK = Category.HYP_LOGIC, Category.PAGE_WALK
 #: Number of CSRs KVM swaps on a normal-VM world switch (smaller than
 #: the SM's set: KVM trusts itself and lazily switches several).
 KVM_CSR_COUNT = 12
@@ -84,6 +88,18 @@ class Hypervisor:
         self.allocator = allocator
         self.ledger = ledger
         self.costs = costs
+        # One fused charge per KVM exit and per entry (the world-switch
+        # plans' idiom): each fires what its unfused charges summed to.
+        self._charge_vm_exit = ledger.charger(
+            Category.TRAP, costs.trap_to_hs,
+            Category.HYP_LOGIC, costs.kvm_exit_logic,
+            Category.REG_SAVE, costs.gpr_file_save + KVM_CSR_COUNT * costs.csr_read,
+        )
+        self._charge_vm_enter = ledger.charger(
+            Category.HYP_LOGIC, costs.kvm_entry_logic,
+            Category.REG_SAVE, costs.gpr_file_save + KVM_CSR_COUNT * costs.csr_write,
+            Category.TRAP, costs.xret,
+        )
         self.expand_chunk = expand_chunk
         self.devices = MmioRegistry()
         self._sv39x4 = Sv39x4()
@@ -126,27 +142,17 @@ class Hypervisor:
 
     def normal_vm_exit(self, hart) -> None:
         """Charge a VM exit into KVM (trap + state save)."""
-        self.ledger.charge(Category.TRAP, self.costs.trap_to_hs)
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_exit_logic)
-        self.ledger.charge(
-            Category.REG_SAVE,
-            self.costs.gpr_file_save + KVM_CSR_COUNT * self.costs.csr_read,
-        )
-        hart.mode = PrivilegeMode.HS
+        self._charge_vm_exit()
+        hart.mode = _HS
 
     def normal_vm_enter(self, hart) -> None:
         """Charge a VM entry from KVM (state restore + sret)."""
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_entry_logic)
-        self.ledger.charge(
-            Category.REG_SAVE,
-            self.costs.gpr_file_save + KVM_CSR_COUNT * self.costs.csr_write,
-        )
-        self.ledger.charge(Category.TRAP, self.costs.xret)
-        hart.mode = PrivilegeMode.VS
+        self._charge_vm_enter()
+        hart.mode = _VS
 
     def sched_tick(self) -> None:
         """Scheduler pass on a timer tick."""
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.hyp_sched_pass)
+        self.ledger.charge(_HYP_LOGIC, self.costs.hyp_sched_pass)
 
     def on_channel_doorbell(self, cvm_id: int) -> None:
         """An inter-CVM doorbell IPI landed: run a scheduler pass and wake
@@ -156,7 +162,7 @@ class Hypervisor:
         kick and reschedules -- it cannot observe the channel contents.
         """
         self.doorbell_wakeups += 1
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.hyp_sched_pass)
+        self.ledger.charge(_HYP_LOGIC, self.costs.hyp_sched_pass)
         if self.scheduler_wake is not None:
             self.scheduler_wake(cvm_id)
 
@@ -174,7 +180,7 @@ class Hypervisor:
         walk here.  The leaf goes into the walk's full-depth slot with one
         PMP-checked store; a missing table (slot 0) takes ``Sv39x4.map``.
         """
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_fault_fixed)
+        self.ledger.charge(_HYP_LOGIC, self.costs.kvm_fault_fixed)
         if walk is None:
             walk = self.translator.probe_gpa(vm.hgatp_root, gpa)
         if walk[0] is not None:
@@ -184,7 +190,7 @@ class Hypervisor:
             )
         page_gpa = gpa & ~(PAGE_SIZE - 1)
         pa = self._alloc_zeroed_page(hart)
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.zero_bytes(PAGE_SIZE))
+        self.ledger.charge(_HYP_LOGIC, self.costs.zero_bytes(PAGE_SIZE))
         leaf_slot = walk[3]
         if leaf_slot:
             self.bus.cpu_write_u64(hart, leaf_slot, pte_pack(pa, _NORMAL_VM_FLAGS | PTE_V))
@@ -194,7 +200,7 @@ class Hypervisor:
                 _NORMAL_VM_FLAGS, alloc_table=lambda: self._alloc_zeroed_page(hart),
             )
         self.map_generation += 1
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.kvm_pte_install)
+        self.ledger.charge(_HYP_LOGIC, self.costs.kvm_pte_install)
         self.translator.sfence_page(vm.vmid, page_gpa)
         vm.fault_count += 1
         return pa
@@ -314,7 +320,7 @@ class Hypervisor:
         subtree = handle.shared_subtrees.get(gpa >> 30)
         if subtree is None:
             raise ValueError(f"no shared subtree covers GPA {gpa:#x}")
-        self.ledger.charge(Category.PAGE_WALK, 2 * self.costs.page_walk_level)
+        self.ledger.charge(_PAGE_WALK, 2 * self.costs.page_walk_level)
         level1_pte = self.bus.cpu_read_u64(self.hart, subtree + 8 * ((gpa >> 21) & 0x1FF))
         if not level1_pte & 1:
             raise ValueError(f"shared GPA {gpa:#x} beyond the premapped window")
@@ -338,7 +344,7 @@ class Hypervisor:
         shared = cvm.shared_vcpus[vcpu_id]
         read = lambda field: shared.hyp_read(hart, field)
         self.ledger.charge(
-            Category.HYP_LOGIC, len(SHARED_VCPU_FIELDS) * self.costs.field_copy
+            _HYP_LOGIC, len(SHARED_VCPU_FIELDS) * self.costs.field_copy
         )
         cause = read("exit_cause")
         if cause not in (21, 23):  # not a load/store guest-page fault
@@ -358,7 +364,7 @@ class Hypervisor:
             # cannot have happened -- drop it rather than crash the host.
             return
         self.mmio_exits += 1
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.qemu_mmio_dispatch)
+        self.ledger.charge(_HYP_LOGIC, self.costs.qemu_mmio_dispatch)
         device = self.devices.find(gpa)
         if cause == 21:
             value = device.mmio_load(gpa - device.mmio_base, 8) if device else 0
@@ -394,7 +400,7 @@ class Hypervisor:
             source = self.plic.claim(0)
             if not source:
                 break
-            self.ledger.charge(Category.HYP_LOGIC, self.costs.plic_claim_cost)
+            self.ledger.charge(_HYP_LOGIC, self.costs.plic_claim_cost)
             if cvm is not None:
                 self.inject_vs_external(hart, cvm, vcpu_id)
             elif machine is not None:

@@ -33,6 +33,10 @@ from repro.cycles import Category
 from repro.errors import VirtioDmaError, VirtioIoError, VirtqueueOverflow
 from repro.hyp.devices import MmioDevice
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_DEVICE, _COPY = Category.DEVICE, Category.COPY
+
 #: virtio-blk-style request status byte (VIRTIO_BLK_S_*): OK, device-side
 #: I/O error, request the device does not support / cannot parse.
 STATUS_OK = 0
@@ -176,7 +180,7 @@ class VirtioDevice(MmioDevice):
         from repro.isa.traps import AccessType
 
         self.bus.dma_check_range(self.source_id, hpa, max(length, 1), AccessType.LOAD)
-        self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
+        self.ledger.charge(_COPY, self.costs.copy_bytes(length))
         if isinstance(payload, (bytes, bytearray)):
             return bytes(payload)
         return length
@@ -191,7 +195,7 @@ class VirtioDevice(MmioDevice):
             self.bus.dma_write(self.source_id, hpa, bytes(payload))
         else:
             self.bus.dma_check_range(self.source_id, hpa, max(length, 1), AccessType.STORE)
-        self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
+        self.ledger.charge(_COPY, self.costs.copy_bytes(length))
 
     # -- completion ------------------------------------------------------
 
@@ -434,7 +438,7 @@ class VirtioNetDevice(VirtioDevice):
         completed = []
         while queue.available:
             descriptor = queue.available.popleft()
-            self.ledger.charge(Category.DEVICE, self.costs.virtio_request_fixed)
+            self.ledger.charge(_DEVICE, self.costs.virtio_request_fixed)
             try:
                 _validated_request(descriptor)
                 try:
@@ -482,7 +486,7 @@ class VirtioNetDevice(VirtioDevice):
                 self.rx_dropped += 1
                 queue.available.appendleft(descriptor)  # buffer not consumed
                 continue
-            self.ledger.charge(Category.DEVICE, self.costs.virtio_request_fixed)
+            self.ledger.charge(_DEVICE, self.costs.virtio_request_fixed)
             self.dma_write(descriptor.gpa, frame)
             descriptor.payload = frame
             descriptor.status = STATUS_OK

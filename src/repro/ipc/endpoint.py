@@ -20,6 +20,11 @@ from repro.mem.physmem import PAGE_SIZE
 from repro.sm.abi import EXT_ZION_GUEST, GuestFunction, SbiError
 from repro.ipc.ring import SpscRing
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook, and every doorbell names both.
+_CHANNEL_NOTIFY = int(GuestFunction.CHANNEL_NOTIFY)
+_SUCCESS = SbiError.SUCCESS
+
 
 class ChannelError(ReproError):
     """A channel ECALL returned an SBI error."""
@@ -289,9 +294,9 @@ class ChannelEndpoint:
         endpoint of the channel before touching the peer's hvip.
         """
         error, pending = self.ctx.sbi_ecall(
-            EXT_ZION_GUEST, int(GuestFunction.CHANNEL_NOTIFY), self.channel_id
+            EXT_ZION_GUEST, _CHANNEL_NOTIFY, self.channel_id
         )
-        if error != SbiError.SUCCESS:
+        if error != _SUCCESS:
             raise ChannelError("notify", error)
         self.doorbells_rung += 1
         return pending

@@ -13,6 +13,10 @@ import dataclasses
 
 from repro.isa.traps import AccessType
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook, and :meth:`IopmpEntry.permits` runs per DMA check.
+_LOAD, _STORE = AccessType.LOAD, AccessType.STORE
+
 
 @dataclasses.dataclass(frozen=True)
 class IopmpEntry:
@@ -46,9 +50,9 @@ class IopmpEntry:
 
     def permits(self, access: AccessType) -> bool:
         """Whether the rule's permissions allow the access type."""
-        if access is AccessType.LOAD:
+        if access is _LOAD:
             return self.readable
-        if access is AccessType.STORE:
+        if access is _STORE:
             return self.writable
         return False  # devices do not fetch
 

@@ -32,6 +32,13 @@ class PmpAddressMode(enum.Enum):
     NAPOT = 3  # naturally aligned power-of-two region
 
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook, and :meth:`PmpUnit.check` runs on every TLB refill.
+_OFF, _NA4, _NAPOT = PmpAddressMode.OFF, PmpAddressMode.NA4, PmpAddressMode.NAPOT
+_M = PrivilegeMode.M
+_LOAD, _STORE = AccessType.LOAD, AccessType.STORE
+
+
 @dataclasses.dataclass(frozen=True)
 class PmpEntry:
     """One PMP entry: an address rule plus permissions.
@@ -55,14 +62,14 @@ class PmpEntry:
     match: tuple | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode is PmpAddressMode.NA4 and self.size != 4:
+        if self.mode is _NA4 and self.size != 4:
             raise ValueError("NA4 entries cover exactly 4 bytes")
-        if self.mode is PmpAddressMode.NAPOT:
+        if self.mode is _NAPOT:
             if self.size < 8 or self.size & (self.size - 1):
                 raise ValueError("NAPOT size must be a power of two >= 8")
             if self.base % self.size:
                 raise ValueError("NAPOT region must be naturally aligned")
-        matchable = self.mode is not PmpAddressMode.OFF and self.size != 0
+        matchable = self.mode is not _OFF and self.size != 0
         object.__setattr__(self, "match", (
             self.base, self.end, self.locked, self.readable, self.writable, self.executable,
         ) if matchable else None)
@@ -144,7 +151,7 @@ class PmpUnit:
         (VS/VU) are below M and subject to PMP exactly like HS/U.
         """
         hi = addr + size
-        is_m = mode is PrivilegeMode.M
+        is_m = mode is _M
         for base, end, locked, readable, writable, executable in self._active:
             if hi <= base or addr >= end:
                 continue
@@ -152,9 +159,9 @@ class PmpUnit:
                 return False  # partial match always fails
             if is_m and not locked:
                 return True
-            if access is AccessType.LOAD:
+            if access is _LOAD:
                 return readable
-            if access is AccessType.STORE:
+            if access is _STORE:
                 return writable
             return executable
         if is_m:

@@ -20,6 +20,12 @@ _MPP_SHIFT = 11
 _MPP_MASK = 0b11 << _MPP_SHIFT
 MSTATUS_MPV = 1 << 39
 
+#: ``mret``'s landing modes, bound once: a lookup through an enum class
+#: runs its metaclass's attribute hook, and every world switch lands.
+_M, _HS, _VS, _U, _VU = (
+    PrivilegeMode.M, PrivilegeMode.HS, PrivilegeMode.VS, PrivilegeMode.U, PrivilegeMode.VU,
+)
+
 
 def mpp_of(mstatus: int) -> int:
     """The MPP field (privilege level mret returns to)."""
@@ -36,10 +42,10 @@ def mret_target(mstatus: int) -> PrivilegeMode:
     level = mpp_of(mstatus)
     virtual = bool(mstatus & MSTATUS_MPV) and level != 3
     if level == 3:
-        return PrivilegeMode.M
+        return _M
     if level == 1:
-        return PrivilegeMode.VS if virtual else PrivilegeMode.HS
-    return PrivilegeMode.VU if virtual else PrivilegeMode.U
+        return _VS if virtual else _HS
+    return _VU if virtual else _U
 
 
 def encode_trap_entry(mstatus: int, from_mode: PrivilegeMode) -> int:

@@ -15,6 +15,10 @@ import enum
 
 from repro.isa.privilege import PrivilegeMode
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_M, _HS, _VS = PrivilegeMode.M, PrivilegeMode.HS, PrivilegeMode.VS
+
 
 class AccessType(enum.Enum):
     """The kind of memory access being performed."""
@@ -135,16 +139,16 @@ def route_exception(
     it was raised in (spec 3.1.8): e.g. an ECALL from HS delegated in
     medeleg is still handled in HS, not VS.
     """
-    if from_mode is PrivilegeMode.M or cause in _NEVER_DELEGATED:
-        return PrivilegeMode.M
+    if from_mode is _M or cause in _NEVER_DELEGATED:
+        return _M
     if cause not in medeleg:
-        return PrivilegeMode.M
+        return _M
     # Delegated past M.  Traps from non-virtual modes stop at HS.
     if not from_mode.virtualized:
-        return PrivilegeMode.HS
+        return _HS
     if cause in _NOT_VS_DELEGATABLE or cause not in hedeleg:
-        return PrivilegeMode.HS
-    return PrivilegeMode.VS
+        return _HS
+    return _VS
 
 
 #: Interrupt classes for routing (never rebuilt per call).

@@ -44,8 +44,6 @@ RULE = "ZL5"
 GUARDED_ATTRS: dict[str, set[tuple[str, str]]] = {
     # stage-2 map epoch (split-table manager, hypervisor)
     "map_generation": set(),
-    # TLB generation counter
-    "generation": set(),
     # per-CVM donated-subtree registry: installed by the SM's link seam,
     # mirrored by the hypervisor's provisioning seam
     "shared_subtrees": {

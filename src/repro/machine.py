@@ -64,6 +64,23 @@ _LOAD, _STORE, _READ, _WRITE = 0, 1, 2, 3
 _ACCESS = (AccessType.LOAD, AccessType.STORE, AccessType.LOAD, AccessType.STORE)
 _REQUIRED = tuple(access.required_pte_bit for access in _ACCESS)
 
+#: Members the guest's per-call paths charge or compare, bound once: on
+#: CPython a lookup through an enum class runs its metaclass's attribute
+#: hook, several times the cost of a global read.
+_COMPUTE, _COPY, _TRAP, _GUEST_KERNEL, _SM_LOGIC, _HYP_LOGIC = (
+    Category.COMPUTE, Category.COPY, Category.TRAP, Category.GUEST_KERNEL, Category.SM_LOGIC,
+    Category.HYP_LOGIC,
+)
+_CONFIDENTIAL, _NORMAL = VmKind.CONFIDENTIAL, VmKind.NORMAL
+_FINALIZED, _RUNNING = CvmState.FINALIZED, CvmState.RUNNING
+_HS, _VS = PrivilegeMode.HS, PrivilegeMode.VS
+#: The causes KVM's stage-2 fault path takes.
+_GUEST_PAGE_FAULTS = frozenset((
+    ExceptionCause.LOAD_GUEST_PAGE_FAULT,
+    ExceptionCause.STORE_GUEST_PAGE_FAULT,
+    ExceptionCause.INSTRUCTION_GUEST_PAGE_FAULT,
+))
+
 _MASK64 = (1 << 64) - 1
 _U64 = struct.Struct("<Q")
 
@@ -153,7 +170,7 @@ class GuestSession:
         #: invoked when the guest WFIs.  Returns True if it produced work.
         self.host_work = None
         self.active = False
-        vm = cvm if kind is VmKind.CONFIDENTIAL else normal_vm
+        vm = cvm if kind is _CONFIDENTIAL else normal_vm
         #: The VM's VMID and GPA layout: fixed for the session's lifetime,
         #: and read on every guest access.
         self.vmid: int = vm.vmid
@@ -163,7 +180,7 @@ class GuestSession:
 
     @property
     def hgatp_root(self) -> int:
-        if self.kind is VmKind.CONFIDENTIAL:
+        if self.kind is _CONFIDENTIAL:
             return self.cvm.hgatp_root
         return self.normal_vm.hgatp_root
 
@@ -267,7 +284,7 @@ class Machine:
     def _running_cvm_of(self, hart):
         """ABI helper: which CVM/vCPU is executing on this hart, if any."""
         session = self._active_session
-        if session is None or session.kind is not VmKind.CONFIDENTIAL:
+        if session is None or session.kind is not _CONFIDENTIAL:
             return None
         return session.cvm, session.vcpu_id
 
@@ -292,12 +309,12 @@ class Machine:
             shared_window=shared_window,
         )
         cvm = self.monitor.cvms[handle.cvm_id]
-        return GuestSession(self, VmKind.CONFIDENTIAL, cvm=cvm, handle=handle)
+        return GuestSession(self, _CONFIDENTIAL, cvm=cvm, handle=handle)
 
     def launch_normal_vm(self, name: str = "vm", layout: GpaLayout | None = None) -> GuestSession:
         """Create a conventional KVM guest managed by the hypervisor."""
         vm = self.hypervisor.create_normal_vm(name, self.hart, layout)
-        return GuestSession(self, VmKind.NORMAL, normal_vm=vm)
+        return GuestSession(self, _NORMAL, normal_vm=vm)
 
     # ------------------------------------------------------------------
     # CVM migration (extension; see repro.sm.migration)
@@ -309,7 +326,7 @@ class Machine:
         The CVM must not be running; the SM suspends, serialises under
         ``key``, scrubs, and hands the opaque blob to the host.
         """
-        if session.kind is not VmKind.CONFIDENTIAL:
+        if session.kind is not _CONFIDENTIAL:
             raise ConfigurationError("only confidential VMs migrate through the SM")
         from repro.sm.migration import export_cvm
 
@@ -330,7 +347,7 @@ class Machine:
         cvm_id = import_cvm(self.monitor, blob, key)
         handle = self.hypervisor.host_adopt_cvm(self.monitor, self.hart, cvm_id)
         cvm = self.monitor.cvms[cvm_id]
-        return GuestSession(self, VmKind.CONFIDENTIAL, cvm=cvm, handle=handle)
+        return GuestSession(self, _CONFIDENTIAL, cvm=cvm, handle=handle)
 
     # ------------------------------------------------------------------
     # Virtio device wiring
@@ -375,7 +392,7 @@ class Machine:
         self.hypervisor.plic_bindings[source] = device
         plic = self.plic
         device.irq_sink = lambda _dev: plic.raise_irq(source)
-        if session.kind is VmKind.CONFIDENTIAL:
+        if session.kind is _CONFIDENTIAL:
             handle = session.handle
             # Weak: the hypervisor's device registry holds the device.
             to_hpa = weakref.WeakMethod(self.hypervisor.shared_gpa_to_hpa)
@@ -385,7 +402,7 @@ class Machine:
             gpa_to_pa = self.translator.gpa_to_pa
 
             def translate(gpa):
-                pa, _flags = gpa_to_pa(vm.hgatp_root, gpa, AccessType.LOAD)
+                pa, _flags = gpa_to_pa(vm.hgatp_root, gpa, _ACCESS[_LOAD])
                 return pa
 
             device.dma_translate = translate
@@ -399,7 +416,7 @@ class Machine:
         experimental setup.
         """
         layout = session.layout
-        if session.kind is VmKind.CONFIDENTIAL:
+        if session.kind is _CONFIDENTIAL:
             return layout.shared_base + 0x10000, 2 << 20
         return layout.dram_base + layout.dram_size - (2 << 20) - 0x10000, 2 << 20
 
@@ -472,7 +489,7 @@ class Machine:
             ctx = GuestContext(self, session)
             state[id(session)] = (session, workload(ctx))
             scheduler.add(id(session))
-            if session.kind is VmKind.CONFIDENTIAL:
+            if session.kind is _CONFIDENTIAL:
                 wake_keys[session.cvm.cvm_id] = id(session)
 
         def wake(cvm_id: int) -> None:
@@ -524,11 +541,11 @@ class Machine:
     def _enter_guest(self, session: GuestSession) -> None:
         if session.active:
             raise ConfigurationError("session is already active")
-        if session.kind is VmKind.CONFIDENTIAL:
-            session.cvm.require_state(CvmState.FINALIZED, CvmState.RUNNING)
+        if session.kind is _CONFIDENTIAL:
+            session.cvm.require_state(_FINALIZED, _RUNNING)
             vcpu = session.cvm.vcpu(session.vcpu_id)
             self.monitor.world_switch.enter_cvm(session.hart, session.cvm, vcpu)
-            session.cvm.state = CvmState.RUNNING
+            session.cvm.state = _RUNNING
         else:
             self.hypervisor.normal_vm_enter(session.hart)
         session.active = True
@@ -537,13 +554,13 @@ class Machine:
     def _leave_guest(self, session: GuestSession) -> None:
         if not session.active:
             return
-        if session.kind is VmKind.CONFIDENTIAL:
+        if session.kind is _CONFIDENTIAL:
             vcpu = session.cvm.vcpu(session.vcpu_id)
             self.monitor.world_switch.exit_to_normal(
                 session.hart, session.cvm, vcpu, {"kind": "halt", "cause": 0}
             )
             vcpu.exit_context = None
-            session.cvm.state = CvmState.FINALIZED
+            session.cvm.state = _FINALIZED
         else:
             self.hypervisor.normal_vm_exit(session.hart)
         session.active = False
@@ -564,7 +581,7 @@ class Machine:
         if not self.clint.timer_pending(hart_id):
             return
         self.clint.arm_after(hart_id, self.config.timer_tick_cycles)
-        if session.kind is VmKind.CONFIDENTIAL:
+        if session.kind is _CONFIDENTIAL:
             vcpu = session.cvm.vcpu(session.vcpu_id)
             self.monitor.world_switch.exit_to_normal(
                 session.hart, session.cvm, vcpu, {"kind": "timer", "cause": 7}
@@ -616,7 +633,7 @@ class Machine:
         shared GPA onto a secure frame, the SM's walk-time validation
         refuses the access (modelled here; see DESIGN.md section 6).
         """
-        if session.kind is not VmKind.CONFIDENTIAL:
+        if session.kind is not _CONFIDENTIAL:
             return
         if not session.layout.in_shared(result.gpa):
             return
@@ -678,8 +695,10 @@ class Machine:
         and the translation.  A TLB hit updates the statistics and LRU
         order and charges the hit (fused with the compute cycle of a
         scalar access -- no timer check can fall between them).  A miss
-        with a valid, PMP-permitted walk charges and fills exactly as the
-        translator would.  An invalid walk whose stage-2 fault routes to
+        with a valid, PMP-permitted walk charges exactly as the translator
+        would and performs :meth:`Tlb.insert` in place: the entry goes
+        straight into the TLB's dict, and at capacity the LRU entry is
+        evicted.  An invalid walk whose stage-2 fault routes to
         the VM's own handler (the SM in M mode for a CVM, KVM in HS for a
         normal VM) is taken in place: the walk is charged, the helper the
         reference path calls (:meth:`_sm_fault`, given the engine's walk,
@@ -708,9 +727,11 @@ class Machine:
         mtimecmp = self.clint._mtimecmp
         translator = self.translator
         tlb = translator.tlb
-        entries_get = tlb._entries.get
-        move_to_end = tlb._entries.move_to_end
-        insert = tlb.insert
+        entries = tlb._entries
+        entries_get = entries.get
+        move_to_end = entries.move_to_end
+        evict_lru = entries.popitem
+        capacity = tlb.capacity
         probe = translator.probe_gpa
         va_limit = translator.sv39x4._va_limit
         dram = self.dram
@@ -722,7 +743,7 @@ class Machine:
         layout = session.layout
         # The engine's window: a CVM's private DRAM, or everything outside
         # a normal VM's MMIO window.
-        inside = session.kind is VmKind.CONFIDENTIAL
+        inside = session.kind is _CONFIDENTIAL
         if inside:
             lo, hi = layout.dram_base, layout.dram_base + layout.dram_size
         else:
@@ -734,10 +755,6 @@ class Machine:
         tlb_index = Category.TLB.index
         compute_index = Category.COMPUTE.index
         walk_index = Category.PAGE_WALK.index
-        tlb_bit = 1 << tlb_index
-        walk_bit = 1 << walk_index
-        scalar_bits = tlb_bit | 1 << compute_index
-        scalar_walk_bits = walk_bit | 1 << compute_index
         scalar_hit = tlb_hit + 1
         # Where the VM's stage-2 faults are fixed in place.
         handler_mode = PrivilegeMode.M if inside else PrivilegeMode.HS
@@ -779,12 +796,10 @@ class Machine:
                     if op > 1:
                         ledger._total += tlb_hit
                         counts[tlb_index] += tlb_hit
-                        ledger._charged_mask |= tlb_bit
                     else:
                         ledger._total += scalar_hit
                         counts[tlb_index] += tlb_hit
                         counts[compute_index] += 1
-                        ledger._charged_mask |= scalar_bits
                     break
                 if not 0 <= gva < va_limit:
                     return reference(gva, op, size, value)
@@ -805,12 +820,14 @@ class Machine:
                     counts[walk_index] += walk
                     if op > 1:
                         ledger._total += walk
-                        ledger._charged_mask |= walk_bit
                     else:
                         ledger._total += walk + 1
                         counts[compute_index] += 1
-                        ledger._charged_mask |= scalar_walk_bits
-                    insert(vmid, gva >> 12, pa >> 12, flags)
+                    # Tlb.insert in place: the key just missed, so the
+                    # new entry lands at the LRU tail without a move.
+                    entries[key] = (pa >> 12, flags)
+                    if len(entries) > capacity:
+                        evict_lru(last=False)
                     break
                 # Invalid walk: a stage-2 guest page fault.
                 if not fault_in_place(hart, op & 1):
@@ -818,7 +835,6 @@ class Machine:
                 tlb.misses += 1
                 ledger._total += walk
                 counts[walk_index] += walk
-                ledger._charged_mask |= walk_bit
                 # Nothing ran since the probe: the fault handler takes
                 # its walk.
                 if inside:
@@ -874,7 +890,7 @@ class Machine:
         splits into (:func:`_split_scalar`).  A bulk chunk that lands in
         an MMIO window is a :class:`~repro.errors.ConfigurationError`.
         """
-        access = AccessType.STORE if op & 1 else AccessType.LOAD
+        access = _ACCESS[op]
         if op > 1:
             pa, kind = self.guest_access(session, gva, access, size)
             if kind != "memory":
@@ -909,33 +925,28 @@ class Machine:
         hart = session.hart
         from_mode = hart.mode
         dest = route_exception(cause, from_mode, hart.medeleg, hart.hedeleg)
-        if dest is PrivilegeMode.VS:
+        if dest is _VS:
             # The guest kernel handles its own trap entirely inside the VM.
-            self.ledger.charge(Category.TRAP, self.costs.trap_to_vs)
-            self.ledger.charge(Category.GUEST_KERNEL, self.costs.guest_trap_handler)
-            self.ledger.charge(Category.TRAP, self.costs.xret)
+            self.ledger.charge(_TRAP, self.costs.trap_to_vs)
+            self.ledger.charge(_GUEST_KERNEL, self.costs.guest_trap_handler)
+            self.ledger.charge(_TRAP, self.costs.xret)
             raise SecurityViolation(
                 f"guest cannot resolve its own {cause!r} at {gva:#x} "
                 "(VS-delegated trap in a Bare-paging guest)"
             )
-        if dest is PrivilegeMode.HS:
+        if dest is _HS:
             return self._handle_in_hypervisor(session, trap, access)
         return self._handle_in_monitor(session, trap, access)
 
     def _handle_in_hypervisor(self, session: GuestSession, trap: TrapRaised, access: AccessType):
         """Normal-mode handling: the conventional KVM/QEMU paths."""
-        if session.kind is not VmKind.NORMAL:
+        if session.kind is not _NORMAL:
             raise SecurityViolation(
                 f"CVM trap {trap.cause!r} was routed to the hypervisor: "
                 "delegation misconfiguration"
             )
         gpa = trap.gpa if trap.gpa is not None else trap.tval
-        guest_fault_causes = (
-            ExceptionCause.LOAD_GUEST_PAGE_FAULT,
-            ExceptionCause.STORE_GUEST_PAGE_FAULT,
-            ExceptionCause.INSTRUCTION_GUEST_PAGE_FAULT,
-        )
-        if trap.cause in guest_fault_causes:
+        if trap.cause in _GUEST_PAGE_FAULTS:
             layout = session.layout
             if layout.in_mmio(gpa):
                 self.hypervisor.normal_vm_exit(session.hart)
@@ -994,18 +1005,18 @@ class Machine:
 
     def _emulate_mmio_normal(self, session: GuestSession, gpa: int, access: AccessType):
         self.hypervisor.mmio_exits += 1
-        self.ledger.charge(Category.HYP_LOGIC, self.costs.qemu_mmio_dispatch)
+        self.ledger.charge(_HYP_LOGIC, self.costs.qemu_mmio_dispatch)
         device = self.hypervisor.devices.find(gpa)
         if device is None:
             return 0
-        if access is AccessType.LOAD:
+        if access is _ACCESS[_LOAD]:
             return device.mmio_load(gpa - device.mmio_base, 8)
         device.mmio_store(gpa - device.mmio_base, self._pending_store_value, 8)
         return 0
 
     def _handle_in_monitor(self, session: GuestSession, trap: TrapRaised, access: AccessType):
         """CVM-mode handling in the SM: the short-path flows."""
-        if session.kind is not VmKind.CONFIDENTIAL:
+        if session.kind is not _CONFIDENTIAL:
             raise SecurityViolation(
                 f"normal-VM trap {trap.cause!r} reached the SM unexpectedly"
             )
@@ -1039,7 +1050,7 @@ class Machine:
     def _emulate_mmio_cvm(self, session: GuestSession, gpa: int, access: AccessType):
         """The full MMIO exit: SM -> hypervisor/QEMU -> SM -> guest."""
         vcpu = session.cvm.vcpu(session.vcpu_id)
-        is_load = access is AccessType.LOAD
+        is_load = access is _ACCESS[_LOAD]
         exit_info = {
             "kind": "mmio_load" if is_load else "mmio_store",
             "cause": 21 if is_load else 23,
@@ -1116,13 +1127,13 @@ class GuestContext:
         clint = self.machine.clint
         hart_id = self.session.hart.hart_id
         if self.ledger._total + remaining <= clint._mtimecmp[hart_id]:
-            self.ledger.charge(Category.COMPUTE, remaining)
+            self.ledger.charge(_COMPUTE, remaining)
             return
         while remaining > 0:
             self.machine.check_timer(self.session)
             until_tick = clint.read_mtimecmp(hart_id) - clint.mtime
             slice_ = min(remaining, max(1, until_tick))
-            self.ledger.charge(Category.COMPUTE, slice_)
+            self.ledger.charge(_COMPUTE, slice_)
             remaining -= slice_
 
     # -- memory -------------------------------------------------------------
@@ -1175,7 +1186,7 @@ class GuestContext:
                 chunk = min(length - offset, PAGE_SIZE - (gva + offset) % PAGE_SIZE)
                 access(gva + offset, _WRITE, chunk, data[offset : offset + chunk])
                 offset += chunk
-        self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
+        self.ledger.charge(_COPY, self.costs.copy_bytes(length))
 
     def read_bytes(self, gva: int, length: int) -> bytes:
         """Bulk guest read, chunked as :meth:`write_bytes` is."""
@@ -1190,7 +1201,7 @@ class GuestContext:
                 chunks.append(access(gva + offset, _READ, chunk, None))
                 offset += chunk
             data = b"".join(chunks)
-        self.ledger.charge(Category.COPY, self.costs.copy_bytes(length))
+        self.ledger.charge(_COPY, self.costs.copy_bytes(length))
         return data
 
     def touch(self, gva: int) -> None:
@@ -1266,7 +1277,7 @@ class GuestContext:
 
     def _ring_gpa(self, index: int) -> int:
         layout = self.session.layout
-        if self.session.kind is VmKind.CONFIDENTIAL:
+        if self.session.kind is _CONFIDENTIAL:
             return layout.shared_base + index * 0x1000
         return layout.dram_base + layout.dram_size - 0x10000 + index * 0x1000
 
@@ -1319,10 +1330,10 @@ class GuestContext:
         gprs["a3"] = a3 & _MASK64
         gprs["a4"] = a4 & _MASK64
         gprs["a5"] = a5 & _MASK64
-        self.ledger.charge(Category.TRAP, self.costs.trap_to_m)
-        self.ledger.charge(Category.SM_LOGIC, self.costs.ecall_dispatch)
+        self.ledger.charge(_TRAP, self.costs.trap_to_m)
+        self.ledger.charge(_SM_LOGIC, self.costs.ecall_dispatch)
         self.machine.ecall_interface.dispatch(hart)
-        self.ledger.charge(Category.TRAP, self.costs.xret)
+        self.ledger.charge(_TRAP, self.costs.xret)
         error = gprs["a0"]
         if error >= 1 << 63:
             error -= 1 << 64  # SBI errors are negative
@@ -1401,7 +1412,7 @@ class GuestContext:
         )
 
     def _require_cvm(self) -> None:
-        if self.session.kind is not VmKind.CONFIDENTIAL:
+        if self.session.kind is not _CONFIDENTIAL:
             raise ConfigurationError("SM guest services require a confidential VM")
 
     # -- waiting / interrupts ------------------------------------------------------
@@ -1413,7 +1424,7 @@ class GuestContext:
         """
         session = self.session
         machine = self.machine
-        if session.kind is VmKind.CONFIDENTIAL:
+        if session.kind is _CONFIDENTIAL:
             vcpu = session.cvm.vcpu(session.vcpu_id)
             machine.monitor.world_switch.exit_to_normal(
                 session.hart, session.cvm, vcpu, {"kind": "wfi", "cause": 0}
@@ -1439,8 +1450,8 @@ class GuestContext:
         self.session.pending_irq_bits = 0
         while bits:
             bits &= bits - 1
-            self.ledger.charge(Category.TRAP, self.costs.trap_to_vs)
-            self.ledger.charge(Category.GUEST_KERNEL, self.costs.guest_trap_handler)
-            self.ledger.charge(Category.TRAP, self.costs.xret)
+            self.ledger.charge(_TRAP, self.costs.trap_to_vs)
+            self.ledger.charge(_GUEST_KERNEL, self.costs.guest_trap_handler)
+            self.ledger.charge(_TRAP, self.costs.xret)
             delivered += 1
         return delivered

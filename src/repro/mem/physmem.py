@@ -20,6 +20,9 @@ from repro.isa.traps import AccessType, access_fault_for
 PAGE_SIZE = 4096
 
 _U64 = struct.Struct("<Q")
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook, and every PMP- or IOPMP-checked access names one.
+_LOAD, _STORE, _FETCH = AccessType.LOAD, AccessType.STORE, AccessType.FETCH
 
 
 def page_of(addr: int) -> int:
@@ -192,22 +195,22 @@ class MemoryBus:
 
     def cpu_read(self, hart, addr: int, size: int) -> bytes:
         """PMP-checked CPU load at the hart's current privilege."""
-        self._cpu_check(hart, addr, size, AccessType.LOAD)
+        self._cpu_check(hart, addr, size, _LOAD)
         return self.dram.read(addr, size)
 
     def cpu_write(self, hart, addr: int, data: bytes) -> None:
         """PMP-checked CPU store at the hart's current privilege."""
-        self._cpu_check(hart, addr, len(data), AccessType.STORE)
+        self._cpu_check(hart, addr, len(data), _STORE)
         self.dram.write(addr, data)
 
     def cpu_read_u64(self, hart, addr: int) -> int:
         """PMP-checked 64-bit CPU load."""
-        self._cpu_check(hart, addr, 8, AccessType.LOAD)
+        self._cpu_check(hart, addr, 8, _LOAD)
         return self.dram.read_u64(addr)
 
     def cpu_write_u64(self, hart, addr: int, value: int) -> None:
         """PMP-checked 64-bit CPU store."""
-        self._cpu_check(hart, addr, 8, AccessType.STORE)
+        self._cpu_check(hart, addr, 8, _STORE)
         self.dram.write_u64(addr, value)
 
     def cpu_zero_range(self, hart, addr: int, size: int) -> None:
@@ -217,12 +220,12 @@ class MemoryBus:
         sparse-aware clear: a scrub that strays into secure memory
         faults exactly like any other hypervisor store.
         """
-        self._cpu_check(hart, addr, size, AccessType.STORE)
+        self._cpu_check(hart, addr, size, _STORE)
         self.dram.zero_range(addr, size)
 
     def cpu_fetch_check(self, hart, addr: int, size: int = 4) -> None:
         """PMP check for an instruction fetch (no data returned)."""
-        self._cpu_check(hart, addr, size, AccessType.FETCH)
+        self._cpu_check(hart, addr, size, _FETCH)
 
     # -- DMA side ------------------------------------------------------------
 
@@ -236,12 +239,12 @@ class MemoryBus:
 
     def dma_read(self, source_id: int, addr: int, size: int) -> bytes:
         """IOPMP-checked device read by bus-master source id."""
-        self._dma_check(source_id, addr, size, AccessType.LOAD)
+        self._dma_check(source_id, addr, size, _LOAD)
         return self.dram.read(addr, size)
 
     def dma_write(self, source_id: int, addr: int, data: bytes) -> None:
         """IOPMP-checked device write by bus-master source id."""
-        self._dma_check(source_id, addr, len(data), AccessType.STORE)
+        self._dma_check(source_id, addr, len(data), _STORE)
         self.dram.write(addr, data)
 
     def dma_check_range(self, source_id: int, addr: int, size: int, access: AccessType) -> None:

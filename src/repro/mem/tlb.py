@@ -29,10 +29,6 @@ class Tlb:
         self.flushes = 0
         #: Single-page invalidations, counted separately from ``flushes``.
         self.page_flushes = 0
-        #: Monotonic invalidation epoch: bumped whenever entries may have
-        #: *disappeared* (any flush, or a capacity eviction); insertions
-        #: only bump it when they evict.
-        self.generation = 0
 
     def lookup(self, vmid: int, vpage: int):
         """Cached (ppage, flags) or ``None``."""
@@ -54,13 +50,11 @@ class Tlb:
         # One insert adds at most one entry, so it evicts at most one.
         if len(entries) > self.capacity:
             entries.popitem(last=False)
-            self.generation += 1
 
     def flush_all(self) -> None:
         """Drop every cached translation."""
         self._entries.clear()
         self.flushes += 1
-        self.generation += 1
 
     def flush_vmid(self, vmid: int) -> None:
         """Drop all translations of one VMID (a scan of every entry).
@@ -73,11 +67,9 @@ class Tlb:
         for key in [key for key in entries if key[0] == vmid]:
             del entries[key]
         self.flushes += 1
-        self.generation += 1
 
     def flush_page(self, vmid: int, vpage: int) -> None:
         """Drop one page's translation (counted even if absent)."""
-        self.generation += 1
         self._entries.pop((vmid, vpage), None)
         self.page_flushes += 1
 

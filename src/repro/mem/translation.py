@@ -21,6 +21,10 @@ from repro.mem.pagetable import _PPN_MASK, _PPN_SHIFT, Sv39, Sv39x4
 from repro.mem.physmem import PAGE_SIZE
 from repro.mem.tlb import Tlb
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_PAGE_WALK = Category.PAGE_WALK
+
 _unpack_u64 = struct.Struct("<Q").unpack_from
 
 #: Sv39x4's fixed geometry, which :meth:`AddressTranslator.probe_gpa`
@@ -96,9 +100,9 @@ class AddressTranslator:
         try:
             pa, flags, levels, _slot = self.probe_gpa(hgatp_root, gpa)
         except MemoryError_ as error:
-            self.ledger.charge(Category.PAGE_WALK, error.walk_levels * self._walk_cost)
+            self.ledger.charge(_PAGE_WALK, error.walk_levels * self._walk_cost)
             raise
-        self.ledger.charge(Category.PAGE_WALK, levels * self._walk_cost)
+        self.ledger.charge(_PAGE_WALK, levels * self._walk_cost)
         if pa is None or not flags & access.required_pte_bit:
             raise TrapRaised(
                 guest_page_fault_for(access),

@@ -99,6 +99,21 @@ class GuestFunction(enum.IntEnum):
     CHANNEL_CLOSE = 8
 
 
+#: What :meth:`EcallInterface._guest_call` compares and returns, bound
+#: once: a lookup through an enum class runs its metaclass's attribute
+#: hook, and every guest ECALL walks that chain.
+_VS = PrivilegeMode.VS
+_SUCCESS, _FAILED, _NOT_SUPPORTED, _INVALID_PARAM, _DENIED = (
+    SbiError.SUCCESS, SbiError.FAILED, SbiError.NOT_SUPPORTED, SbiError.INVALID_PARAM,
+    SbiError.DENIED,
+)
+(
+    _GET_MEASUREMENT, _GET_ATTESTATION_REPORT, _GET_RANDOM, _RECLAIM_PAGES,
+    _SHARE_REQUEST, _CHANNEL_CREATE, _CHANNEL_CONNECT, _CHANNEL_NOTIFY,
+    _CHANNEL_CLOSE,
+) = GuestFunction
+
+
 class EcallInterface:
     """Decodes register-convention ECALLs onto the monitor.
 
@@ -190,62 +205,62 @@ class EcallInterface:
     # -- guest extension ------------------------------------------------------
 
     def _guest_call(self, hart, fid: int, args) -> tuple:
-        if hart.mode is not PrivilegeMode.VS:
-            return SbiError.DENIED, 0
+        if hart.mode is not _VS:
+            return _DENIED, 0
         if self.running_cvm_of is None:
-            return SbiError.FAILED, 0
+            return _FAILED, 0
         resolved = self.running_cvm_of(hart)
         if resolved is None:
-            return SbiError.DENIED, 0
+            return _DENIED, 0
         cvm, vcpu_id = resolved
         monitor = self.monitor
-        if fid == GuestFunction.GET_MEASUREMENT:
+        if fid == _GET_MEASUREMENT:
             if cvm.measurement is None:
-                return SbiError.FAILED, 0
+                return _FAILED, 0
             out_gpa = args[0]
             self._write_guest_buffer(cvm, out_gpa, cvm.measurement)
-            return SbiError.SUCCESS, len(cvm.measurement)
-        if fid == GuestFunction.GET_ATTESTATION_REPORT:
+            return _SUCCESS, len(cvm.measurement)
+        if fid == _GET_ATTESTATION_REPORT:
             data_gpa, data_len, out_gpa = args[0], args[1], args[2]
             if data_len > 64:
-                return SbiError.INVALID_PARAM, 0
+                return _INVALID_PARAM, 0
             report_data = self._read_guest_buffer(cvm, data_gpa, data_len)
             report = monitor.ecall_attestation_report(cvm.cvm_id, report_data)
             blob = report.measurement + report.nonce + report.signature
             self._write_guest_buffer(cvm, out_gpa, blob)
-            return SbiError.SUCCESS, len(blob)
-        if fid == GuestFunction.GET_RANDOM:
+            return _SUCCESS, len(blob)
+        if fid == _GET_RANDOM:
             out_gpa, count = args[0], args[1]
             random = monitor.ecall_get_random(cvm.cvm_id, count)
             self._write_guest_buffer(cvm, out_gpa, random)
-            return SbiError.SUCCESS, count
-        if fid == GuestFunction.RECLAIM_PAGES:
+            return _SUCCESS, count
+        if fid == _RECLAIM_PAGES:
             freed = monitor.ecall_reclaim_pages(cvm.cvm_id, vcpu_id, args[0], args[1])
-            return SbiError.SUCCESS, freed
-        if fid == GuestFunction.SHARE_REQUEST:
+            return _SUCCESS, freed
+        if fid == _SHARE_REQUEST:
             gpa = monitor.ecall_guest_share_request(hart, cvm.cvm_id, vcpu_id, args[0])
-            return SbiError.SUCCESS, gpa
-        if fid == GuestFunction.CHANNEL_CREATE:
+            return _SUCCESS, gpa
+        if fid == _CHANNEL_CREATE:
             window_gpa, size, meas_gpa = args[0], args[1], args[2]
             expected_peer = self._read_guest_buffer(cvm, meas_gpa, 32)
             channel_id = monitor.ecall_channel_create(
                 cvm.cvm_id, window_gpa, size, expected_peer
             )
-            return SbiError.SUCCESS, channel_id
-        if fid == GuestFunction.CHANNEL_CONNECT:
+            return _SUCCESS, channel_id
+        if fid == _CHANNEL_CONNECT:
             channel_id, window_gpa, meas_gpa = args[0], args[1], args[2]
             expected_creator = self._read_guest_buffer(cvm, meas_gpa, 32)
             window_size = monitor.ecall_channel_connect(
                 cvm.cvm_id, channel_id, window_gpa, expected_creator
             )
-            return SbiError.SUCCESS, window_size
-        if fid == GuestFunction.CHANNEL_NOTIFY:
+            return _SUCCESS, window_size
+        if fid == _CHANNEL_NOTIFY:
             pending = monitor.ecall_channel_notify(cvm.cvm_id, args[0])
-            return SbiError.SUCCESS, pending
-        if fid == GuestFunction.CHANNEL_CLOSE:
+            return _SUCCESS, pending
+        if fid == _CHANNEL_CLOSE:
             monitor.ecall_channel_close(cvm.cvm_id, args[0])
-            return SbiError.SUCCESS, 0
-        return SbiError.NOT_SUPPORTED, 0
+            return _SUCCESS, 0
+        return _NOT_SUPPORTED, 0
 
     # -- guest buffer plumbing ---------------------------------------------------
 

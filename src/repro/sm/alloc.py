@@ -28,6 +28,12 @@ class AllocStage(enum.IntEnum):
     POOL_EXPANSION = 3
 
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_PAGE_CACHE, _NEW_BLOCK = AllocStage.PAGE_CACHE, AllocStage.NEW_BLOCK
+_ALLOC = Category.ALLOC
+
+
 class PoolExhausted(ReproError):
     """Stage 3 is required: the monitor must request pool expansion."""
 
@@ -101,25 +107,25 @@ class HierarchicalAllocator:
         self._charge_cache_pop()
         if cache._pages:
             page = cache._pages.pop()
-            self.stage_counts[AllocStage.PAGE_CACHE] += 1
+            self.stage_counts[_PAGE_CACHE] += 1
             self._pool.set_page_owner(page, cvm_id)
-            return page, AllocStage.PAGE_CACHE
+            return page, _PAGE_CACHE
 
         # Stage 2: grab a block from the list head, make it the cache.
         block = self._pool.alloc_block(owner=(cvm_id, vcpu_id))
-        self._ledger.charge(Category.ALLOC, self._costs.block_unlink)
+        self._ledger.charge(_ALLOC, self._costs.block_unlink)
         if block is None:
             raise PoolExhausted(
                 f"secure pool exhausted allocating for CVM {cvm_id} vCPU {vcpu_id}"
             )
         cache.refill(block)
         self._ledger.charge(
-            Category.ALLOC, self._costs.cache_slot_init * block.page_count
+            _ALLOC, self._costs.cache_slot_init * block.page_count
         )
         page = cache._pages.pop()
-        self.stage_counts[AllocStage.NEW_BLOCK] += 1
+        self.stage_counts[_NEW_BLOCK] += 1
         self._pool.set_page_owner(page, cvm_id)
-        return page, AllocStage.NEW_BLOCK
+        return page, _NEW_BLOCK
 
     def _alloc_uncached(self, cvm_id: int) -> tuple[int, AllocStage]:
         """The no-page-cache baseline: every fault takes the global list.

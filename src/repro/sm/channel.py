@@ -56,6 +56,12 @@ class ChannelState(enum.Enum):
     CLOSED = "closed"  # unmapped, scrubbed, block returned
 
 
+#: What every doorbell compares and charges, bound once: a lookup
+#: through an enum class runs its metaclass's attribute hook.
+_CONNECTED = ChannelState.CONNECTED
+_SM_LOGIC, _TLB = Category.SM_LOGIC, Category.TLB
+
+
 class Channel:
     """SM-side record of one channel."""
 
@@ -118,9 +124,7 @@ class ChannelManager:
         return f"chan:{channel_id}"
 
     def _charge(self) -> None:
-        self.monitor.ledger.charge(
-            Category.SM_LOGIC, self.monitor.costs.channel_bookkeeping
-        )
+        self.monitor.ledger.charge(_SM_LOGIC, self.monitor.costs.channel_bookkeeping)
 
     def _channel(self, channel_id: int) -> Channel:
         channel = self.channels.get(channel_id)
@@ -270,13 +274,13 @@ class ChannelManager:
         """
         self._charge()
         channel = self._endpoint_channel(cvm.cvm_id, channel_id)
-        if channel.state is not ChannelState.CONNECTED:
+        if channel.state is not _CONNECTED:
             raise EcallError(f"channel {channel_id} is {channel.state.value}")
         peer_id = channel.other_end(cvm.cvm_id)
         channel.doorbells[peer_id] += 1
         channel.notify_count += 1
         monitor = self.monitor
-        monitor.ledger.charge(Category.SM_LOGIC, monitor.costs.channel_doorbell)
+        monitor.ledger.charge(_SM_LOGIC, monitor.costs.channel_doorbell)
         # The doorbell is a validated VSEI on the peer's vCPU 0 -- the same
         # injection slot device interrupts use -- plus a CLINT kick so a
         # sleeping hart re-evaluates its run queue.
@@ -286,9 +290,7 @@ class ChannelManager:
         )
         if monitor.clint is not None:
             monitor.clint.send_ipi(0)
-            monitor.ledger.charge(
-                Category.TLB, monitor.costs.ipi_shootdown_cost
-            )
+            monitor.ledger.charge(_TLB, monitor.costs.ipi_shootdown_cost)
             monitor.clint.clear_ipi(0)
         # The SM's upcall, which an event sink may decline.
         events = monitor.ledger.events

@@ -26,6 +26,10 @@ from repro.sm.share import SplitTableManager
 from repro.sm.vcpu import SHARED_VCPU_SIZE, SharedVcpu
 from repro.sm.world_switch import WorldSwitch
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_PAGE_CACHE, _POOL_EXPANSION = AllocStage.PAGE_CACHE, AllocStage.POOL_EXPANSION
+
 
 class _MetadataAllocator:
     """SM-internal allocator for page tables and CVM roots.
@@ -92,6 +96,12 @@ class SecureMonitor:
         self._charge_fault_fixed = ledger.charger(Category.SM_LOGIC, costs.sm_fault_fixed)
         self._charge_zero_page = ledger.charger(Category.SM_LOGIC, costs.zero_bytes(PAGE_SIZE))
         self._charge_xret = ledger.charger(Category.TRAP, costs.xret)
+        # Every ECALL's trap, dispatch and return, fused.
+        self._charge_ecall_round_trip = ledger.charger(
+            Category.TRAP, costs.trap_to_m,
+            Category.SM_LOGIC, costs.ecall_dispatch,
+            Category.TRAP, costs.xret,
+        )
         self.attestation = AttestationService(device_secret, entropy_seed)
         self.world_switch = WorldSwitch(
             ledger,
@@ -522,7 +532,7 @@ class SecureMonitor:
         self._charge_zero_page()
         self.split.map_private(
             cvm, page_gpa, pa, self._alloc_table_page,
-            leaf_slot=0 if stage is AllocStage.POOL_EXPANSION else walk[3],
+            leaf_slot=0 if stage is _POOL_EXPANSION else walk[3],
         )
         self.translator.sfence_page(cvm.vmid, page_gpa)
         self.fault_stage_counts[stage] += 1
@@ -565,8 +575,8 @@ class SecureMonitor:
                     f"{self.EXPANSION_ATTEMPTS} requests (CVM {cvm.cvm_id})"
                 )
             allocator.note_expansion()
-            stage = AllocStage.POOL_EXPANSION
-        if stage is not AllocStage.PAGE_CACHE:
+            stage = _POOL_EXPANSION
+        if stage is not _PAGE_CACHE:
             # Stages 2 and 3 hand the vCPU a fresh block, which the CVM
             # holds until it is destroyed (the uncached ablation has none).
             block = allocator.cache_for(vcpu_id).block
@@ -618,6 +628,4 @@ class SecureMonitor:
         events = self.ledger.events
         if events is not None:
             events.record("ecall", function=name)
-        self.ledger.charge(Category.TRAP, self.costs.trap_to_m)
-        self.ledger.charge(Category.SM_LOGIC, self.costs.ecall_dispatch)
-        self.ledger.charge(Category.TRAP, self.costs.xret)
+        self._charge_ecall_round_trip()

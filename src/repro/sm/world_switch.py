@@ -38,9 +38,16 @@ from repro.sm.vcpu import (
     CheckAfterLoad,
     SecureVcpu,
     SharedVcpu,
+    VcpuState,
 )
 
 _MASK64 = (1 << 64) - 1
+#: What every switch sets, bound once: a lookup through an enum class
+#: runs its metaclass's attribute hook.
+_M = PrivilegeMode.M
+_HS_LEVEL, _VS_LEVEL = PrivilegeMode.HS.level, PrivilegeMode.VS.level
+_WAITING_HYP, _RUNNING, _STOPPED = VcpuState.WAITING_HYP, VcpuState.RUNNING, VcpuState.STOPPED
+_SM_LOGIC, _REG_SAVE = Category.SM_LOGIC, Category.REG_SAVE
 #: Number of hypervisor-context CSRs swapped on a world switch.
 HYP_CSR_COUNT = 18
 
@@ -173,7 +180,7 @@ class WorldSwitch:
         hart.csrs.write_raw("mstatus", mstatus)
         hart.csrs.write_raw("mepc", vcpu.pc)
         hart.csrs.write_raw("mcause", get("cause", 0))
-        hart.mode = PrivilegeMode.M
+        hart.mode = _M
 
         vcpu.save_from(hart)
         vcpu.exit_context = dict(exit_info)
@@ -195,11 +202,11 @@ class WorldSwitch:
         delegation.NORMAL_MODE.apply(hart)
 
         # mret to the hypervisor: MPP=S, MPV=0.
-        mstatus = status.with_mpp(hart.csrs.read_raw("mstatus"), PrivilegeMode.HS.level)
+        mstatus = status.with_mpp(hart.csrs.read_raw("mstatus"), _HS_LEVEL)
         mstatus &= ~status.MSTATUS_MPV
         hart.mode = status.mret_target(mstatus)
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
-        vcpu.state = vcpu.state.__class__.WAITING_HYP
+        vcpu.state = _WAITING_HYP
         events = self.ledger.events
         if events is not None:
             events.record(
@@ -223,7 +230,7 @@ class WorldSwitch:
         self._entry_pre_fire()
         mstatus = status.encode_trap_entry(hart.csrs.read_raw("mstatus"), hart.mode)
         hart.csrs.write_raw("mstatus", mstatus)
-        hart.mode = PrivilegeMode.M
+        hart.mode = _M
 
         shared = cvm.shared_vcpus[vcpu.vcpu_id]
         reply: dict = {}
@@ -246,7 +253,7 @@ class WorldSwitch:
                 vcpu.reply_refusals = refusals
                 if refusals >= self.MAX_REPLY_REFUSALS:
                     vcpu.exit_context = None
-                    vcpu.state = vcpu.state.__class__.STOPPED
+                    vcpu.state = _STOPPED
                 raise
             vcpu.reply_refusals = 0
             self._apply_reply(vcpu, reply)
@@ -262,11 +269,11 @@ class WorldSwitch:
         self.translator.tlb.flush_all()
 
         # mret into the guest: MPP=S with MPV=1 selects VS mode.
-        mstatus = status.with_mpp(hart.csrs.read_raw("mstatus"), PrivilegeMode.VS.level)
+        mstatus = status.with_mpp(hart.csrs.read_raw("mstatus"), _VS_LEVEL)
         mstatus |= status.MSTATUS_MPV
         hart.mode = status.mret_target(mstatus)
         hart.csrs.write_raw("mstatus", status.encode_mret(mstatus))
-        vcpu.state = vcpu.state.__class__.RUNNING
+        vcpu.state = _RUNNING
         cvm.entry_count += 1
         events = self.ledger.events
         if events is not None:
@@ -289,13 +296,13 @@ class WorldSwitch:
                 vcpu.gprs[GPR_NAMES[index - 1]] = reply["gpr_value"]
             # Injecting the result re-derives the target register from the
             # trapped instruction (htinst decode on the entry side too).
-            self.ledger.charge(Category.SM_LOGIC, self.costs.sm_mmio_decode)
-            self.ledger.charge(Category.REG_SAVE, self.costs.field_copy)
+            self.ledger.charge(_SM_LOGIC, self.costs.sm_mmio_decode)
+            self.ledger.charge(_REG_SAVE, self.costs.field_copy)
         if reply.get("sepc_advance"):
             # Masked here, so the secure vCPU only ever holds 64-bit words.
             vcpu.pc = (vcpu.pc + reply["sepc_advance"]) & _MASK64
             vcpu.csrs["sepc"] = vcpu.pc
-            self.ledger.charge(Category.REG_SAVE, self.costs.field_copy)
+            self.ledger.charge(_REG_SAVE, self.costs.field_copy)
         if reply.get("pending_irq"):
             vcpu.csrs["hvip"] |= reply["pending_irq"]
-            self.ledger.charge(Category.REG_SAVE, self.costs.field_copy)
+            self.ledger.charge(_REG_SAVE, self.costs.field_copy)

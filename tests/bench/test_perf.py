@@ -1,11 +1,14 @@
 """The perf harness's own checks: goldens, the wall gate, the median pick,
-the bytecode counts."""
+the bytecode counts and their pin."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import warnings
+
+import pytest
 
 from repro.__main__ import main
 from repro.bench import perf
@@ -83,3 +86,28 @@ def test_bytecode_counts_do_not_depend_on_the_hash_seed():
                                      capture_output=True, text=True, check=True).stdout)
     assert counts[0] == counts[1]
     assert str(perf.count_bytecodes(["switch_path"])) + "\n" == counts[0]
+
+
+def test_bytecode_totals_stay_within_the_pin():
+    """Each quick scenario's bytecodes outside the stdlib, against the pin
+    recorded for this Python minor version: a rise of more than 1% fails,
+    a decrease is reported."""
+    pin = perf.load_bytecode_pin()
+    if not pin:
+        pytest.skip(f"no bytecode pin recorded for Python {perf.python_minor()}")
+    rises, decreases = perf.check_bytecodes(perf.count_bytecodes(), pin)
+    for line in decreases:
+        warnings.warn(f"bytecode pin: {line}; re-record it with "
+                      "`python -m repro perf --quick --bytecodes --update-goldens`")
+    assert rises == []
+
+
+def test_bytecode_pin_check_bounds_rises_and_reports_decreases():
+    counted = {name: {"total": total + 7, "by_package": {"mem": total, "other": 7}}
+               for name, total in (("a", 1000), ("b", 1000), ("c", 1000), ("d", 5))}
+    counted["b"]["total"] += 11
+    counted["b"]["by_package"]["mem"] += 11
+    rises, decreases = perf.check_bytecodes(counted, {"a": 1000, "b": 1000, "c": 1001})
+    assert [line.split(":")[0] for line in rises] == ["b", "d"]
+    assert "no bytecode pin recorded" in rises[1]
+    assert [line.split(":")[0] for line in decreases] == ["c"]

@@ -60,7 +60,7 @@ def _outcome(reference: bool, call):
     past_end = [index for index in machine.dram._pages if index << 12 >= machine.dram.end]
     return result, {
         "by_category": machine.ledger.by_category(),
-        "tlb": (tlb.hits, tlb.misses, tlb.generation, tlb.flushes, len(tlb)),
+        "tlb": (tlb.hits, tlb.misses, tlb.flushes, len(tlb)),
         "pages_past_dram": past_end,
     }
 

@@ -145,7 +145,7 @@ def _faults_taken(machine, session) -> int:
 
 def _tlb_stats(machine) -> tuple:
     tlb = machine.translator.tlb
-    return tlb.hits, tlb.misses, tlb.generation, tlb.flushes, tlb.page_flushes
+    return tlb.hits, tlb.misses, tlb.flushes, tlb.page_flushes
 
 
 def _check_observer_parity(kind: str, calls: str = "batched") -> None:

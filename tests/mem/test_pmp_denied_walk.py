@@ -54,7 +54,7 @@ def _outcome(reference: bool, call):
     tlb = machine.translator.tlb
     return result, {
         "by_category": machine.ledger.by_category(),
-        "tlb": (tlb.hits, tlb.misses, tlb.generation, tlb.flushes, len(tlb)),
+        "tlb": (tlb.hits, tlb.misses, tlb.flushes, len(tlb)),
     }
 
 

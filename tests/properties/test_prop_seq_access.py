@@ -22,11 +22,11 @@ across the same regions and the end of guest DRAM, mixed with:
 
 Runs may boot both machines with a four-page secure block, so a CVM's
 first touches, scalar or batched, cross stage-2 refills and pool
-expansions.
+expansions, and with a four-entry TLB, so refills evict.
 
 After every step the two machines must agree on the values returned, the
-error types raised, ``ledger.by_category()``, the TLB statistics and
-generation, the TLB's LRU key order, the fault handlers' counters and
+error types raised, ``ledger.by_category()``, the TLB statistics, the
+TLB's LRU key order, the fault handlers' counters and
 allocations, and the hart's mode.  The engine machine runs with a
 :class:`~repro.trace.Tracer` attached, so the diff also shows that
 recording events changes none of these.
@@ -63,6 +63,8 @@ FRESH = DRAM + (40 << 20)
 
 #: The small-block variant's secure block size.
 SMALL_BLOCK = 4 * PAGE_SIZE
+#: The small-TLB variant's capacity, in entries.
+SMALL_TLB = 4
 #: Strided shapes ``(gva0, size, stride, count)``, few enough that the
 #: same shape recurs within one run.
 STRIDED = [
@@ -144,7 +146,7 @@ class _Side:
         normal_vm = self.session.normal_vm
         return {
             "by_category": machine.ledger.by_category(),
-            "tlb": (tlb.hits, tlb.misses, tlb.generation, tlb.flushes, tlb.page_flushes),
+            "tlb": (tlb.hits, tlb.misses, tlb.flushes, tlb.page_flushes),
             # VMIDs of normal VMs come from a process-wide counter, so
             # keys are compared as (own VM?, page).
             "tlb_order": [(key[0] == vmid, key[1]) for key in tlb._entries],
@@ -185,14 +187,19 @@ class SingleAccessDiff(RuleBasedStateMachine):
     """Engine and reference machines, stepped in lockstep, one access per
     call (``test_prop_single_access.py`` runs this machine alone)."""
 
-    @initialize(kind=st.sampled_from(["cvm", "normal"]), small_blocks=st.booleans())
-    def boot(self, kind, small_blocks):
+    @initialize(kind=st.sampled_from(["cvm", "normal"]), small_blocks=st.booleans(),
+                small_tlb=st.booleans())
+    def boot(self, kind, small_blocks, small_tlb):
         self.kind = kind
         # A few-page secure block in a pool of a few blocks: a CVM's
         # first touches cross stage-2 refills and a pool expansion.
         config = {}
         if small_blocks:
             config = {"secure_block_size": SMALL_BLOCK, "initial_pool_bytes": 16 * SMALL_BLOCK}
+        # A TLB smaller than the pages the rules touch: refills evict, so
+        # the engine's in-place eviction meets Tlb.insert's.
+        if small_tlb:
+            config["tlb_capacity"] = SMALL_TLB
         self.sides = tuple(
             _Side(kind, reference=reference, **config) for reference in (False, True)
         )

@@ -3,10 +3,8 @@
 Random ``insert``/``lookup``/``flush_page``/``flush_vmid``/``flush_all``
 sequences over three VMIDs run on a small :class:`~repro.mem.tlb.Tlb` and
 on :class:`_ModelTlb`, a plain list kept in LRU order.  After every
-operation the two must agree on the value returned, the entry order,
-``hits``/``misses``/``flushes``/``page_flushes`` and ``generation``:
-every flush and every eviction bumps the generation, an insert that
-evicts nothing does not.
+operation the two must agree on the value returned, the entry order
+and ``hits``/``misses``/``flushes``/``page_flushes``.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ class _ModelTlb:
         self.capacity = capacity
         self.entries: list = []
         self.hits = self.misses = self.flushes = self.page_flushes = 0
-        self.generation = 0
 
     def _pop(self, key):
         for index, (present, value) in enumerate(self.entries):
@@ -53,22 +50,18 @@ class _ModelTlb:
         self.entries.append((key, (ppage, flags)))
         if len(self.entries) > self.capacity:
             del self.entries[0]
-            self.generation += 1
 
     def flush_page(self, vmid, vpage):
         self._pop((vmid, vpage))
         self.page_flushes += 1
-        self.generation += 1
 
     def flush_vmid(self, vmid):
         self.entries = [entry for entry in self.entries if entry[0][0] != vmid]
         self.flushes += 1
-        self.generation += 1
 
     def flush_all(self):
         self.entries = []
         self.flushes += 1
-        self.generation += 1
 
 
 INSERT = st.tuples(st.just("insert"), VMIDS, PAGES, st.integers(0, 1 << 20), st.integers(0, 0xFF))
@@ -84,7 +77,7 @@ OPERATIONS = st.integers(0, 19).flatmap(
 
 
 def _state(tlb) -> tuple:
-    return (tlb.hits, tlb.misses, tlb.flushes, tlb.page_flushes, tlb.generation)
+    return (tlb.hits, tlb.misses, tlb.flushes, tlb.page_flushes)
 
 
 @given(capacity=st.integers(4, 8), operations=st.lists(OPERATIONS, min_size=20, max_size=120))

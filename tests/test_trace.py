@@ -259,7 +259,7 @@ def _state(machine, sessions, normal) -> dict:
     return {
         "total": machine.ledger.total,
         "by_category": machine.ledger.by_category(),
-        "tlb": (tlb.hits, tlb.misses, tlb.generation, tlb.flushes, tlb.page_flushes),
+        "tlb": (tlb.hits, tlb.misses, tlb.flushes, tlb.page_flushes),
         "fault_stages": dict(machine.monitor.fault_stage_counts),
         "exit_reasons": [dict(session.cvm.exit_reasons) for session in sessions],
         "kvm_faults": normal.normal_vm.fault_count,
