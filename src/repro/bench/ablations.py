@@ -43,7 +43,7 @@ def run_block_size_ablation(block_sizes=(64 << 10, 256 << 10, 1 << 20), pages: i
             "stage2_count": stages.count(AllocStage.NEW_BLOCK.name),
             "pool_bytes_held": sum(
                 block.size
-                for block in machine.monitor._cvm_blocks[session.cvm.cvm_id]
+                for block in machine.monitor._allocators[session.cvm.cvm_id].blocks
             ),
         }
     return rows

@@ -21,6 +21,9 @@ from repro.mem.physmem import PAGE_SIZE
 from repro.sm.channel import ChannelState
 from repro.verify import check_invariants
 
+#: The stage-2 geometry, built once: construction compiles its structs.
+_WALKER = Sv39x4()
+
 
 def _check_channel_ownership(machine) -> list:
     violations = []
@@ -46,12 +49,11 @@ def _check_hypervisor_roots(machine) -> list:
     # byte lies below the pool can still reach into it.
     violations = []
     regions = machine.monitor.pool.regions
-    walker = Sv39x4()
     dram = machine.dram  # raw M-mode view of the tables
     for vm in machine.hypervisor.normal_vms:
         if vm.hgatp_root is None:
             continue
-        for gpa, pa, _flags, _level in walker.leaves_overlapping(
+        for gpa, pa, _flags, _level in _WALKER.leaves_overlapping(
             dram, vm.hgatp_root, regions
         ):
             violations.append(

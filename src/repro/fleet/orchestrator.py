@@ -561,17 +561,21 @@ class FleetOrchestrator:
             if cvm.state is not CvmState.DESTROYED
         }
         allowed |= live_cvms
-        problems = []
-        for page, owner in monitor.pool._page_owner.items():
-            if owner in allowed:
-                continue
-            if isinstance(owner, tuple) and owner and owner[0] in live_cvms:
-                continue  # block-cache reservation of a live CVM
-            problems.append(
-                f"L1: pool frame {page:#x} leaked to defunct owner "
-                f"{owner!r}"
-            )
-        return problems
+        # One C-level pass collects the distinct tags; only a defunct one
+        # sends the sweep back over the pages, to name each leaked frame.
+        owners = monitor.pool._page_owner
+        defunct = {
+            owner for owner in set(owners.values()) - allowed
+            # A block-cache reservation of a live CVM is not a leak.
+            if not (isinstance(owner, tuple) and owner and owner[0] in live_cvms)
+        }
+        if not defunct:
+            return []
+        return [
+            f"L1: pool frame {page:#x} leaked to defunct owner {owner!r}"
+            for page, owner in owners.items()
+            if owner in defunct
+        ]
 
     # -- the run -----------------------------------------------------------
 

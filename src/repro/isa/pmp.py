@@ -112,7 +112,7 @@ class PmpUnit:
         # compare + method calls each) dominated it.
         self._active = [e.match for e in self._entries if e.match is not None]
         self._any_implemented = bool(self._active) or any(
-            e.mode is not PmpAddressMode.OFF for e in self._entries
+            e.mode is not _OFF for e in self._entries
         )
 
     def __getitem__(self, index: int) -> PmpEntry:

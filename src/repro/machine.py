@@ -71,9 +71,10 @@ _COMPUTE, _COPY, _TRAP, _GUEST_KERNEL, _SM_LOGIC, _HYP_LOGIC = (
     Category.COMPUTE, Category.COPY, Category.TRAP, Category.GUEST_KERNEL, Category.SM_LOGIC,
     Category.HYP_LOGIC,
 )
+_TLB, _PAGE_WALK = Category.TLB, Category.PAGE_WALK
 _CONFIDENTIAL, _NORMAL = VmKind.CONFIDENTIAL, VmKind.NORMAL
 _FINALIZED, _RUNNING = CvmState.FINALIZED, CvmState.RUNNING
-_HS, _VS = PrivilegeMode.HS, PrivilegeMode.VS
+_M, _HS, _VS = PrivilegeMode.M, PrivilegeMode.HS, PrivilegeMode.VS
 #: The causes KVM's stage-2 fault path takes.
 _GUEST_PAGE_FAULTS = frozenset((
     ExceptionCause.LOAD_GUEST_PAGE_FAULT,
@@ -752,12 +753,12 @@ class Machine:
         vm = session.cvm if inside else session.normal_vm
         tlb_hit = int(self.costs.tlb_hit)
         walk_cost = int(self.costs.page_walk_level)
-        tlb_index = Category.TLB.index
-        compute_index = Category.COMPUTE.index
-        walk_index = Category.PAGE_WALK.index
+        tlb_index = _TLB.index
+        compute_index = _COMPUTE.index
+        walk_index = _PAGE_WALK.index
         scalar_hit = tlb_hit + 1
         # Where the VM's stage-2 faults are fixed in place.
-        handler_mode = PrivilegeMode.M if inside else PrivilegeMode.HS
+        handler_mode = _M if inside else _HS
         in_place_routes: dict = {}
 
         def fault_in_place(hart, store: int) -> bool:

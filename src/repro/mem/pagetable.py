@@ -16,13 +16,14 @@ alignment requirement.
 
 from __future__ import annotations
 
+import functools
 import struct
 from bisect import bisect_left
 from itertools import compress
 
 from repro.errors import MemoryError_
 from repro.isa.traps import AccessType
-from repro.mem.physmem import PAGE_SIZE
+from repro.mem.physmem import PAGE_SIZE, PhysicalMemory
 
 PTE_V = 1 << 0
 PTE_R = 1 << 1
@@ -81,6 +82,20 @@ def _reaches(ordered: list, after: int, end: int) -> bool:
     )
 
 
+#: A scan that covers no slot of a table.
+_NO_SLOTS = range(0)
+#: The words of an untouched (all-zero) 512-entry table page.
+_ZERO_WORDS = (0,) * (PAGE_SIZE // 8)
+
+
+@functools.cache
+def _slot_indices(bits: int) -> tuple:
+    """The slot indices of a ``bits``-wide table as a tuple, shared by every
+    scheme, for ``compress`` to pick valid slots from: iterating a tuple
+    allocates no integer per slot, as iterating a ``range`` does."""
+    return tuple(range(1 << bits))
+
+
 class WalkResult:
     """Outcome of a successful translation walk.
 
@@ -134,6 +149,7 @@ class PageTable:
             struct.Struct(f"<{1 << bits}Q") for bits in self.vpn_bits
         )
         self._slots = tuple(range(1 << bits) for bits in self.vpn_bits)
+        self._indices = tuple(_slot_indices(bits) for bits in self.vpn_bits)
 
     @property
     def root_entries(self) -> int:
@@ -280,13 +296,14 @@ class PageTable:
 
     def _iter(self, read, table: int, depth: int, va_prefix: int, slots: range):
         # A valid pointer PTE at the last level is skipped, as a hardware
-        # walk and ``_iter_tables`` skip it: following it would let a table
+        # walk and ``survey`` skip it: following it would let a table
         # that points back at itself recurse without bound.
         words = self._table_words[depth]
         shift = self._shifts[depth]
         level = self.levels - 1 - depth
         ptes = words.unpack(read(table, words.size))
-        for index in compress(slots, ptes[slots.start : slots.stop]):
+        start, stop = slots.start, slots.stop
+        for index in compress(self._indices[depth][start:stop], ptes[start:stop]):
             pte = ptes[index]
             if not pte & PTE_V:
                 continue
@@ -318,11 +335,27 @@ class PageTable:
     def _overlapping(self, read, table: int, depth: int, va_prefix: int,
                      slots: range, regions, hits: set) -> None:
         words = self._table_words[depth]
+        ptes = words.unpack(read(table, words.size))
+        in_range = ptes[slots.start : slots.stop]
+        self._hits(ptes, in_range, depth, va_prefix, slots, regions, hits)
+        if depth < self.levels - 1:
+            shift = self._shifts[depth]
+            for index in compress(self._indices[depth][slots.start : slots.stop], in_range):
+                pte = ptes[index]
+                if pte & PTE_V and not pte & 0b1110:  # valid pointer
+                    self._overlapping(
+                        read, (pte & _PPN_MASK) >> _PPN_SHIFT << 12, depth + 1,
+                        va_prefix | index << shift, self._slots[depth + 1],
+                        regions, hits,
+                    )
+
+    def _hits(self, ptes, in_range, depth: int, va_prefix: int, slots: range,
+              regions, hits: set) -> None:
+        """Add to ``hits`` the leaves among one table page's words
+        ``in_range`` (``ptes`` over ``slots``) that overlap a region."""
         shift = self._shifts[depth]
         span = self._spans[depth]
         level = self.levels - 1 - depth
-        ptes = words.unpack(read(table, words.size))
-        in_range = ptes[slots.start : slots.stop]
         # One C-speed sort per table page lets a region that no word can
         # reach skip the per-PTE comprehension; a word with a bit above
         # the PPN breaks the order ``_reaches`` relies on.
@@ -338,30 +371,91 @@ class PageTable:
                 if (pte := ptes[index]) & PTE_V and pte & 0b1110  # valid leaf
                 and after < (pa := (pte & _PPN_MASK) >> _PPN_SHIFT << 12) < end
             ])
-        if level:
-            for index in compress(slots, in_range):
-                pte = ptes[index]
-                if pte & PTE_V and not pte & 0b1110:  # valid pointer
-                    self._overlapping(
-                        read, (pte & _PPN_MASK) >> _PPN_SHIFT << 12, depth + 1,
-                        va_prefix | index << shift, self._slots[depth + 1],
-                        regions, hits,
-                    )
 
-    def iter_tables(self, memory, root_pa: int):
-        """Yield the physical address of every table page (root included)."""
-        yield root_pa
-        yield from self._iter_tables(memory.read, root_pa, 0)
+    def survey(self, memory, root_pa: int, leaf_window=(0, 0), regions=(),
+               region_window=(0, 0)) -> tuple:
+        """Every table page and two leaf scans, in one walk.
 
-    def _iter_tables(self, read, table: int, depth: int):
-        if depth == self.levels - 1:
+        Returns ``(tables, leaves, overlapping)``: ``tables`` lists the
+        root and then every page a valid pointer above the last level
+        names, in walk order (the last level's pages are named but not
+        read, unless a scan needs them); ``leaves`` is
+        ``list(self.iter_leaves(memory, root_pa, *leaf_window))``; and
+        ``overlapping`` is ``self.leaves_overlapping(memory, root_pa,
+        regions, *region_window)``.  Each table page on the way is read
+        once for all three, unpacked in place from its DRAM page when
+        ``memory`` is a :class:`~repro.mem.physmem.PhysicalMemory` and the
+        page lies inside it, and read through ``memory.read`` otherwise.
+        """
+        tables = [root_pa]
+        leaves: list = []
+        hits: set = set()
+        self._survey(
+            self._words_of(memory), root_pa, 0, 0,
+            self._root_slots(*leaf_window), self._root_slots(*region_window),
+            regions, tables, leaves, hits,
+        )
+        return tables, leaves, sorted(hits)
+
+    def _survey(self, words_of, table: int, depth: int, va_prefix: int,
+                leaf_slots: range, region_slots: range, regions,
+                tables: list, leaves: list, hits: set) -> None:
+        ptes = words_of(table, depth)
+        if region_slots:
+            self._hits(ptes, ptes[region_slots.start : region_slots.stop], depth,
+                       va_prefix, region_slots, regions, hits)
+        shift = self._shifts[depth]
+        level = self.levels - 1 - depth
+        if not level:
+            # A last-level table lies under one root slot, so the leaf
+            # scan takes all of it or none; its pointers are not followed.
+            if leaf_slots:
+                leaves.extend([
+                    (va_prefix | index << shift, (pte & _PPN_MASK) >> _PPN_SHIFT << 12,
+                     pte & 0xFF, 0)
+                    for index in compress(self._indices[depth], ptes)
+                    if (pte := ptes[index]) & PTE_V and pte & 0b1110  # valid leaf
+                ])
             return
-        words = self._table_words[depth]
-        for pte in filter(None, words.unpack(read(table, words.size))):
-            if pte & PTE_V and not pte & 0b1110:  # valid pointer (R=W=X=0)
-                child = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
-                yield child
-                yield from self._iter_tables(read, child, depth + 1)
+        below = self._slots[depth + 1]
+        for index in compress(self._indices[depth], ptes):
+            pte = ptes[index]
+            if not pte & PTE_V:
+                continue
+            target = (pte & _PPN_MASK) >> _PPN_SHIFT << 12
+            if pte & 0b1110:  # leaf (R|W|X)
+                if index in leaf_slots:
+                    leaves.append((va_prefix | index << shift, target, pte & 0xFF, level))
+                continue
+            tables.append(target)
+            # A slot neither scan covers still names its tables, down to
+            # the last level, whose pages only a scan reads.
+            scanned_leaves = below if index in leaf_slots else _NO_SLOTS
+            scanned_regions = below if index in region_slots else _NO_SLOTS
+            if level > 1 or scanned_leaves or scanned_regions:
+                self._survey(
+                    words_of, target, depth + 1, va_prefix | index << shift,
+                    scanned_leaves, scanned_regions, regions, tables, leaves, hits,
+                )
+
+    def _words_of(self, memory):
+        """``words_of(table, depth)``: the PTE words of the table page at
+        ``table``, unpacked in place when it is a page of ``memory``'s DRAM."""
+        structs = self._table_words
+        read = memory.read
+        if not isinstance(memory, PhysicalMemory):
+            return lambda table, depth: structs[depth].unpack(read(table, structs[depth].size))
+        page_get = memory._pages.get
+        lo, hi = memory.base, memory.end
+
+        def words_of(table: int, depth: int):
+            words = structs[depth]
+            if words.size == PAGE_SIZE and not table & 0xFFF and lo <= table < hi:
+                page = page_get(table >> 12)
+                return _ZERO_WORDS if page is None else words.unpack_from(page)
+            return words.unpack(read(table, words.size))
+
+        return words_of
 
 
 class Sv39(PageTable):

@@ -80,8 +80,11 @@ class HierarchicalAllocator:
         self._charge_cache_pop = ledger.charger(
             Category.ALLOC, costs.page_cache_pop
         )
-        self._global_block = None
         self._global_pages: list[int] = []
+        #: Every block this allocator drew from the pool, in draw order:
+        #: stage-2 and stage-3 cache refills and each uncached global
+        #: block.  The CVM holds them all until it is destroyed.
+        self.blocks: list = []
         #: Allocation counts per stage, for the experiment harness.
         self.stage_counts = {stage: 0 for stage in AllocStage}
 
@@ -118,6 +121,7 @@ class HierarchicalAllocator:
             raise PoolExhausted(
                 f"secure pool exhausted allocating for CVM {cvm_id} vCPU {vcpu_id}"
             )
+        self.blocks.append(block)
         cache.refill(block)
         self._ledger.charge(
             _ALLOC, self._costs.cache_slot_init * block.page_count
@@ -133,20 +137,20 @@ class HierarchicalAllocator:
         Each allocation pays the pool lock plus list manipulation, which
         is exactly what the per-vCPU cache exists to avoid (paper IV-D).
         """
-        self._ledger.charge(Category.ALLOC, self._costs.pool_lock_cost)
+        self._ledger.charge(_ALLOC, self._costs.pool_lock_cost)
         if not self._global_pages:
             block = self._pool.alloc_block(owner=(cvm_id, "global"))
-            self._ledger.charge(Category.ALLOC, self._costs.block_unlink)
+            self._ledger.charge(_ALLOC, self._costs.block_unlink)
             if block is None:
                 raise PoolExhausted("secure pool exhausted (uncached path)")
-            self._global_block = block
+            self.blocks.append(block)
             self._global_pages = list(block.pages())
         # Page hand-out still walks the shared structure under the lock.
-        self._ledger.charge(Category.ALLOC, self._costs.block_unlink)
+        self._ledger.charge(_ALLOC, self._costs.block_unlink)
         page = self._global_pages.pop()
-        self.stage_counts[AllocStage.NEW_BLOCK] += 1
+        self.stage_counts[_NEW_BLOCK] += 1
         self._pool.set_page_owner(page, cvm_id)
-        return page, AllocStage.NEW_BLOCK
+        return page, _NEW_BLOCK
 
     def note_expansion(self) -> None:
         """Record that an allocation required stage-3 pool expansion."""
@@ -157,22 +161,17 @@ class HierarchicalAllocator:
     def release_all(self, cvm_id: int) -> list:
         """Drop every cache held for ``cvm_id`` (CVM teardown).
 
-        Returns the backing blocks so the caller can recycle them into
-        the pool.  Covers both the per-vCPU caches and the uncached
-        ablation's global block -- a block whose pages were only partly
-        handed out is still owned by the CVM and must come back.
+        Returns every block the allocator drew for ``cvm_id`` so the
+        caller can scrub the pages it handed out and recycle the blocks
+        into the pool: a block whose pages were only partly handed out,
+        or that an earlier refill replaced, is still owned by the CVM and
+        must come back.
         """
-        blocks = []
-        for cache in self._caches.values():
-            block = cache.block
-            if block is not None and block.owner is not None \
-                    and block.owner[0] == cvm_id:
-                blocks.append(block)
+        blocks = [
+            block for block in self.blocks
+            if block.owner is not None and block.owner[0] == cvm_id
+        ]
+        self.blocks = []
         self._caches.clear()
-        if self._global_block is not None:
-            owner = self._global_block.owner
-            if owner is not None and owner[0] == cvm_id:
-                blocks.append(self._global_block)
-            self._global_block = None
-            self._global_pages = []
+        self._global_pages = []
         return blocks

@@ -45,6 +45,12 @@ _LAYOUT_FIELDS = frozenset(field.name for field in dataclasses.fields(GpaLayout)
 _VCPU_FIELDS = frozenset(("gprs", "csrs", "pc"))
 _GPR_NAMES = frozenset(GPR_NAMES)
 _CSR_NAMES = frozenset(GUEST_CSRS)
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_COPY, _SM_LOGIC = Category.COPY, Category.SM_LOGIC
+_SUSPENDED, _CREATED = CvmState.SUSPENDED, CvmState.CREATED
+#: The stage-2 geometry, built once: construction compiles its structs.
+_SV39X4 = Sv39x4()
 
 
 def derive_migration_key(fleet_secret: bytes, src_nonce: bytes, dst_nonce: bytes) -> bytes:
@@ -86,14 +92,14 @@ def export_cvm(monitor, cvm_id: int, key: bytes) -> bytes:
     returned blob is what the hypervisor gets to see and transport.
     """
     cvm = monitor._cvm(cvm_id)
-    cvm.require_state(CvmState.SUSPENDED)
+    cvm.require_state(_SUSPENDED)
     monitor.migration_export_seq += 1
 
     # Only the root slots of private DRAM: the shared window's leaves
     # (hypervisor memory, never exported) are not even read.
     layout = cvm.layout
     pages = []
-    for gpa, pa, _flags, _level in Sv39x4().iter_leaves(
+    for gpa, pa, _flags, _level in _SV39X4.iter_leaves(
         monitor.dram, cvm.hgatp_root, layout.dram_base, layout.dram_base + layout.dram_size
     ):
         if layout.in_private_dram(gpa):
@@ -134,8 +140,8 @@ def export_cvm(monitor, cvm_id: int, key: bytes) -> bytes:
         body += data
     plaintext = bytes(body)
 
-    monitor.ledger.charge(Category.COPY, monitor.costs.copy_bytes(len(plaintext)))
-    monitor.ledger.charge(Category.SM_LOGIC, 12_000)  # key schedule + bookkeeping
+    monitor.ledger.charge(_COPY, monitor.costs.copy_bytes(len(plaintext)))
+    monitor.ledger.charge(_SM_LOGIC, 12_000)  # key schedule + bookkeeping
     # The export counter never repeats in one SM's life, and the key binds
     # the host pair, so no two blobs sealed under one key share a nonce.
     nonce = _NONCE.pack(monitor.migration_export_seq)
@@ -286,8 +292,8 @@ def import_cvm(monitor, blob: bytes, key: bytes, vcpu_count: int | None = None) 
             "migration blob replayed: this sealed instance was already "
             "imported on this host"
         )
-    monitor.ledger.charge(Category.COPY, monitor.costs.copy_bytes(len(ciphertext)))
-    monitor.ledger.charge(Category.SM_LOGIC, 12_000)
+    monitor.ledger.charge(_COPY, monitor.costs.copy_bytes(len(ciphertext)))
+    monitor.ledger.charge(_SM_LOGIC, 12_000)
     plaintext = _xor(ciphertext, _keystream(key, nonce, len(ciphertext)))
 
     header, layout, offset = _parse_header(plaintext)
@@ -309,7 +315,7 @@ def import_cvm(monitor, blob: bytes, key: bytes, vcpu_count: int | None = None) 
                 )
             pa = monitor._alloc_and_map(cvm, 0, gpa)
             monitor.dram.write(pa, data)
-            monitor.ledger.charge(Category.COPY, monitor.costs.copy_bytes(PAGE_SIZE))
+            monitor.ledger.charge(_COPY, monitor.costs.copy_bytes(PAGE_SIZE))
 
         for vcpu, state in zip(cvm.vcpus, vcpus):
             vcpu.gprs = dict(state["gprs"])
@@ -327,5 +333,5 @@ def import_cvm(monitor, blob: bytes, key: bytes, vcpu_count: int | None = None) 
         monitor.ecall_destroy(cvm_id)
         raise
     monitor.migration_imports.add(tag)
-    cvm.state = CvmState.CREATED  # still needs shared vCPUs from the host
+    cvm.state = _CREATED  # still needs shared vCPUs from the host
     return cvm_id

@@ -28,7 +28,10 @@ from repro.sm.world_switch import WorldSwitch
 
 #: Bound once: a lookup through an enum class runs its metaclass's
 #: attribute hook.
-_PAGE_CACHE, _POOL_EXPANSION = AllocStage.PAGE_CACHE, AllocStage.POOL_EXPANSION
+_POOL_EXPANSION = AllocStage.POOL_EXPANSION
+_CREATED, _FINALIZED = CvmState.CREATED, CvmState.FINALIZED
+_RUNNING, _SUSPENDED = CvmState.RUNNING, CvmState.SUSPENDED
+_DESTROYED = CvmState.DESTROYED
 
 
 class _MetadataAllocator:
@@ -114,7 +117,6 @@ class SecureMonitor:
         self.channels = ChannelManager(self)
         self.cvms: dict[int, ConfidentialVm] = {}
         self._allocators: dict[int, HierarchicalAllocator] = {}
-        self._cvm_blocks: dict[int, list] = {}
         self._ids = itertools.count(1)
         self._vmids = itertools.count(1)
         #: MAC tags of migration blobs already imported on this host; the
@@ -190,7 +192,6 @@ class SecureMonitor:
         self._allocators[cvm.cvm_id] = HierarchicalAllocator(
             self.pool, self.ledger, self.costs, use_page_cache=self.use_page_cache
         )
-        self._cvm_blocks[cvm.cvm_id] = []
         cvm.measurement_log.extend(
             "layout",
             repr((layout.dram_base, layout.dram_size, layout.shared_base)).encode(),
@@ -314,23 +315,20 @@ class SecureMonitor:
         """Destroy a CVM: scrub every owned frame, recycle its blocks."""
         self._charge_ecall("ecall_destroy")
         cvm = self._cvm(cvm_id)
-        cvm.require_state(
-            CvmState.CREATED, CvmState.FINALIZED, CvmState.RUNNING, CvmState.SUSPENDED
-        )
+        cvm.require_state(_CREATED, _FINALIZED, _RUNNING, _SUSPENDED)
         # Channels die with either endpoint: unmap from both sides and
         # scrub the windows *before* the CVM's own frames are recycled.
         self.channels.on_cvm_destroyed(cvm_id)
-        for page in self.pool.pages_owned_by(cvm.cvm_id):
-            self.dram.zero_range(page, PAGE_SIZE)
-            self.ledger.charge(Category.SM_LOGIC, self.costs.zero_bytes(PAGE_SIZE))
-            self.pool.set_page_owner(page, "free")
-        allocator = self._allocators[cvm.cvm_id]
-        for block in allocator.release_all(cvm.cvm_id) + self._cvm_blocks[cvm.cvm_id]:
-            if block.owner is not None:
-                self.pool.free_block(block)
-        self._cvm_blocks[cvm.cvm_id] = []
+        # Every page the CVM was handed lies in a block its allocator
+        # drew, so the scrub visits those blocks, not the whole pool.
+        pool = self.pool
+        for block in self._allocators[cvm_id].release_all(cvm_id):
+            for page in pool.pages_owned_by(cvm_id, block):
+                self.dram.zero_range(page, PAGE_SIZE)
+                self._charge_zero_page()
+            pool.free_block(block)
         self.translator.hfence_gvma(cvm.vmid)
-        cvm.state = CvmState.DESTROYED
+        cvm.state = _DESTROYED
 
     # ------------------------------------------------------------------
     # ECALLs from confidential VMs (CVM mode)
@@ -576,12 +574,6 @@ class SecureMonitor:
                 )
             allocator.note_expansion()
             stage = _POOL_EXPANSION
-        if stage is not _PAGE_CACHE:
-            # Stages 2 and 3 hand the vCPU a fresh block, which the CVM
-            # holds until it is destroyed (the uncached ablation has none).
-            block = allocator.cache_for(vcpu_id).block
-            if block is not None:
-                self._cvm_blocks[cvm.cvm_id].append(block)
         return pa, stage
 
     def _request_pool_expansion(self, hart, cvm: ConfidentialVm, vcpu_id: int) -> None:
@@ -611,7 +603,7 @@ class SecureMonitor:
         """Fresh zeroed secure page for a stage-2 table level."""
         pa = self.metadata.alloc()
         self.dram.zero_range(pa, PAGE_SIZE)
-        self.ledger.charge(Category.SM_LOGIC, self.costs.zero_bytes(PAGE_SIZE))
+        self._charge_zero_page()
         return pa
 
     # ------------------------------------------------------------------

@@ -10,6 +10,9 @@ the SM guarantee stage-2 disjointness between CVMs.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import eq
+
 from repro.errors import SecurityViolation
 from repro.mem.physmem import PAGE_SIZE
 
@@ -200,6 +203,16 @@ class SecureMemoryPool:
             raise SecurityViolation(f"{page_base:#x} is not secure-pool memory")
         self._page_owner[page_base] = owner
 
-    def pages_owned_by(self, owner):
-        """All page bases currently tagged with ``owner``."""
-        return [page for page, tag in self._page_owner.items() if tag == owner]
+    def pages_owned_by(self, owner, block: SecureMemoryBlock | None = None) -> list:
+        """All page bases currently tagged with ``owner``, in pool order;
+        only those of ``block`` when one is given.
+
+        The tags are compared in C (``map`` of ``operator.eq``), so a
+        scan of the whole pool costs no Python step per page.
+        """
+        if block is None:
+            pages, tags = self._page_owner.keys(), self._page_owner.values()
+        else:
+            pages = block.pages()
+            tags = map(self._page_owner.__getitem__, pages)
+        return list(compress(pages, map(eq, tags, repeat(owner))))

@@ -48,6 +48,8 @@ _M = PrivilegeMode.M
 _HS_LEVEL, _VS_LEVEL = PrivilegeMode.HS.level, PrivilegeMode.VS.level
 _WAITING_HYP, _RUNNING, _STOPPED = VcpuState.WAITING_HYP, VcpuState.RUNNING, VcpuState.STOPPED
 _SM_LOGIC, _REG_SAVE = Category.SM_LOGIC, Category.REG_SAVE
+_TRAP, _PMP, _TLB = Category.TRAP, Category.PMP, Category.TLB
+_HYP_LOGIC, _VALIDATE = Category.HYP_LOGIC, Category.VALIDATE
 #: Number of hypervisor-context CSRs swapped on a world switch.
 HYP_CSR_COUNT = 18
 
@@ -114,26 +116,26 @@ class WorldSwitch:
             exit_reg += hyp_swap + hyp_save
             exit_trap += costs.xret + costs.trap_to_m
             exit_sm += costs.ecall_dispatch
-            exit_extra += (Category.HYP_LOGIC, costs.sec_hyp_exit_logic)
+            exit_extra += (_HYP_LOGIC, costs.sec_hyp_exit_logic)
         if not self.use_shared_vcpu:
             field_count = len(GUEST_CSRS) + 31  # full GPR file + guest CSRs
-            exit_extra += (Category.VALIDATE, field_count * costs.sanitize_field)
+            exit_extra += (_VALIDATE, field_count * costs.sanitize_field)
         exit_common = exit_extra + (
-            Category.TRAP, exit_trap,
-            Category.REG_SAVE, exit_reg,
-            Category.PMP, pmp_toggle,
-            Category.TLB, costs.tlb_flush_gvma,
+            _TRAP, exit_trap,
+            _REG_SAVE, exit_reg,
+            _PMP, pmp_toggle,
+            _TLB, costs.tlb_flush_gvma,
         )
-        self._exit_fire = charger(*exit_common, Category.SM_LOGIC, exit_sm)
+        self._exit_fire = charger(*exit_common, _SM_LOGIC, exit_sm)
         self._exit_fire_mmio = charger(
-            *exit_common, Category.SM_LOGIC, exit_sm + costs.sm_mmio_decode
+            *exit_common, _SM_LOGIC, exit_sm + costs.sm_mmio_decode
         )
 
         # -- entry: one fire on each side of the Check-after-Load seam ------
         self._entry_pre_fire = charger(
-            Category.TRAP, costs.trap_to_m,
-            Category.SM_LOGIC, costs.ecall_dispatch + costs.sm_entry_logic,
-            Category.REG_SAVE, hyp_save,
+            _TRAP, costs.trap_to_m,
+            _SM_LOGIC, costs.ecall_dispatch + costs.sm_entry_logic,
+            _REG_SAVE, hyp_save,
         )
         entry_trap = costs.xret
         entry_reg = guest_restore + delegation_swap
@@ -142,15 +144,15 @@ class WorldSwitch:
             entry_reg += hyp_swap + hyp_save
             entry_trap += costs.xret + costs.trap_to_m
             entry_extra = (
-                Category.HYP_LOGIC, costs.sec_hyp_entry_logic,
-                Category.SM_LOGIC, costs.ecall_dispatch,
+                _HYP_LOGIC, costs.sec_hyp_entry_logic,
+                _SM_LOGIC, costs.ecall_dispatch,
             )
         self._entry_post_fire = charger(
             *entry_extra,
-            Category.TRAP, entry_trap,
-            Category.REG_SAVE, entry_reg,
-            Category.PMP, pmp_toggle,
-            Category.TLB, costs.tlb_flush_gvma,
+            _TRAP, entry_trap,
+            _REG_SAVE, entry_reg,
+            _PMP, pmp_toggle,
+            _TLB, costs.tlb_flush_gvma,
         )
 
     # -- CVM exit ------------------------------------------------------------
@@ -283,7 +285,7 @@ class WorldSwitch:
     def _validate_full_state(self, vcpu: SecureVcpu, shared: SharedVcpu) -> dict:
         """Unoptimised baseline: validate every field of the returned state."""
         field_count = len(vcpu.gprs) + len(GUEST_CSRS)
-        self.ledger.charge(Category.VALIDATE, field_count * self.costs.validate_field)
+        self.ledger.charge(_VALIDATE, field_count * self.costs.validate_field)
         # The usable reply content is the same as the fast path's.
         return self.check_after_load.validate_reply(vcpu, shared)
 

@@ -36,17 +36,24 @@ from repro.sm.channel import ChannelState
 from repro.sm.cvm import CvmState
 from repro.sm.secmem import OWNER_FREE, OWNER_SM
 
+#: Bound once: a lookup through an enum class runs its metaclass's
+#: attribute hook.
+_DESTROYED, _CLOSED = CvmState.DESTROYED, ChannelState.CLOSED
+_LOAD, _STORE = AccessType.LOAD, AccessType.STORE
+_HS, _M = PrivilegeMode.HS, PrivilegeMode.M
+#: The stage-2 geometry, built once: construction compiles its structs.
+_WALKER = Sv39x4()
+
 
 def check_invariants(machine) -> list:
     """Sweep the machine; returns a list of violation descriptions."""
     violations: list[str] = []
     monitor = machine.monitor
     pool = monitor.pool
-    walker = Sv39x4()
     dram = machine.dram  # raw M-mode view of the tables
 
     live_cvms = [
-        cvm for cvm in monitor.cvms.values() if cvm.state is not CvmState.DESTROYED
+        cvm for cvm in monitor.cvms.values() if cvm.state is not _DESTROYED
     ]
 
     # Frames legitimately shared between endpoint CVMs via a live
@@ -54,7 +61,7 @@ def check_invariants(machine) -> list:
     # and mapped into both endpoints' private ranges by design.
     channel_frames: dict[int, set] = {}
     for channel in monitor.channels.channels.values():
-        if channel.state is ChannelState.CLOSED:
+        if channel.state is _CLOSED:
             continue
         frames = {
             channel.window_pa + offset
@@ -74,23 +81,29 @@ def check_invariants(machine) -> list:
                 f"I1: CVM {cvm.cvm_id} root {cvm.hgatp_root:#x} outside the pool"
             )
         shared_split = monitor.split.shared_root_index_base(cvm)
-        for table in walker.iter_tables(dram, cvm.hgatp_root):
-            all_table_pages.add(table)
-        # Two range scans, in GPA order: private DRAM ends below the
-        # shared window (GpaLayout enforces it).  Leaves are checked
-        # across their whole span, not just their first page.
+        # One walk of the CVM's tables: every table page, the leaves
+        # under private DRAM's root slots, and the shared window's
+        # leaves that reach the pool (only those come back, so its pages
+        # of leaves cost no per-leaf Python work).  Private DRAM ends
+        # below the shared window (GpaLayout enforces it).  Leaves are
+        # checked across their whole span, not just their first page.
         layout = cvm.layout
+        tables, leaves, aliases = _WALKER.survey(
+            dram, cvm.hgatp_root,
+            (layout.dram_base, layout.dram_base + layout.dram_size),
+            pool.regions,
+            (layout.shared_base, layout.shared_base + layout.shared_size),
+        )
+        all_table_pages.update(tables)
         frames = set()
-        for gpa, pa, _flags, level in walker.iter_leaves(
-            dram, cvm.hgatp_root, layout.dram_base, layout.dram_base + layout.dram_size
-        ):
+        for gpa, pa, _flags, level in leaves:
             if not layout.in_private_dram(gpa):
                 continue
             page = pa & ~(PAGE_SIZE - 1)
             if page in channel_frames.get(cvm.cvm_id, ()):
                 continue  # live channel window: token-owned by design
             frames.add(page)
-            if not pool.contains(pa, walker.level_span(level)):
+            if not pool.contains(pa, _WALKER.level_span(level)):
                 violations.append(
                     f"I2: CVM {cvm.cvm_id} private GPA {gpa:#x} maps "
                     f"non-pool PA {pa:#x}"
@@ -100,15 +113,9 @@ def check_invariants(machine) -> list:
                     f"I2: CVM {cvm.cvm_id} private frame {pa:#x} owned by "
                     f"{pool.owner_of(page)!r}"
                 )
-        # The hypervisor's shared window: only leaves reaching the pool
-        # come back from the scan, so its pages of leaves cost no
-        # per-leaf Python work.
         violations.extend(
             f"I4: CVM {cvm.cvm_id} shared GPA {gpa:#x} aliases pool PA {pa:#x}"
-            for gpa, pa, _flags, _level in walker.leaves_overlapping(
-                dram, cvm.hgatp_root, pool.regions,
-                layout.shared_base, layout.shared_base + layout.shared_size,
-            )
+            for gpa, pa, _flags, _level in aliases
             if layout.in_shared(gpa)
         )
         frames_by_cvm[cvm.cvm_id] = frames
@@ -137,7 +144,7 @@ def check_invariants(machine) -> list:
     for hart in machine.harts:
         is_open = machine.pmp_controller.pool_is_open(hart)
         for base, size in pool.regions:
-            readable = hart.pmp.check(base, 8, AccessType.LOAD, PrivilegeMode.HS)
+            readable = hart.pmp.check(base, 8, _LOAD, _HS)
             if readable != is_open:
                 violations.append(
                     f"I5: hart {hart.hart_id} pool PMP state "
@@ -151,7 +158,7 @@ def check_invariants(machine) -> list:
             and getattr(session, "cvm", None) is not None
             and session.hart is hart
         )
-        if is_open and not cvm_running_here and hart.mode is not PrivilegeMode.M:
+        if is_open and not cvm_running_here and hart.mode is not _M:
             violations.append(
                 f"I5: hart {hart.hart_id} has the pool open with no CVM running"
             )
@@ -159,7 +166,7 @@ def check_invariants(machine) -> list:
     # --- I6: IOPMP coverage -------------------------------------------------------
     for base, size in pool.regions:
         for source_id in (0, 1, 7):
-            for access in (AccessType.LOAD, AccessType.STORE):
+            for access in (_LOAD, _STORE):
                 if machine.iopmp.check(source_id, base, 64, access):
                     violations.append(
                         f"I6: IOPMP allows device {source_id} {access.value} "

@@ -333,7 +333,7 @@ def _take_sm_fault(cvm, case: str) -> dict:
         "by_category": cvm.machine.ledger.by_category(),
         "leaf": (pa, flags),
         "owner": None if pa is None else monitor.pool.owner_of(pa & ~(PAGE_SIZE - 1)),
-        "cvm_blocks": [(b.base, b.size) for b in monitor._cvm_blocks[cvm.cvm.cvm_id]],
+        "cvm_blocks": [(b.base, b.size) for b in monitor._allocators[cvm.cvm.cvm_id].blocks],
         "violations": check_invariants(cvm.machine),
     }
 

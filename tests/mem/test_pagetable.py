@@ -192,7 +192,7 @@ class TestSv39x4:
         root = BASE + 0xA00000
         dram.zero_range(root, pt.root_size)
         pt.map(acc, root, 0x8000_0000, BASE, PTE_R, table_alloc)
-        tables = list(pt.iter_tables(dram, root))
+        tables, _leaves, _overlapping = pt.survey(dram, root)
         assert tables[0] == root
         assert len(tables) == 3  # root + two intermediate levels
 
@@ -206,4 +206,4 @@ class TestSv39x4:
         pt.map(acc, root, 0x8000_0000, BASE, PTE_R, table_alloc)
         dram.write_u64(root, (root >> 12) << 10 | PTE_V)
         assert list(pt.iter_leaves(dram, root)) == [(0x8000_0000, BASE, PTE_R | PTE_V, 0)]
-        assert len(set(pt.iter_tables(dram, root))) == 3
+        assert len(set(pt.survey(dram, root)[0])) == 3

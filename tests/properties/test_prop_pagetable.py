@@ -1,7 +1,7 @@
 """Property-based tests: page-table map/walk/unmap invariants."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from repro.errors import MemoryError_
 from repro.mem.pagetable import (
@@ -112,7 +112,7 @@ def test_tables_and_leaves_never_alias(va_pages):
     for i, va_page in enumerate(sorted(va_pages)):
         scheme.map(acc, root, va_page << 12, BASE + 0x300_0000 + i * PAGE_SIZE,
                    PTE_R | PTE_X, alloc)
-    tables = set(scheme.iter_tables(dram, root))
+    tables = set(scheme.survey(dram, root)[0])
     leaves = {pa for _va, pa, _f, _l in scheme.iter_leaves(dram, root)}
     assert not tables & leaves
 
@@ -136,7 +136,8 @@ def _reference_leaves(scheme, dram, table, depth=0, va_prefix=0):
 
 
 def _reference_tables(scheme, dram, table, depth=0):
-    """The plain per-word recursion ``iter_tables`` must agree with."""
+    """The plain per-word recursion ``survey``'s table list must agree with:
+    the root, then each table a valid pointer above the last level names."""
     if depth == 0:
         yield table
     if depth == scheme.levels - 1:
@@ -188,13 +189,13 @@ def _mixed_table(scheme, leaves, high):
        high=st.booleans())
 def test_scans_match_reference_over_mixed_leaf_sizes(scheme, leaves, high):
     """4 KB, 2 MB and 1 GB leaves with varied flags: ``iter_leaves``
-    yields the reference sequence (order included) and ``iter_tables``
-    the reference set."""
+    yields the reference sequence (order included) and ``survey`` the
+    reference set of tables."""
     dram, root = _mixed_table(scheme, leaves, high)
     assert list(scheme.iter_leaves(dram, root)) == list(
         _reference_leaves(scheme, dram, root)
     )
-    tables = list(scheme.iter_tables(dram, root))
+    tables = scheme.survey(dram, root)[0]
     assert len(tables) == len(set(tables))
     assert set(tables) == set(_reference_tables(scheme, dram, root))
 
@@ -330,3 +331,87 @@ def test_the_screen_is_exact_for_words_below_bit_54(after, width, data):
     assert _reaches(sorted(words), after, end) == any(
         after < word >> 10 << 12 < end for word in words
     )
+
+
+# -- one survey against the three separate walks --------------------------------
+
+#: Where a raw pointer word leads: back up the chain or onto its own
+#: table (a loop), to an untouched DRAM page, or out of DRAM.
+_POINTS_TO = ["loop"] * 5 + ["dram"] * 5 + ["outside"]
+
+
+@st.composite
+def _pointer_word(draw, tables):
+    kind = draw(st.sampled_from(_POINTS_TO))
+    if kind == "loop":
+        target = draw(st.sampled_from(tables))
+    elif kind == "dram":
+        target = BASE + (2 << 20) + draw(st.integers(0, 63)) * PAGE_SIZE
+    else:
+        target = draw(st.sampled_from([BASE - PAGE_SIZE, BASE + (64 << 20), 0]))
+    high = draw(st.sampled_from([0, 0, 0, 1, 0x3FF]))
+    extra = draw(st.sampled_from([0, PTE_U, PTE_A | PTE_D, PTE_G]))
+    return high << 54 | (target >> 12) << 10 | extra | PTE_V
+
+
+class _ReadOnly:
+    """Memory that offers ``read`` alone: the survey cannot unpack in place."""
+
+    def __init__(self, dram):
+        self.read = dram.read
+
+
+def _window(lo, size, unbounded):
+    return lo, None if unbounded else lo + size
+
+
+def _outcome(walk):
+    try:
+        return walk()
+    except MemoryError_:
+        return MemoryError_
+
+
+@settings(deadline=None)
+@given(scheme=st.sampled_from([Sv39x4(), Sv39()]), regions=_regions,
+       read_only=st.booleans(), leaf_window=st.tuples(
+           st.integers(-GIB, 6 * GIB), st.integers(0, 4 * GIB), st.booleans()),
+       region_window=st.tuples(
+           st.integers(-GIB, 6 * GIB), st.integers(0, 4 * GIB), st.booleans()),
+       data=st.data())
+def test_survey_matches_the_three_walks_over_raw_words(scheme, regions, read_only,
+                                                       leaf_window, region_window, data):
+    """One ``survey`` returns what the table walk, ``iter_leaves`` and
+    ``leaves_overlapping`` return one by one, on raw words: leaves with
+    bits 54-63 set, pointers that loop back up the chain or onto their
+    own table, pointers to untouched pages and out of DRAM.  A table out
+    of DRAM that any of the three reads makes the survey refuse too."""
+    dram, acc, root, alloc = _env(scheme)
+    scheme.map(acc, root, 0, BASE, PTE_R, alloc)
+    tables = [root]
+    for _depth in range(scheme.levels - 1):
+        tables.append(pte_target(dram.read_u64(tables[-1])))
+    for depth, table in enumerate(tables):
+        span = scheme.level_span(scheme.levels - 1 - depth)
+        entries = scheme.root_entries if depth == 0 else 512
+        placed = data.draw(st.dictionaries(
+            st.integers(1, entries - 1),
+            st.one_of(_raw_words(span, regions), _pointer_word(tables)),
+            max_size=8,
+        ))
+        for slot, word in placed.items():
+            dram.write_u64(table + 8 * slot, word)
+    leaf_window, region_window = _window(*leaf_window), _window(*region_window)
+    walks = (
+        _outcome(lambda: list(_reference_tables(scheme, dram, root))),
+        _outcome(lambda: list(scheme.iter_leaves(dram, root, *leaf_window))),
+        _outcome(lambda: scheme.leaves_overlapping(dram, root, regions, *region_window)),
+    )
+    memory = _ReadOnly(dram) if read_only else dram
+    survey = _outcome(lambda: scheme.survey(memory, root, leaf_window, regions, region_window))
+    if MemoryError_ in walks:
+        event("a walk left DRAM")
+        assert survey is MemoryError_
+    else:
+        event(f"leaves: {bool(walks[1])}, overlaps: {bool(walks[2])}")
+        assert survey == walks

@@ -127,7 +127,7 @@ class TestCvmToCvmIsolation:
         b = machine.launch_confidential_vm(image=b"B" * 16384)
         table_pages = set()
         for session in (a, b):
-            for table in Sv39x4().iter_tables(machine.dram, session.cvm.hgatp_root):
+            for table in Sv39x4().survey(machine.dram, session.cvm.hgatp_root)[0]:
                 for offset in range(0, 16 * 1024 if table == session.cvm.hgatp_root else PAGE_SIZE, PAGE_SIZE):
                     table_pages.add(table + offset)
         for session in (a, b):

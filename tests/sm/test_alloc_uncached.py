@@ -117,3 +117,25 @@ def test_destroy_recovers_blocks_without_page_cache():
     # Data blocks return; only SM metadata blocks may stay consumed
     # (same tolerance as the cached-path destroy test).
     assert machine.monitor.pool.free_blocks >= free_before - 1
+
+
+@pytest.mark.parametrize("use_page_cache", [True, False])
+def test_destroy_returns_every_block_the_cvm_drew(use_page_cache):
+    """Teardown returns each global block the uncached path drew, not only
+    the last one: both allocators end with the same free list, and every
+    page tagged free lies in a block on it."""
+    from repro import Machine, MachineConfig
+    from repro.sm.secmem import OWNER_FREE
+    from repro.workloads.memstress import sequential_write_stress
+
+    machine = Machine(MachineConfig(use_page_cache=use_page_cache))
+    pool = machine.monitor.pool
+    free_before = pool.free_blocks
+    session = machine.launch_confidential_vm(image=b"u" * 4096)
+    machine.run(session, sequential_write_stress(200))
+    assert pool.free_blocks < free_before - 1  # 200 pages span several blocks
+    machine.monitor.ecall_destroy(session.cvm.cvm_id)
+    # One block of SM metadata (the stage-2 tables) stays consumed.
+    assert pool.free_blocks == free_before - 1
+    listed = {page for block in pool.free_list_blocks() for page in block.pages()}
+    assert set(pool.pages_owned_by(OWNER_FREE)) == listed

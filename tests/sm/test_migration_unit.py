@@ -273,7 +273,7 @@ class TestExportScan:
             for word in (machine.dram.read_u64(shared_root + 8 * i) for i in range(512))
             if word & 1
         }
-        tables = set(walker.iter_tables(machine.dram, cvm.hgatp_root))
+        tables = set(walker.survey(machine.dram, cvm.hgatp_root)[0])
         reads = []
         read = machine.dram.read
 
